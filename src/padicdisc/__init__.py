@@ -10,8 +10,6 @@ valuations.
 from .padic import (
     FieldDescriptor,
     PadicScalar,
-    element_from_rational,
-    arithmetic,
     hensel_lift,
     root_of_unity,
     INF,
@@ -43,6 +41,7 @@ from .diffmod import (
     local_solution_matrix,
     horizontal_check,
     element_radius,
+    QuotientAlgebra,
     reduce_to_basis,
     direct_image,
 )
@@ -53,7 +52,6 @@ from .optimal import (
     SelectedBranches,
     OptimalBasis,
     vandermonde,
-    indicator_vector,
     transfer_coordinates,
     fundamental_solution_matrix,
     linked_bases,

@@ -18,10 +18,9 @@ from .padic import PadicScalar
 from .series import (
     TruncatedSeries,
     derivative,
-    evaluate,
     mult_inverse,
     radius_estimate,
-    taylor_shift,
+    recenter,
 )
 from .morphism import DiscMorphism, MonicRelation
 
@@ -148,7 +147,7 @@ def local_solution_matrix(module: DiffModule, a: PadicScalar, order=None) -> Hor
     r = module.rank
     fld = module.field
     system = module.system_matrix()
-    s_shift = tuple(tuple(_recenter(c, a) for c in row) for row in system)
+    s_shift = tuple(tuple(recenter(c, a) for c in row) for row in system)
     s_coeff = [[[s_shift[i][j].coeffs[k] if k < s_shift[i][j].order else fld.zero()
                  for j in range(r)] for i in range(r)] for k in range(n)]
     y = [[[fld.one() if i == j else fld.zero() for j in range(r)] for i in range(r)]]
@@ -174,18 +173,12 @@ def local_solution_matrix(module: DiffModule, a: PadicScalar, order=None) -> Hor
     return HorizontalMatrix(base_point=a, columns=tuple(columns), radii=tuple(radii))
 
 
-def _recenter(c: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
-    """Expand the series at a new center inside its disc (constant included)."""
-    return taylor_shift(c, a) + evaluate(c, a)
-
-
 def horizontal_check(column, module: DiffModule):
     """(ok, worst_violation): residual dY/dx + A^T Y must vanish to order N-1.
 
     worst_violation is +inf when every residual coefficient is zero at its
     tracked precision, otherwise the least valuation among surviving
-    coefficients.  The certified vanishing level is reported separately by
-    residual_certified_precision.
+    coefficients.
     """
     residual = _horizontal_residual(column, module)
     ok = True
@@ -200,19 +193,13 @@ def horizontal_check(column, module: DiffModule):
     return ok, worst
 
 
-def residual_certified_precision(column, module: DiffModule):
-    """Min tracked precision over residual coefficients (diagnostic)."""
-    residual = _horizontal_residual(column, module)
-    return min(c.precision() for entry in residual for c in entry.coeffs)
-
-
 def _horizontal_residual(column, module: DiffModule):
     column = tuple(column)
     r = module.rank
     a_t = tuple(tuple(module.matrix[j][i] for j in range(r)) for i in range(r))
     center = column[0].center
     if not (center - module.center).is_zero():
-        a_t = tuple(tuple(_recenter(c, center) for c in row) for row in a_t)
+        a_t = tuple(tuple(recenter(c, center) for c in row) for row in a_t)
     n = min(min(c.order for c in column), module.order())
     residual = []
     for i in range(r):
@@ -233,59 +220,36 @@ def element_radius(column, a: PadicScalar, window=None) -> RadiusEstimate:
     return best
 
 
-def reduce_to_basis(g: TruncatedSeries, relation: MonicRelation):
-    """Coordinates (g_0(s), ..., g_{d-1}(s)) of a t-polynomial modulo P(s, X).
-
-    g has scalar coefficients in t; each t-power above d-1 is rewritten with
-    t^d = -sum a_j(s) t^j, strictly lowering the degree.
-    """
-    d = relation.degree
-    table = _power_table(relation, max(g.order - 1, 2 * d - 2))
-    n = min(c.order for c in relation.coeffs)
-    fld = g.field
-    zero = TruncatedSeries.constant(fld, relation.coeffs[0].var, relation.center,
-                                    fld.zero(), n)
-    out = [zero] * d
-    for k, c in enumerate(g.coeffs):
-        if c.is_exact_zero():
-            continue
-        for m in range(d):
-            if not table[k][m].is_zero():
-                out[m] = out[m] + table[k][m] * c
-    return tuple(out)
-
-
-def _power_table(relation: MonicRelation, max_power: int):
-    """t^k as quotient-algebra coordinate vectors of s-series, k <= max_power."""
-    d = relation.degree
-    n = min(c.order for c in relation.coeffs)
-    fld = relation.coeffs[0].field
-    var = relation.coeffs[0].var
-    zero = TruncatedSeries.constant(fld, var, relation.center, fld.zero(), n)
-    one = TruncatedSeries.constant(fld, var, relation.center, fld.one(), n)
-    table = []
-    for k in range(min(d, max_power + 1)):
-        table.append(tuple(one if m == k else zero for m in range(d)))
-    for k in range(d, max_power + 1):
-        prev = table[k - 1]
-        shifted = [zero] + list(prev[:-1])
-        top = prev[d - 1]
-        row = [shifted[m] - top * relation.coeffs[m].truncate(n) for m in range(d)]
-        table.append(tuple(row))
-    return table
-
-
 class QuotientAlgebra:
-    """O_s[X]/P(s, X) with multiplication through the power table."""
+    """O_s[X]/P(s, X), elements as coordinate vectors over 1, t, ..., t^{d-1}.
+
+    Owns the power table t^k mod P(s, X).  It starts at t^0 .. t^{d-1} and
+    grows only as far as ``power`` is asked: each t^k is reduced once per
+    algebra, with t^d = -sum a_j(s) t^j.
+    """
 
     def __init__(self, relation: MonicRelation):
         self.relation = relation
         self.d = relation.degree
-        self.table = _power_table(relation, 2 * self.d - 2)
         self.order = min(c.order for c in relation.coeffs)
         fld = relation.coeffs[0].field
-        self.zero = TruncatedSeries.constant(fld, relation.coeffs[0].var,
-                                             relation.center, fld.zero(), self.order)
+        var = relation.coeffs[0].var
+        self.zero = TruncatedSeries.constant(fld, var, relation.center, fld.zero(),
+                                             self.order)
+        one = TruncatedSeries.constant(fld, var, relation.center, fld.one(), self.order)
+        self._table = [tuple(one if m == k else self.zero for m in range(self.d))
+                       for k in range(self.d)]
+
+    def power(self, k: int) -> tuple:
+        """Coordinates of t^k."""
+        table, d, n = self._table, self.d, self.order
+        while len(table) <= k:
+            prev = table[-1]
+            shifted = [self.zero] + list(prev[:-1])
+            top = prev[d - 1]
+            table.append(tuple(shifted[m] - top * self.relation.coeffs[m].truncate(n)
+                               for m in range(d)))
+        return table[k]
 
     def mul(self, x, y):
         d = self.d
@@ -297,26 +261,37 @@ class QuotientAlgebra:
                 if y[j].is_zero():
                     continue
                 prod = x[i] * y[j]
-                for m in range(d):
-                    t = self.table[i + j][m]
+                for m, t in enumerate(self.power(i + j)):
                     if not t.is_zero():
                         out[m] = out[m] + prod * t
         return tuple(out)
 
-    def unit(self, index=0):
-        d = self.d
-        fld = self.zero.field
-        one = TruncatedSeries.constant(fld, self.zero.var, self.relation.center,
-                                       fld.one(), self.order)
-        return tuple(one if m == index else self.zero for m in range(d))
-
     def invert(self, x):
         """Solve x * z = 1 by a d x d linear system over s-series."""
         d = self.d
-        cols = [self.mul(x, self.unit(j)) for j in range(d)]
+        cols = [self.mul(x, self.power(j)) for j in range(d)]
         mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
         inv = mat_inverse(mat, error=NotEtale)
         return tuple(inv[i][0] for i in range(d))
+
+
+def reduce_to_basis(g: TruncatedSeries, quot: QuotientAlgebra):
+    """Coordinates (g_0(s), ..., g_{d-1}(s)) of a t-polynomial modulo P(s, X).
+
+    Called as ``reduce_to_basis(g, QuotientAlgebra(relation))``; callers that
+    reduce several polynomials pass one algebra, so each power of t is
+    reduced once.  g has scalar coefficients in t; exact-zero coefficients
+    are skipped, so the algebra's power table grows only to the last
+    coefficient of g that is not an exact zero.
+    """
+    out = [quot.zero] * quot.d
+    for k, c in enumerate(g.coeffs):
+        if c.is_exact_zero():
+            continue
+        for m, t in enumerate(quot.power(k)):
+            if not t.is_zero():
+                out[m] = out[m] + t * c
+    return tuple(out)
 
 
 def direct_image(module: DiffModule, phi: DiscMorphism, relation: MonicRelation) -> DiffModule:
@@ -329,20 +304,20 @@ def direct_image(module: DiffModule, phi: DiscMorphism, relation: MonicRelation)
     r = module.rank
     d = relation.degree
     quot = QuotientAlgebra(relation)
-    fprime = reduce_to_basis(phi.derivative_series(), relation)
+    fprime = reduce_to_basis(phi.derivative_series(), quot)
     inv_fprime = quot.invert(fprime)
     a_reduced = [[None] * r for _ in range(r)]
     for j in range(r):
         for l in range(r):
-            a_reduced[j][l] = reduce_to_basis(module.matrix[j][l], relation)
+            a_reduced[j][l] = reduce_to_basis(module.matrix[j][l], quot)
     rows = []
     for j in range(r):
         for m in range(d):
             row_blocks = []
             for l in range(r):
-                vec = quot.mul(quot.unit(m), a_reduced[j][l])
+                vec = quot.mul(quot.power(m), a_reduced[j][l])
                 if l == j and m >= 1:
-                    shifted = list(quot.unit(m - 1))
+                    shifted = list(quot.power(m - 1))
                     vec = tuple(v + s * m for v, s in zip(vec, shifted))
                 vec = quot.mul(inv_fprime, vec)
                 row_blocks.extend(vec)
@@ -354,4 +329,4 @@ def direct_image(module: DiffModule, phi: DiscMorphism, relation: MonicRelation)
 def inverse_derivative_coordinates(phi: DiscMorphism, relation: MonicRelation):
     """Quotient coordinates of 1/f'(t) over s (the displayed decomposition)."""
     quot = QuotientAlgebra(relation)
-    return quot.invert(reduce_to_basis(phi.derivative_series(), relation))
+    return quot.invert(reduce_to_basis(phi.derivative_series(), quot))

@@ -26,6 +26,7 @@ from .series import (
     derivative,
     evaluate,
     lower_hull,
+    recenter,
     reversion,
     taylor_shift,
     valuation_polygon,
@@ -44,7 +45,6 @@ class DiscMorphism:
 
     f: TruncatedSeries
     degree: int
-    open_disc: bool = True
 
     def __post_init__(self):
         if not self.f.center.is_zero():
@@ -237,25 +237,10 @@ def _poly_roots(coeffs, fld: FieldDescriptor, depth: int = 0):
                 tau = hensel_lift(unit_poly, r)
                 roots.append(sigma * tau)
             else:
-                shifted = _shift_poly(unit_poly, r)
-                for sub in _poly_roots(shifted, fld, depth + 1):
+                shifted = recenter(TruncatedSeries(fld, "t", fld.zero(), unit_poly), r)
+                for sub in _poly_roots(shifted.coeffs, fld, depth + 1):
                     roots.append(sigma * (r + sub))
     return roots
-
-
-def _shift_poly(coeffs, r):
-    """Coefficients of P(r + X)."""
-    n = len(coeffs)
-    fld = r.field
-    out = [fld.zero()] * n
-    for c in reversed(coeffs):
-        # out = out * (r + X) + c
-        nxt = [out[i] * r for i in range(n)]
-        for i in range(n - 1, 0, -1):
-            nxt[i] = nxt[i] + out[i - 1]
-        nxt[0] = nxt[0] + c
-        out = nxt
-    return out
 
 
 def _sort_key(a: PadicScalar):

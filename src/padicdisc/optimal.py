@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
 from .padic import PadicScalar
-from .series import RadiusEstimate, TruncatedSeries, compose, evaluate, taylor_shift
+from .series import RadiusEstimate, TruncatedSeries, compose, recenter
 from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
 from .diffmod import element_radius, mat_inverse, mat_vec
 
@@ -117,19 +117,6 @@ def vandermonde(fib: Fiber, u_list) -> VandermondeData:
                            solutions=u_list)
 
 
-def indicator_vector(tree: TreeOverPoint, disc) -> tuple:
-    """0/1 membership column of the fiber in a recorded branch or the whole disc."""
-    d = len(tree.fiber.points)
-    kind, ref = disc
-    if kind == "whole":
-        return tuple(1 for _ in range(d))
-    if kind == "branch":
-        bp_index, part_index = ref
-        part = set(tree.branch_points[bp_index].parts[part_index])
-        return tuple(1 if i in part else 0 for i in range(d))
-    raise ValueError("disc must be ('whole', None) or ('branch', (bp, part))")
-
-
 def transfer_coordinates(blocks, vdata: VandermondeData) -> tuple:
     """Coordinates in the direct-image basis of per-preimage data.
 
@@ -183,17 +170,12 @@ def fundamental_solution_matrix(bases, u_list, vdata: VandermondeData) -> tuple:
 # linked bases and fundamental pairs
 # ----------------------------------------------------------------------------
 
-def _recenter_column(entries, target: PadicScalar):
-    return tuple(taylor_shift(entry, target) + evaluate(entry, target)
-                 for entry in entries)
-
-
 def _distance(a: PadicScalar, b: PadicScalar):
     d = a - b
     return Fraction(10 ** 9) if d.is_zero() else Fraction(d.valuation())
 
 
-def linked_bases(bases, fib: Fiber, verify_radii: bool = False):
+def linked_bases(bases, fib: Fiber):
     """Make per-preimage optimal bases literally share columns.
 
     ``bases`` maps each fiber point to a list of LinkedColumn in nondecreasing
@@ -216,13 +198,7 @@ def linked_bases(bases, fib: Fiber, verify_radii: bool = False):
                 if col.origin[0] != i:
                     continue                      # only propagate own columns
                 if gap > col.exponent and work[j][slot].origin == (j, slot):
-                    entries = _recenter_column(col.entries, fib.points[j])
-                    if verify_radii:
-                        est = element_radius(entries, fib.points[j])
-                        if est.stable and est.exponent != col.exponent:
-                            raise InconsistentRadii(
-                                "copied column re-estimates %s, stored %s"
-                                % (est.exponent, col.exponent))
+                    entries = tuple(recenter(e, fib.points[j]) for e in col.entries)
                     work[j][slot] = LinkedColumn(entries=entries,
                                                  exponent=col.exponent,
                                                  origin=col.origin)
@@ -238,7 +214,7 @@ def _verify_linked(work, fib: Fiber):
                 if j == i:
                     continue
                 if _distance(fib.points[i], fib.points[j]) > col.exponent:
-                    wanted = _recenter_column(col.entries, fib.points[j])
+                    wanted = tuple(recenter(e, fib.points[j]) for e in col.entries)
                     if not any(_columns_equal(wanted, other.entries)
                                for other in work[j]):
                         raise InconsistentRadii(
@@ -357,44 +333,22 @@ def trivial_optimal_basis(tree: TreeOverPoint, vdata: VandermondeData,
                           phi: DiscMorphism) -> OptimalBasis:
     """Optimal basis for the direct image of the trivial module.
 
-    Columns are V(s) v_U over the selected branches plus E_1 = V(s) (1..1)^T;
-    each branch column's predicted exponent is its branching radius, E_1's is
-    the image radius of the whole disc (0 for a morphism of unit discs).
+    The trivial module's horizontal column is the constant 1 on the whole
+    disc: one fundamental pair (anchor 0, exponent 0) held by every fiber
+    point.  The columns are then V(s) v_U over the selected branches plus
+    E_1 = V(s) (1..1)^T, as ``optimal_basis`` builds them.
     """
     d = vdata.degree
-    n = min(c.order for row in vdata.matrix_v for c in row)
+    n = min(u.order for u in vdata.solutions)
     fld = vdata.solutions[0].field
-    var = vdata.solutions[0].var
-    b = vdata.fiber.target
-
     pair = FundamentalPair(
         pair_id=0, anchor=0, slot=0, exponent=Fraction(0),
         members=tuple(range(d)),
         columns_at={i: (TruncatedSeries.constant(fld, "t", tree.fiber.points[i],
                                                  fld.one(), n),)
                     for i in range(d)})
-    sel = branch_selection(tree, pair)
-    columns = []
-    for choice in sel.choices:
-        vec = indicator_vector(tree, ("whole", None) if choice[0] == "self"
-                               else choice)
-        const = [TruncatedSeries.constant(fld, var, b, fld.from_rational(x), n)
-                 for x in vec]
-        col = tuple(mat_vec(vdata.matrix_v, const))
-        if choice[0] == "self":
-            predicted = image_radius(phi, tree.fiber.points[0], Fraction(0))
-        else:
-            predicted = tree.branch_points[choice[1][0]].branch_exponent
-        columns.append(BasisColumn(
-            entries=col,
-            predicted_exponent=predicted,
-            estimate=element_radius(col, b),
-            provenance={"pair": 0, "choice": choice},
-        ))
-    if len(columns) != d:
-        raise CountMismatch("trivial basis emitted %d columns, expected %d"
-                            % (len(columns), d))
-    return OptimalBasis(columns=tuple(columns))
+    return optimal_basis((pair,), (branch_selection(tree, pair),), tree, vdata,
+                         vdata.solutions, phi)
 
 
 # ----------------------------------------------------------------------------
@@ -429,8 +383,7 @@ def constant_rank(columns) -> int:
     return rank
 
 
-def optimality_check(basis: OptimalBasis, trials: int = 50, seed: int = 0,
-                     window=None) -> dict:
+def optimality_check(basis: OptimalBasis, trials: int = 50, seed: int = 0) -> dict:
     """Randomized combination-radius test of the optimality criterion.
 
     For each radius class, random small-integer combinations of its columns
@@ -457,7 +410,7 @@ def optimality_check(basis: OptimalBasis, trials: int = 50, seed: int = 0,
                     x + y for x, y in zip(combo, scaled))
             if all(e.is_zero() for e in combo):
                 continue
-            est = element_radius(combo, target.center, window)
+            est = element_radius(combo, target.center)
             if est.exponent != exponent:
                 failures.append({"trial": t, "coeffs": coeffs,
                                  "estimated": str(est.exponent)})

@@ -577,23 +577,6 @@ class PadicScalar:
 # module-level operations
 # ----------------------------------------------------------------------------
 
-def element_from_rational(q, field: FieldDescriptor) -> PadicScalar:
-    """Image of the rational q in the declared field, full precision cap."""
-    return field.from_rational(q)
-
-
-def arithmetic(x: PadicScalar, y: PadicScalar, kind: str) -> PadicScalar:
-    if kind == "add":
-        return x + y
-    if kind == "sub":
-        return x - y
-    if kind == "mul":
-        return x * y
-    if kind == "div":
-        return x / y
-    raise ValueError("unknown arithmetic kind %r" % kind)
-
-
 def poly_eval(coeffs, x: PadicScalar) -> PadicScalar:
     acc = x.field.zero()
     for c in reversed(list(coeffs)):

@@ -167,16 +167,6 @@ class TruncatedSeries:
 # public operations
 # ----------------------------------------------------------------------------
 
-def series_arithmetic(f: TruncatedSeries, g: TruncatedSeries, kind: str) -> TruncatedSeries:
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    raise ValueError("unknown series arithmetic kind %r" % kind)
-
-
 def mult_inverse(f: TruncatedSeries) -> TruncatedSeries:
     """Series g with f*g = 1 + O(x^N); needs an invertible constant term."""
     c0 = f.coeffs[0]
@@ -241,8 +231,11 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     return f._wrap(out)
 
 
-def taylor_shift(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
-    """f_a with f_a(x) = f(a + x) - f(a): recentered at a, constant term 0."""
+def recenter(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
+    """f expanded at a inside its disc: coefficients of f(a + x), constant f(a).
+
+    The constant term is the same Horner sum as ``evaluate(f, a)``.
+    """
     delta = a - f.center
     if not delta.is_zero() and delta.valuation() < 0:
         raise ShiftOutsideDisc("shift target has valuation %s" % delta.valuation())
@@ -256,8 +249,13 @@ def taylor_shift(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
             nxt[i] = nxt[i] + acc[i - 1]
         nxt[0] = nxt[0] + c
         acc = nxt
-    acc[0] = field.zero()
     return TruncatedSeries(field, f.var, a, acc)
+
+
+def taylor_shift(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
+    """f_a with f_a(x) = f(a + x) - f(a): recentered at a, constant term 0."""
+    shifted = recenter(f, a)
+    return shifted._wrap((f.field.zero(),) + shifted.coeffs[1:])
 
 
 def evaluate(f: TruncatedSeries, a: PadicScalar) -> PadicScalar:

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicdisc import (
     DiffModule,
     DiscMorphism,
     FieldDescriptor,
+    QuotientAlgebra,
     TruncatedSeries,
     change_basis,
     direct_image,
@@ -187,22 +188,25 @@ def test_element_radius_cases(q2, p2, inv2f2):
 # -- reduction to the quotient basis ------------------------------------------------------------
 
 def test_reduce_examples(q2, p2):
-    sq = reduce_to_basis(series(q2, [0, 0, 1]), p2.rel)
+    quot = QuotientAlgebra(p2.rel)
+    sq = reduce_to_basis(series(q2, [0, 0, 1]), quot)
     assert (sq[0] - series(q2, [0, 1], var="s")).is_zero()
     assert (sq[1] - series(q2, [-2], var="s")).is_zero()
 
-    one = reduce_to_basis(series(q2, [1]), p2.rel)
+    one = reduce_to_basis(series(q2, [1]), quot)
     assert (one[0] - series(q2, [1], var="s")).is_zero()
     assert one[1].is_zero()
 
-    cube = reduce_to_basis(series(q2, [0, 0, 0, 1]), p2.rel)
+    cube = reduce_to_basis(series(q2, [0, 0, 0, 1]), quot)
     assert (cube[0] - series(q2, [0, -2], var="s")).is_zero()
     assert (cube[1] - series(q2, [4, 1], var="s")).is_zero()
 
 
-@given(coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=7))
+@given(coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=7),
+       rough_at=st.one_of(st.none(), st.integers(8, 15)))
+@example(coeffs=[3, 0, 1], rough_at=13)
 @settings(max_examples=20, deadline=None)
-def test_reduce_left_inverse(coeffs):
+def test_reduce_left_inverse(coeffs, rough_at):
     # reconstruct g = sum g_m(f(t)) t^m for random polynomial g
     q2 = FieldDescriptor(2, digits=48)
     n = 16
@@ -211,7 +215,15 @@ def test_reduce_left_inverse(coeffs):
     fib = fiber(phi, q2.zero())
     rel = monic_relation(phi, fib)
     g = TruncatedSeries.from_rationals(q2, "t", 0, coeffs, order=n)
-    parts = reduce_to_basis(g, rel)
+    if rough_at is not None:
+        # a coefficient that is zero only at precision 5, above g's degree:
+        # t^rough_at has a unit coordinate, so its precision must reach the parts
+        rough = list(g.coeffs)
+        rough[rough_at] = q2.zero().with_precision(5)
+        g = TruncatedSeries(q2, "t", q2.zero(), rough)
+    parts = reduce_to_basis(g, QuotientAlgebra(rel))
+    if rough_at is not None:
+        assert min(part.min_precision() for part in parts) == 5
     t_series = TruncatedSeries.identity(q2, "t", q2.zero(), n)
     acc = TruncatedSeries.constant(q2, "t", q2.zero(), q2.zero(), n)
     power = TruncatedSeries.constant(q2, "t", q2.zero(), q2.one(), n)

@@ -436,10 +436,10 @@ def test_section_apply_square_oracle(p2):
 
 def test_section_of_reduction_is_composition(p2):
     # pulling the reduced coordinates back along a section recovers g(u_a(s))
-    from padicdisc import reduce_to_basis
+    from padicdisc import QuotientAlgebra, reduce_to_basis
     fld = p2.field
     g = TruncatedSeries.from_rationals(fld, "t", 0, [3, 0, 5, 1, 0, 7], order=N)
-    coords = reduce_to_basis(g, p2.rel)
+    coords = reduce_to_basis(g, QuotientAlgebra(p2.rel))
     for u in p2.solutions:
         via_section = section_apply(coords, u)
         direct = compose(g, u)

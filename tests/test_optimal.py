@@ -12,7 +12,6 @@ from padicdisc import (
     fundamental_pairs,
     fundamental_solution_matrix,
     horizontal_check,
-    indicator_vector,
     linked_bases,
     local_solution_matrix,
     optimal_basis,
@@ -122,13 +121,7 @@ def test_vandermonde_permutation_conjugation(p3):
             assert (vd2.matrix_v[i][j] - p3.vd.matrix_v[i][perm[j]]).is_zero()
 
 
-# -- indicators and transfer ---------------------------------------------------------------
-
-def test_indicator_vectors(p2, p3):
-    assert indicator_vector(p2.tree, ("whole", None)) == (1, 1)
-    assert indicator_vector(p2.tree, ("branch", (0, 1))) == (0, 1)
-    assert indicator_vector(p3.tree, ("branch", (0, 1))) == (0, 1, 0)
-
+# -- transfer ------------------------------------------------------------------------------
 
 def test_transfer_ones_is_e1(p2):
     blocks = [[series(p2.field, [1])], [series(p2.field, [1])]]

@@ -20,10 +20,11 @@ from padicdisc.errors import (
 from padicdisc.series import (
     compose,
     derivative,
+    evaluate,
     mult_inverse,
     radius_estimate,
+    recenter,
     reversion,
-    series_arithmetic,
     taylor_shift,
     valuation_polygon,
 )
@@ -39,7 +40,7 @@ def rational_series(field, var, rats, order=N):
 def test_mul_basic(q2):
     f = rational_series(q2, "t", [1, 1])
     g = rational_series(q2, "t", [1, -1])
-    h = series_arithmetic(f, g, "mul")
+    h = f * g
     assert (h.coeffs[0] - 1).is_zero()
     assert h.coeffs[1].is_zero()
     assert (h.coeffs[2] + 1).is_zero()
@@ -247,6 +248,38 @@ def test_taylor_shift_outside(q2):
     f = rational_series(q2, "t", [0, 1])
     with pytest.raises(ShiftOutsideDisc):
         taylor_shift(f, q2.from_rational(Fraction(1, 2)))
+
+
+RECENTER_FIELDS = {
+    "Q2": FieldDescriptor(2, digits=24),
+    "Q3(sqrt-3)": FieldDescriptor(3, digits=24, poly=[3, 0, 1], e=2, f=1),
+    "Q4": FieldDescriptor(2, digits=24, poly=[1, 1, 1], e=1, f=2),
+}
+_coord = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+# a coefficient: rational coordinates, optionally capped at a finite precision;
+# (0, ..., 0) capped this way is zero only at finite precision
+_coefficient = st.tuples(st.lists(_coord, min_size=2, max_size=2),
+                         st.one_of(st.none(), st.integers(0, 8)),
+                         st.booleans())
+
+
+@given(name=st.sampled_from(sorted(RECENTER_FIELDS)),
+       coeffs=st.lists(_coefficient, min_size=1, max_size=8),
+       shift=st.lists(st.integers(-9, 9), min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_recenter_is_taylor_shift_plus_value(name, coeffs, shift):
+    fld = RECENTER_FIELDS[name]
+
+    def scalar(coords, cap, zero):
+        c = fld.zero() if zero else fld.from_coords(coords[:fld.n])
+        return c if cap is None else c.with_precision(cap)
+
+    f = TruncatedSeries(fld, "t", fld.zero(), [scalar(*c) for c in coeffs])
+    a = fld.from_coords(shift[:fld.n])
+    got = recenter(f, a)
+    want = taylor_shift(f, a) + evaluate(f, a)
+    assert (got.var, got.center.coords) == (want.var, want.center.coords)
+    assert [c.coords for c in got.coeffs] == [c.coords for c in want.coeffs]
 
 
 # -- polygons ---------------------------------------------------------------------------
