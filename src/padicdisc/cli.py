@@ -248,23 +248,14 @@ def _run_checks(pipe: _Pipeline) -> list:
         return relation_vanishes_on_identity(pipe.get("relation"), pipe.get("phi")), \
             "P(f(t), t) == 0 to order N"
 
-    def chk_horizontal_fundamental():
+    def chk_horizontal(columns):
+        # the direct image is fetched first: when both stages fail, the
+        # check reports the direct image's error
         di = pipe.get("direct_image")
-        worst = "inf"
         ok = True
-        for col in pipe.get("fundamental"):
+        worst = "inf"
+        for col in columns():
             good, w = horizontal_check(col, di)
-            if not good:
-                ok = False
-                worst = jsonio.frac_str(w)
-        return ok, "worst violation %s" % worst
-
-    def chk_horizontal_optimal():
-        di = pipe.get("direct_image")
-        ok = True
-        worst = "inf"
-        for col in pipe.get("optimal").columns:
-            good, w = horizontal_check(col.entries, di)
             if not good:
                 ok = False
                 worst = jsonio.frac_str(w)
@@ -299,8 +290,10 @@ def _run_checks(pipe: _Pipeline) -> list:
     record("v_ones_is_e1", chk_v_ones)
     record("euler_identity", chk_euler)
     record("monic_relation_vanishes", chk_relation)
-    record("horizontal_fundamental", chk_horizontal_fundamental)
-    record("horizontal_optimal", chk_horizontal_optimal)
+    record("horizontal_fundamental",
+           lambda: chk_horizontal(lambda: pipe.get("fundamental")))
+    record("horizontal_optimal",
+           lambda: chk_horizontal(lambda: [c.entries for c in pipe.get("optimal").columns]))
     record("counts", chk_counts)
     record("radius_agreement", chk_radius_agreement)
     record("optimality", chk_optimality)

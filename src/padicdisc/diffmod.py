@@ -11,7 +11,6 @@ rank-d quotient algebra O_s[X]/P(s, X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonInvertibleTransition, NotEtale
 from .padic import PadicScalar
@@ -88,36 +87,51 @@ def mat_derivative(a):
     return tuple(tuple(derivative(c) for c in row) for row in a)
 
 
-def mat_inverse(a, error=NonInvertibleTransition):
-    """Gauss-Jordan over the series ring; pivots need invertible entries."""
-    n = len(a)
-    work = [list(row) for row in a]
-    inv = [list(row) for row in mat_identity(a[0][0].field, a[0][0].var,
-                                             a[0][0].center, n,
-                                             min(c.order for r in a for c in r))]
-    for col in range(n):
+def row_reduce(rows, width, lead, invert):
+    """Gauss-Jordan on the first ``width`` columns of ``rows``, in place.
+
+    Column by column, the pivot is the row at or below the current one whose
+    ``lead(entry)`` has the least valuation (the first such row on ties); it
+    is swapped into place and scaled by ``invert(entry)``, and every other
+    row whose entry is nonzero at precision is eliminated.  A column without
+    a nonzero entry is skipped.  Returns the pivot columns in order.
+    """
+    pivots = []
+    for col in range(width):
+        row = len(pivots)
         piv, best = None, None
-        for r in range(col, n):
-            c0 = work[r][col].coeffs[0]
+        for r in range(row, len(rows)):
+            c0 = lead(rows[r][col])
             if not c0.is_zero():
                 v = c0.valuation()
                 if best is None or v < best:
                     piv, best = r, v
         if piv is None:
-            raise error("no invertible pivot in column %d" % col)
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pivot_inv = mult_inverse(work[col][col])
-        work[col] = [x * pivot_inv for x in work[col]]
-        inv[col] = [x * pivot_inv for x in inv[col]]
-        for r in range(n):
-            if r != col:
-                c = work[r][col]
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        pivot_inv = invert(rows[row][col])
+        rows[row] = [x * pivot_inv for x in rows[row]]
+        for r in range(len(rows)):
+            if r != row:
+                c = rows[r][col]
                 if c.is_zero():
                     continue
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - c * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
+def mat_inverse(a, error=NonInvertibleTransition):
+    """Gauss-Jordan on [a | I] over the series ring; pivots need invertible
+    constant terms."""
+    n = len(a)
+    iden = mat_identity(a[0][0].field, a[0][0].var, a[0][0].center, n,
+                        min(c.order for r in a for c in r))
+    rows = [list(row) + list(e) for row, e in zip(a, iden)]
+    pivots = row_reduce(rows, n, lambda c: c.coeffs[0], mult_inverse)
+    if len(pivots) < n:
+        raise error("no invertible pivot in column %d" % min(set(range(n)) - set(pivots)))
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 # ----------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .series import (
     compose,
     derivative,
     evaluate,
+    horner,
     lower_hull,
     recenter,
     reversion,
@@ -414,21 +415,12 @@ def relation_vanishes_on_identity(rel: MonicRelation, phi: DiscMorphism) -> bool
     n = min(min(c.order for c in rel.coeffs), f.order)
     fld = f.field
     t_series = TruncatedSeries.identity(fld, "t", fld.zero(), n)
-    acc = TruncatedSeries.constant(fld, "t", fld.zero(), fld.one(), n)
-    total = TruncatedSeries.constant(fld, "t", fld.zero(), fld.zero(), n)
-    for c in rel.coeffs:
-        total = total + compose(c, f.truncate(n)) * acc
-        acc = acc * t_series
-    total = total + acc
-    return total.is_zero()
+    coeffs = [compose(c, f.truncate(n)) for c in rel.coeffs] + [fld.one()]
+    return horner(coeffs, t_series).is_zero()
 
 
 def section_apply(g_coords, u: TruncatedSeries) -> TruncatedSeries:
     """Pullback along the section: sum_m g_m(s) * u_a(s)^m by Horner."""
     coords = list(g_coords)
     n = min(min(c.order for c in coords), u.order)
-    fld = u.field
-    acc = TruncatedSeries.constant(fld, u.var, u.center, fld.zero(), n)
-    for g in reversed(coords):
-        acc = acc * u.truncate(n) + g.truncate(n)
-    return acc
+    return horner(coords, u.truncate(n))

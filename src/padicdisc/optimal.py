@@ -18,7 +18,7 @@ from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
 from .padic import PadicScalar
 from .series import RadiusEstimate, TruncatedSeries, compose, recenter
 from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
-from .diffmod import element_radius, mat_inverse, mat_vec
+from .diffmod import element_radius, mat_inverse, mat_vec, row_reduce
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,16 @@ def transfer_coordinates(blocks, vdata: VandermondeData) -> tuple:
     return tuple(out)
 
 
-def _zero_like(vdata: VandermondeData, order) -> TruncatedSeries:
+def _transfer_column(entries_at, u_list, vdata: VandermondeData, rank: int) -> tuple:
+    """V_r(s) applied to the column whose block at fiber point i is
+    ``entries_at[i]`` composed along u_{a_i}(s), and zero at every point
+    missing from ``entries_at``."""
+    n = min(u.order for u in u_list)
     u = vdata.solutions[0]
-    return TruncatedSeries.constant(u.field, u.var, u.center, u.field.zero(), order)
+    zero = TruncatedSeries.constant(u.field, u.var, u.center, u.field.zero(), n)
+    blocks = [[compose(e, u_list[i]) for e in entries_at[i]] if i in entries_at
+              else [zero] * rank for i in range(vdata.degree)]
+    return transfer_coordinates(blocks, vdata)
 
 
 def fundamental_solution_matrix(bases, u_list, vdata: VandermondeData) -> tuple:
@@ -151,19 +158,8 @@ def fundamental_solution_matrix(bases, u_list, vdata: VandermondeData) -> tuple:
     if len(bases) != d:
         raise ValueError("need one upstairs basis per fiber point")
     r = len(bases[0].columns)
-    n = min(u.order for u in u_list)
-    zero = _zero_like(vdata, n)
-    columns = []
-    for i in range(d):
-        for col in bases[i].columns:
-            blocks = []
-            for i2 in range(d):
-                if i2 == i:
-                    blocks.append([compose(entry, u_list[i]) for entry in col])
-                else:
-                    blocks.append([zero] * r)
-            columns.append(transfer_coordinates(blocks, vdata))
-    return tuple(columns)
+    return tuple(_transfer_column({i: col}, u_list, vdata, r)
+                 for i in range(d) for col in bases[i].columns)
 
 
 # ----------------------------------------------------------------------------
@@ -301,22 +297,14 @@ def optimal_basis(pairs, selections, tree: TreeOverPoint, vdata: VandermondeData
     of its branch; the estimate column is the tail-slope measurement.
     """
     d = vdata.degree
-    n = min(u.order for u in u_list)
-    zero = _zero_like(vdata, n)
     by_id = {sel.pair_id: sel for sel in selections}
     columns = []
     for pair in pairs:
         sel = by_id[pair.pair_id]
         for choice in sel.choices:
-            members = set(_choice_members(tree, pair, choice))
-            blocks = []
-            for i in range(d):
-                if i in members:
-                    entries = pair.columns_at[i]
-                    blocks.append([compose(e, u_list[i]) for e in entries])
-                else:
-                    blocks.append([zero] * rank)
-            col = transfer_coordinates(blocks, vdata)
+            col = _transfer_column({i: pair.columns_at[i]
+                                    for i in _choice_members(tree, pair, choice)},
+                                   u_list, vdata, rank)
             predicted = _choice_exponent(tree, pair, choice, phi)
             columns.append(BasisColumn(
                 entries=col,
@@ -361,26 +349,7 @@ def constant_rank(columns) -> int:
         return 0
     rows = [[col.entries[i].coeffs[0] for col in columns]
             for i in range(len(columns[0].entries))]
-    rank = 0
-    ncols = len(columns)
-    used = [False] * len(rows)
-    for j in range(ncols):
-        piv = None
-        for i, row in enumerate(rows):
-            if not used[i] and not row[j].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        rank += 1
-        inv = rows[piv][j].inverse()
-        rows[piv] = [x * inv for x in rows[piv]]
-        for i, row in enumerate(rows):
-            if i != piv and not row[j].is_zero():
-                c = row[j]
-                rows[i] = [x - c * y for x, y in zip(row, rows[piv])]
-    return rank
+    return len(row_reduce(rows, len(columns), lambda c: c, PadicScalar.inverse))
 
 
 def optimality_check(basis: OptimalBasis, trials: int = 50, seed: int = 0) -> dict:

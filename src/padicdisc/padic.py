@@ -220,29 +220,37 @@ def _fp_gcd(a, b, p):
     return a
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _fp_irreducible(g, p):
     # g monic over F_p.  Frobenius criterion: X^{p^n} == X mod g and
     # gcd(X^{p^{n/q}} - X, g) = 1 for every prime q | n.
     n = len(g) - 1
     if n == 1:
         return True
-    xq = _fp_powmod_x(p ** n, g, p)
-    xq = [(xq[i] if i < len(xq) else 0) - (1 if i == 1 else 0) for i in range(max(len(xq), 2))]
-    if any(c % p for c in xq):
+
+    def frobenius_minus_x(k):
+        # X^{p^k} - X mod g, coefficients ascending
+        h = _fp_powmod_x(p ** k, g, p)
+        return [(h[i] if i < len(h) else 0) - (1 if i == 1 else 0)
+                for i in range(max(len(h), 2))]
+
+    if any(c % p for c in frobenius_minus_x(n)):
         return False
-    m, primes, d = n, [], 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    for q in primes:
-        h = _fp_powmod_x(p ** (n // q), g, p)
-        h = [(h[i] if i < len(h) else 0) - (1 if i == 1 else 0) for i in range(max(len(h), 2))]
-        gc = _fp_gcd(g, h, p)
+    for q in _prime_factors(n):
+        gc = _fp_gcd(g, frobenius_minus_x(n // q), p)
         if len([c for c in gc if c % p]) != 1 or (gc + [0])[0] % p == 0:
             return False
     return True
@@ -616,16 +624,7 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
 
 def _primitive_root_mod_p(p: int) -> int:
     order = p - 1
-    primes = []
-    m, d = order, 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
+    primes = _prime_factors(order)
     for g in range(2, p):
         if all(pow(g, order // q, p) != 1 for q in primes):
             return g

@@ -78,9 +78,6 @@ class TruncatedSeries:
                 return i
         return None
 
-    def constant_term(self) -> PadicScalar:
-        return self.coeffs[0]
-
     def equals(self, other) -> bool:
         return (self - other).is_zero()
 
@@ -202,11 +199,16 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         raise SubstitutionOutsideDisc(
             "substituted constant has valuation %s" % delta0.valuation())
     n = min(f.order, g.order)
-    h_coeffs = [delta0] + list(g.coeffs[1:n])
-    h = TruncatedSeries(g.field, g.var, g.center, h_coeffs)
-    acc = TruncatedSeries.constant(g.field, g.var, g.center, g.field.zero(), n)
-    for c in reversed(f.coeffs[:n]):
-        acc = acc * h + c
+    h = TruncatedSeries(g.field, g.var, g.center, [delta0] + list(g.coeffs[1:n]))
+    return horner(f.coeffs[:n], h)
+
+
+def horner(coeffs, x: TruncatedSeries) -> TruncatedSeries:
+    """sum_k c_k x^k by Horner to x's order; each c_k is a scalar or a series
+    at x's center."""
+    acc = TruncatedSeries.constant(x.field, x.var, x.center, x.field.zero(), x.order)
+    for c in reversed(coeffs):
+        acc = acc * x + c
     return acc
 
 
@@ -315,12 +317,6 @@ class ValuationPolygon:
         series junk above the minimal valuation does not inflate it.
         """
         return self.right_slope(0)
-
-    def breakpoints(self):
-        out = []
-        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
-            out.append(Fraction(y1 - y2, x2 - x1))
-        return out
 
 
 def valuation_polygon(f: TruncatedSeries) -> ValuationPolygon:
@@ -433,24 +429,16 @@ def newton_solve(poly, x0: PadicScalar) -> TruncatedSeries:
         raise SingularFiberPoint(
             "dP/dX vanishes at the fiber point (branching or non-etale)")
     n = min(c.order for c in poly)
-    field = base.field
-    u = TruncatedSeries.constant(field, base.var, base.center, x0, n)
+    u = TruncatedSeries.constant(base.field, base.var, base.center, x0, n)
     dpoly = [poly[k] * k for k in range(1, len(poly))]
-
-    def peval(cs, series):
-        acc = TruncatedSeries.constant(field, base.var, base.center, field.zero(), n)
-        for c in reversed(cs):
-            acc = acc * series + c.truncate(n)
-        return acc
-
     steps = 1
     while (1 << steps) < n:
         steps += 1
     for _ in range(steps + 1):
-        residual = peval(poly, u)
+        residual = horner(poly, u)
         if residual.is_zero():
             break
-        u = u - residual * mult_inverse(peval(dpoly, u))
-    if not peval(poly, u).is_zero():
+        u = u - residual * mult_inverse(horner(dpoly, u))
+    if not horner(poly, u).is_zero():
         raise NoConvergence("newton_solve residual did not vanish to order N")
     return u

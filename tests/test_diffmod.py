@@ -23,6 +23,7 @@ from padicdisc.series import compose, mult_inverse
 from padicdisc.diffmod import (
     inverse_derivative_coordinates,
     mat_identity,
+    mat_inverse,
     mat_mul,
 )
 from padicdisc.morphism import fiber, monic_relation
@@ -68,7 +69,6 @@ def test_change_basis_roundtrip(q2):
         (series(q2, [1, 2]), series(q2, [0, 1])),
         (series(q2, [0, 0, 4]), series(q2, [1, 1, 1])),
     )
-    from padicdisc.diffmod import mat_inverse
     binv = mat_inverse(b)
     once = change_basis(mod, b)
     back = change_basis(once, binv)
@@ -77,6 +77,18 @@ def test_change_basis_roundtrip(q2):
             delta = back.matrix[i][j] - mod.matrix[i][j]
             # derivative steps drop the last order; compare on the shared prefix
             assert delta.truncate(N - 2).is_zero()
+
+
+def test_mat_inverse_swaps_in_least_valuation_pivot(q2):
+    # column 0 has constant terms 2 on the diagonal and 1 below it: the unit
+    # pivot below must be swapped in, or dividing by 2 + t halves the digits
+    a = ((series(q2, [2, 1]), series(q2, [1])),
+         (series(q2, [1]), series(q2, [0, 1])))
+    inv = mat_inverse(a)
+    iden = mat_identity(q2, "t", q2.zero(), 2, N)
+    for prod in (mat_mul(a, inv), mat_mul(inv, a)):
+        assert all((prod[i][j] - iden[i][j]).is_zero() for i in range(2) for j in range(2))
+    assert all(c.min_precision() == q2.digits for row in inv for c in row)
 
 
 def test_change_basis_not_invertible(q2):

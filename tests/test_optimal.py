@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from padicdisc import (
-    FieldDescriptor,
     TruncatedSeries,
     branch_selection,
     fundamental_pairs,
@@ -22,11 +21,11 @@ from padicdisc import (
 )
 from padicdisc import direct_image, element_radius, fiber, local_solution, \
     monic_relation, tree_over_point
-from padicdisc.errors import CountMismatch, DegenerateFiber
+from padicdisc.errors import DegenerateFiber
 from padicdisc.morphism import Fiber
 from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis, constant_rank
 from padicdisc.series import compose, mult_inverse
-from conftest import N, binom_rationals, exp_rationals
+from conftest import N, exp_rationals
 
 
 def series(field, rats, var="s", center=0, order=N):
@@ -188,6 +187,26 @@ def test_fundamental_columns_independent(p3):
                            estimate=element_radius(c, p3.field.zero()),
                            provenance={}) for c in cols]
     assert constant_rank(wrapped) == 3
+
+
+def test_constant_rank_skips_dependent_and_zero_columns(q2):
+    def column(*consts):
+        return BasisColumn(entries=tuple(TruncatedSeries.constant(q2, "s", q2.zero(), c, N)
+                                         for c in consts),
+                           predicted_exponent=Fraction(0), estimate=None, provenance={})
+
+    # 8 known modulo 2^3 is zero at precision, but not an exact zero
+    zero_at_prec = q2.from_rational(8).with_precision(3)
+    assert zero_at_prec.is_zero() and not zero_at_prec.is_exact_zero()
+    c0 = column(q2.from_rational(1), q2.from_rational(2), q2.zero())
+    c1 = column(q2.zero(), q2.from_rational(1), q2.from_rational(3))
+    vanishing = column(zero_at_prec, q2.zero(), zero_at_prec)
+    e3 = column(q2.zero(), q2.zero(), q2.from_rational(1))
+    assert constant_rank([vanishing]) == 0
+    assert constant_rank([c0, c1, c0, vanishing]) == 2
+    # a skipped column must not use up a pivot row
+    assert constant_rank([vanishing, c0, c0, c1]) == 2
+    assert constant_rank([vanishing, c0, c1, c0, e3]) == 3
 
 
 # -- linked bases and pairs ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from padicdisc.series import (
     compose,
     derivative,
     evaluate,
+    horner,
     mult_inverse,
     radius_estimate,
     recenter,
@@ -135,6 +136,15 @@ def test_compose_outside_disc(q2):
     g = rational_series(q2, "s", [1, 1])        # constant 1 is a unit: outside
     with pytest.raises(SubstitutionOutsideDisc):
         compose(f, g)
+
+
+def test_horner_mixes_scalar_and_series_coefficients(q2):
+    x = rational_series(q2, "s", [2, 1, 5])
+    c1 = rational_series(q2, "s", [1, 0, 3])
+    c0, c2 = q2.from_rational(7), q2.from_rational(-3)
+    want = c1 * x + x * x * c2 + c0
+    assert (horner([c0, c1, c2], x) - want).is_zero()
+    assert horner([c0, c1], x.truncate(5)).order == 5
 
 
 def test_compose_exp_term_oracle(q2):
