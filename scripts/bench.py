@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the series layer: one column of a BENCH_*.json file.
+
+Times series ``__mul__``, ``mult_inverse``, ``reversion``, ``compose`` and
+``mat_inverse`` (3 x 3) at N = 32, 64, 128 over Q_2 and the Eisenstein field
+Q_3(sqrt-3), both with 64 digits, on fixed seeded inputs.  Each cell is the
+median time of one call over repeats that run until 0.5 s is spent (at
+least one, at most 7 calls).
+
+Run it once per checkout on the same machine, e.g.
+
+    python scripts/bench.py --src <parent checkout>/src --column parent --out BENCH.json
+    python scripts/bench.py --column change --out BENCH.json
+
+A second run adds its column to the rows already in the file, and every row
+holding both a ``parent`` and a ``change`` column gets their ratio.  Times go
+to stdout and to the JSON file only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ORDERS = (32, 64, 128)
+OPS = ("mul", "mult_inverse", "reversion", "compose", "mat_inverse")
+BUDGET_S = 0.5
+MAX_REPEATS = 7
+
+
+def _fields(padicdisc):
+    return {"Q2": padicdisc.FieldDescriptor(2, digits=64),
+            "Q3(sqrt-3)": padicdisc.FieldDescriptor(3, digits=64, poly=[3, 0, 1], e=2, f=1)}
+
+
+def _inputs(padicdisc, fld, n, seed):
+    """Seeded series of order n: units, and series vanishing at the center."""
+    rng = random.Random(seed)
+
+    def series(first, start=0):
+        coeffs = [fld.zero()] * start + [fld.from_rational(first)]
+        coeffs += [fld.from_rational(Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7))))
+                   for _ in range(n - start - 1)]
+        return padicdisc.TruncatedSeries(fld, "t", fld.zero(), coeffs)
+
+    unit = series(1)
+    matrix = tuple(tuple(series(1 if i == j else fld.p) for j in range(3)) for i in range(3))
+    return {"unit": unit, "other": series(3), "zero_at_center": series(1, start=1),
+            "inner": series(fld.p, start=1), "matrix": matrix}
+
+
+def _calls(padicdisc, data):
+    series, diffmod = padicdisc.series, padicdisc.diffmod
+    return {"mul": lambda: data["unit"] * data["other"],
+            "mult_inverse": lambda: series.mult_inverse(data["unit"]),
+            "reversion": lambda: series.reversion(data["zero_at_center"]),
+            "compose": lambda: series.compose(data["unit"], data["inner"]),
+            "mat_inverse": lambda: diffmod.mat_inverse(data["matrix"])}
+
+
+def _time(call) -> float:
+    times = []
+    spent = 0.0
+    while not times or (spent < BUDGET_S and len(times) < MAX_REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+        spent += times[-1]
+    return statistics.median(times)
+
+
+def measure(padicdisc) -> list:
+    rows = []
+    for name, fld in _fields(padicdisc).items():
+        for n in ORDERS:
+            calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))
+            for op in OPS:
+                ms = _time(calls[op]) * 1e3
+                print("%-13s %-11s N=%-4d %10.3f ms" % (op, name, n, ms), flush=True)
+                rows.append({"op": op, "field": name, "N": n, "ms": round(ms, 3)})
+    return rows
+
+
+def merge(path: Path, column: str, rows) -> dict:
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.setdefault("unit", "ms per call, median of repeats")
+    doc.setdefault("harness", "scripts/bench.py")
+    doc.setdefault("columns", {})[column] = {
+        "python": platform.python_version(), "machine": platform.machine(),
+        "cpus": os.cpu_count()}
+    table = {(r["op"], r["field"], r["N"]): r for r in doc.get("rows", [])}
+    for r in rows:
+        key = (r["op"], r["field"], r["N"])
+        table.setdefault(key, {"op": key[0], "field": key[1], "N": key[2]})[column] = r["ms"]
+    for r in table.values():
+        if "parent" in r and "change" in r:
+            r["parent_over_change"] = round(r["parent"] / r["change"], 2)
+    doc["rows"] = list(table.values())
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the padicdisc package to time")
+    parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
+    parser.add_argument("--out", required=True, help="JSON file to create or extend")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import padicdisc
+    rows = measure(padicdisc)
+    merge(Path(args.out), args.column, rows)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
-from .padic import FieldDescriptor, root_of_unity
+from .padic import FieldDescriptor, _is_prime, root_of_unity
 from .series import TruncatedSeries, compose, mult_inverse, radius_estimate, valuation_polygon
 from .morphism import (
     DiscMorphism,
@@ -80,12 +80,24 @@ def validate_jobspec(raw: dict) -> dict:
     fld = spec["field"]
     if not isinstance(fld, dict) or "p" not in fld:
         raise SchemaError("field must be an object with a prime p")
+    if not isinstance(fld["p"], int) or not _is_prime(fld["p"]):
+        raise SchemaError("field p must be a prime integer, got %r" % (fld["p"],))
     digits = fld.get("digits", DEFAULT_DIGITS)
     if not isinstance(digits, int) or digits < 8:
         raise SchemaError("digits must be an integer >= 8")
+    ext = fld.get("ext", "base")
+    if ext != "base":
+        if not isinstance(ext, dict) or any(key not in ext for key in ("poly", "e", "f")):
+            raise SchemaError('field ext must be "base" or an object with poly, e and f')
+        e, f, poly = ext["e"], ext["f"], ext["poly"]
+        if not (isinstance(e, int) and isinstance(f, int) and isinstance(poly, list)
+                and len(poly) == e * f + 1 >= 3):
+            raise SchemaError("ext poly must list e*f + 1 >= 3 coefficients")
     morph = spec["morphism"]
     if not isinstance(morph, dict) or "f" not in morph or "d" not in morph:
         raise SchemaError("morphism must carry f (coefficients) and d (degree)")
+    if not isinstance(morph["d"], int) or morph["d"] < 1:
+        raise SchemaError("morphism d must be a positive integer, got %r" % (morph["d"],))
     module = spec["module"]
     if not isinstance(module, dict) or "rank" not in module or "A" not in module:
         raise SchemaError("module must carry rank and A")

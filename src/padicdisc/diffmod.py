@@ -128,10 +128,17 @@ def mat_inverse(a, error=NonInvertibleTransition):
     iden = mat_identity(a[0][0].field, a[0][0].var, a[0][0].center, n,
                         min(c.order for r in a for c in r))
     rows = [list(row) + list(e) for row, e in zip(a, iden)]
+    _reduce_invertible(rows, n, error)
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def _reduce_invertible(rows, n, error):
+    """``row_reduce`` of the n x n block left of the right-hand columns of
+    ``rows``, pivots needing invertible constant terms; raises ``error`` when
+    a column has none.  The right-hand columns are then the solutions."""
     pivots = row_reduce(rows, n, lambda c: c.coeffs[0], mult_inverse)
     if len(pivots) < n:
         raise error("no invertible pivot in column %d" % min(set(range(n)) - set(pivots)))
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 # ----------------------------------------------------------------------------
@@ -281,12 +288,13 @@ class QuotientAlgebra:
         return tuple(out)
 
     def invert(self, x):
-        """Solve x * z = 1 by a d x d linear system over s-series."""
+        """Solve x * z = 1 by a d x d linear system over s-series: the
+        columns are the coordinates of x t^j, the right-hand side those of 1."""
         d = self.d
         cols = [self.mul(x, self.power(j)) for j in range(d)]
-        mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        inv = mat_inverse(mat, error=NotEtale)
-        return tuple(inv[i][0] for i in range(d))
+        rows = [[cols[j][i] for j in range(d)] + [self.power(0)[i]] for i in range(d)]
+        _reduce_invertible(rows, d, NotEtale)
+        return tuple(row[d] for row in rows)
 
 
 def reduce_to_basis(g: TruncatedSeries, quot: QuotientAlgebra):

@@ -14,6 +14,7 @@ An operation that cannot certify any digit raises instead of returning noise.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DivisionByZeroAtPrecision,
@@ -111,6 +112,46 @@ def _bmul(p: int, x: tuple, y: tuple):
     if not ux or not uy:
         return _bzero(k)
     return _bnorm(p, ux * uy, vx + vy, k)
+
+
+def _bconv(p: int, xs, ys, x_live, y_live):
+    """First len(xs) digits of the product of two digit series, x_live[i] and
+    y_live[j] telling whether the scalar holding xs[i] / ys[j] takes part.
+
+    Each digit is what summing ``_bmul`` over the live pairs i + j = k with
+    ``_badd`` gives: the exact sum of the exact products, known modulo p^K_k
+    with K_k = min(_EXACT, min over live pairs of min(v_i + k'_j, k_i + v'_j)).
+    The values come from one big-integer product (Kronecker substitution):
+    u * p^(v - e) is packed into byte slots wide enough that no slot of the
+    product overflows into the next.
+    """
+    n = len(xs)
+    # x as v_0, k_0, v_1, k_1, ... against y reversed as k'_j, v'_j, so that
+    # for each k the pairs i + j = k line up from the start of xvk; a scalar
+    # that takes no part is (INF, INF)
+    xvk, ykv = [], []
+    for (_, v, k), live in zip(xs, x_live):
+        xvk += (v, k) if live else (INF, INF)
+    for (_, v, k), live in zip(reversed(ys), reversed(y_live)):
+        ykv += (k, v) if live else (INF, INF)
+    last = 2 * n - 2
+    # a bound at or above _EXACT (INF without live pairs) is clamped by _bnorm
+    prec = [min(map(add, xvk, ykv[last - 2 * k:])) for k in range(n)]
+    ex = min((v for u, v, _ in xs if u), default=None)
+    ey = min((v for u, v, _ in ys if u), default=None)
+    if ex is None or ey is None:
+        return [_bzero(k) for k in prec]
+    mx = [u * _ppow(p, v - ex) if u else 0 for u, v, _ in xs]
+    my = [u * _ppow(p, v - ey) if u else 0 for u, v, _ in ys]
+    # a product slot sums at most n terms below max(mx) * max(my)
+    width = (max(mx).bit_length() + max(my).bit_length() + n.bit_length() + 7) // 8
+    packed_x = int.from_bytes(b"".join(m.to_bytes(width, "little") for m in mx), "little")
+    packed_y = int.from_bytes(b"".join(m.to_bytes(width, "little") for m in my), "little")
+    low = (packed_x * packed_y) & ((1 << (8 * width * n)) - 1)
+    raw = low.to_bytes(width * n, "little")
+    e = ex + ey
+    return [_bnorm(p, int.from_bytes(raw[s:s + width], "little"), e, k)
+            for s, k in zip(range(0, width * n, width), prec)]
 
 
 def _binv(p: int, x: tuple):
@@ -411,10 +452,18 @@ class FieldDescriptor:
             for j, y in enumerate(b):
                 t = _bmul(p, x, y)
                 conv[i + j] = t if conv[i + j] is None else _badd(p, conv[i + j], t)
+        return self._fold(conv)
+
+    def _fold(self, conv):
+        """Coordinates of sum conv[k] X^k (k < 2n - 1) modulo the defining
+        polynomial.  The table entries are p-integral, so an exact conv[k]
+        folds to exact terms; an exact zero is skipped, a zero at finite
+        precision still caps the precision of what it folds into."""
+        p, n = self.p, self.n
         out = list(conv[:n])
         for k in range(2 * n - 2, n - 1, -1):
             t = conv[k]
-            if t is None or (not t[0] and t[2] >= _EXACT):
+            if not t[0] and t[2] >= _EXACT:
                 continue
             for i, q in enumerate(self._pow_table[k]):
                 if q:

@@ -23,7 +23,7 @@ from .errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from .padic import PadicScalar, poly_eval, poly_derivative
+from .padic import PadicScalar, _badd, _bconv, poly_eval, poly_derivative
 
 
 class TruncatedSeries:
@@ -125,24 +125,25 @@ class TruncatedSeries:
         self._check_compatible(other)
         n = min(self.order, other.order)
         field = self.field
-        fmul, fadd = field._mul, field._add
-        zero_coords = field.zero().coords
-        xs = [c.coords for c in self.coeffs[:n]]
-        ys = [c.coords for c in other.coeffs[:n]]
+        p, dim = field.p, field.n
+        # an exact-zero scalar takes no part; a live one takes part with
+        # every coordinate, as in the scalar product field._mul
         x_live = [not c.is_exact_zero() for c in self.coeffs[:n]]
         y_live = [not c.is_exact_zero() for c in other.coeffs[:n]]
-        out = [zero_coords] * n
-        for i in range(n):
-            if not x_live[i]:
-                continue
-            xi = xs[i]
-            for j in range(n - i):
-                if not y_live[j]:
-                    continue
-                k = i + j
-                term = fmul(xi, ys[j])
-                out[k] = term if out[k] is zero_coords else fadd(out[k], term)
-        return self._wrap([PadicScalar(field, c) for c in out])
+        # x_coords[a][i]: coordinate a of coefficient i
+        x_coords = list(zip(*(c.coords for c in self.coeffs[:n])))
+        y_coords = list(zip(*(c.coords for c in other.coeffs[:n])))
+        # coordinate series of the product before folding by the defining
+        # polynomial: conv[c] = sum over a + b = c of x_a * y_b
+        conv = [None] * (2 * dim - 1)
+        for a in range(dim):
+            for b in range(dim):
+                prod = _bconv(p, x_coords[a], y_coords[b], x_live, y_live)
+                acc = conv[a + b]
+                conv[a + b] = prod if acc is None else [_badd(p, s, t)
+                                                        for s, t in zip(acc, prod)]
+        return self._wrap([PadicScalar(field, field._fold(digits))
+                           for digits in zip(*conv)])
 
     __rmul__ = __mul__
 

@@ -206,3 +206,31 @@ def test_field_json_roundtrip(q3pi):
                     "digits": 64}
     back = jsonio.field_from_json(data)
     assert back == q3pi
+
+
+def _malformed_p():
+    spec = example_spec("p2-trivial")
+    spec["field"]["p"] = 4
+    return spec
+
+
+def _malformed_d():
+    spec = example_spec("p2-trivial")
+    spec["morphism"]["d"] = "two"
+    return spec
+
+
+def _malformed_ext():
+    spec = example_spec("p3-trivial")
+    spec["field"]["ext"] = {"poly": ["3", "1"], "e": 1, "f": 1}
+    return spec
+
+
+@pytest.mark.parametrize("make", [_malformed_p, _malformed_d, _malformed_ext],
+                         ids=["p=4", "d=two", "degree-1 ext"])
+def test_malformed_field_and_degree_are_schema_errors(make, tmp_path):
+    with pytest.raises(SchemaError):
+        run(make())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(make()))
+    assert main(["--spec", str(path)]) == 2

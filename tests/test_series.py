@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicdisc import FieldDescriptor, TruncatedSeries, newton_solve
+from padicdisc import FieldDescriptor, PadicScalar, TruncatedSeries, newton_solve
 from padicdisc.errors import (
     CenterMismatch,
     NonUnitConstantTerm,
@@ -17,6 +17,7 @@ from padicdisc.errors import (
     VariableMismatch,
     ZeroSeries,
 )
+from padicdisc.padic import _EXACT
 from padicdisc.series import (
     compose,
     derivative,
@@ -65,6 +66,92 @@ def test_exp_product_convolution_oracle(q2):
     g = rational_series(q2, "t", minus, order=n)
     prod = f * g
     assert (prod - rational_series(q2, "t", conv, order=n)).is_zero()
+
+
+def schoolbook_mul(f, g):
+    """Reference product: the O(N^2) loop of scalar digit products over
+    ``field._mul`` / ``field._add`` that skips exact-zero coefficients."""
+    n = min(f.order, g.order)
+    fld = f.field
+    out = [fld.zero().coords] * n
+    for i, x in enumerate(f.coeffs[:n]):
+        if x.is_exact_zero():
+            continue
+        for j, y in enumerate(g.coeffs[:n - i]):
+            if not y.is_exact_zero():
+                out[i + j] = fld._add(out[i + j], fld._mul(x.coords, y.coords))
+    return out
+
+
+MUL_FIELDS = {
+    "Q2": FieldDescriptor(2, digits=24),
+    "Q5": FieldDescriptor(5, digits=12),
+    "Q3(sqrt-3)": FieldDescriptor(3, digits=16, poly=[3, 0, 1], e=2, f=1),
+    "Q2[w]/(w^2+w+1)": FieldDescriptor(2, digits=16, poly=[1, 1, 1], e=1, f=2),
+    "Q2[x]/(x^3+2x+2)": FieldDescriptor(2, digits=16, poly=[2, 2, 0, 1], e=3, f=1),
+    "Q2 1024 digits": FieldDescriptor(2, digits=1024),
+}
+# a coefficient: kind (0 exact zero, 1 value, 2 value capped at a finite
+# precision, which for a value of higher valuation is a zero at that
+# precision), coordinates num / den times p^shift (a zero numerator, drawn
+# often, gives an exact-zero coordinate of a live scalar), the cap
+_mul_coefficient = st.tuples(
+    st.sampled_from([0, 1, 1, 2]),
+    st.lists(st.tuples(st.one_of(st.just(0), st.integers(-20, 20)),
+                       st.sampled_from([1, 2, 3, 4, 5, 9, 25])),
+             min_size=3, max_size=3),
+    st.integers(-2, 4), st.integers(-3, 10))
+
+
+@given(name=st.sampled_from(sorted(MUL_FIELDS)),
+       xs=st.lists(_mul_coefficient, min_size=1, max_size=9),
+       ys=st.lists(_mul_coefficient, min_size=1, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_schoolbook(name, xs, ys):
+    fld = MUL_FIELDS[name]
+
+    def scalar(kind, coords, shift, cap):
+        if kind == 0:
+            return fld.zero()
+        c = fld.from_coords([Fraction(num, den) * fld.p ** shift
+                             for num, den in coords[:fld.n]])
+        return c.with_precision(cap) if kind == 2 else c
+
+    f = TruncatedSeries(fld, "t", fld.zero(), [scalar(*c) for c in xs])
+    g = TruncatedSeries(fld, "t", fld.zero(), [scalar(*c) for c in ys])
+    assert [c.coords for c in (f * g).coeffs] == schoolbook_mul(f, g)
+    assert [c.coords for c in (g * f).coeffs] == schoolbook_mul(g, f)
+
+
+def test_mul_keeps_finite_precision_zero_in_gap(q2):
+    zero = q2.zero()
+    lone = zero.with_precision(5)
+    f = TruncatedSeries(q2, "t", zero, [q2.one(), zero, lone, zero])
+    g = TruncatedSeries(q2, "t", zero, [q2.one(), zero, zero, zero])
+    prod = f * g
+    # z * 1 is known to min(v(z) + k(1), k(z) + v(1)) = 5
+    assert prod.coeffs[2].coords == ((0, 5, 5),)
+    assert prod.coeffs[1].is_exact_zero() and prod.coeffs[3].is_exact_zero()
+    assert [c.coords for c in prod.coeffs] == schoolbook_mul(f, g)
+
+
+def test_mul_exact_zero_coordinate_meets_negative_valuation(q3pi):
+    # 1/3 has coordinates (3^-1 unit, exact 0); the pi-coordinate of its
+    # square sums products 3^-1 * 0 each known to _EXACT - 1 only
+    third = TruncatedSeries(q3pi, "t", q3pi.zero(), [q3pi.from_rational(Fraction(1, 3))])
+    prod = third * third
+    assert prod.coeffs[0].coords[1] == (0, _EXACT - 1, _EXACT - 1)
+    assert [c.coords for c in prod.coeffs] == schoolbook_mul(third, third)
+
+
+def test_mul_exact_cancellation_is_exact_zero(q2):
+    one = PadicScalar(q2, ((1, 0, _EXACT),))
+    f = TruncatedSeries(q2, "t", q2.zero(), [one, one, q2.zero()])
+    g = TruncatedSeries(q2, "t", q2.zero(), [one, -one, q2.zero()])
+    prod = f * g
+    assert prod.coeffs[1].coords == ((0, _EXACT, _EXACT),)
+    assert prod.coeffs[2].coords == (-one).coords
+    assert [c.coords for c in prod.coeffs] == schoolbook_mul(f, g)
 
 
 def test_mismatch_errors(q2):
