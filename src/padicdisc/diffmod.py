@@ -133,9 +133,9 @@ def mat_inverse(a, error=NonInvertibleTransition):
 
 
 def _reduce_invertible(rows, n, error):
-    """``row_reduce`` of the n x n block left of the right-hand columns of
-    ``rows``, pivots needing invertible constant terms; raises ``error`` when
-    a column has none.  The right-hand columns are then the solutions."""
+    """Gauss-Jordan on the first n columns of ``rows``, carrying the
+    right-hand columns along; a pivot needs an invertible constant term, and
+    ``error`` names the first column without one."""
     pivots = row_reduce(rows, n, lambda c: c.coeffs[0], mult_inverse)
     if len(pivots) < n:
         raise error("no invertible pivot in column %d" % min(set(range(n)) - set(pivots)))

@@ -208,29 +208,17 @@ def test_field_json_roundtrip(q3pi):
     assert back == q3pi
 
 
-def _malformed_p():
-    spec = example_spec("p2-trivial")
-    spec["field"]["p"] = 4
-    return spec
 
-
-def _malformed_d():
-    spec = example_spec("p2-trivial")
-    spec["morphism"]["d"] = "two"
-    return spec
-
-
-def _malformed_ext():
-    spec = example_spec("p3-trivial")
-    spec["field"]["ext"] = {"poly": ["3", "1"], "e": 1, "f": 1}
-    return spec
-
-
-@pytest.mark.parametrize("make", [_malformed_p, _malformed_d, _malformed_ext],
-                         ids=["p=4", "d=two", "degree-1 ext"])
-def test_malformed_field_and_degree_are_schema_errors(make, tmp_path):
+@pytest.mark.parametrize("name, section, key, value", [
+    ("p2-trivial", "field", "p", 4),
+    ("p2-trivial", "morphism", "d", "two"),
+    ("p3-trivial", "field", "ext", {"poly": ["3", "1"], "e": 1, "f": 1}),
+], ids=["p=4", "d=two", "degree-1 ext"])
+def test_malformed_field_and_degree_are_schema_errors(name, section, key, value, tmp_path):
+    spec = example_spec(name)
+    spec[section][key] = value
     with pytest.raises(SchemaError):
-        run(make())
+        run(spec)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(make()))
+    path.write_text(json.dumps(spec))
     assert main(["--spec", str(path)]) == 2
