@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Per-layer timings of the series layer: one column of a BENCH_*.json file.
 
-Times series ``__mul__``, ``mult_inverse``, ``reversion``, ``compose`` and
-``mat_inverse`` (3 x 3) at N = 32, 64, 128 over Q_2 and the Eisenstein field
-Q_3(sqrt-3), both with 64 digits, on fixed seeded inputs.  Each cell is the
+Times series ``__mul__``, ``mult_inverse``, ``reversion``, ``compose``,
+``mat_inverse`` (3 x 3) and ``taylor_shift`` at N = 32, 64, 128 over Q_2 and
+the Eisenstein field Q_3(sqrt-3), both with 64 digits, on fixed seeded
+inputs.  ``taylor_shift`` runs on two inputs: a degree-8 polynomial padded
+with exact zeros to order N (``taylor_shift_poly8``) and a dense order-N
+series (``taylor_shift_dense``), both shifted to p.  Each cell is the
 median time of one call over repeats that run until 0.5 s is spent (at
 least one, at most 7 calls).
 
@@ -29,7 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 
 ORDERS = (32, 64, 128)
-OPS = ("mul", "mult_inverse", "reversion", "compose", "mat_inverse")
+OPS = ("mul", "mult_inverse", "reversion", "compose", "mat_inverse",
+       "taylor_shift_poly8", "taylor_shift_dense")
 BUDGET_S = 0.5
 MAX_REPEATS = 7
 
@@ -51,8 +55,11 @@ def _inputs(padicdisc, fld, n, seed):
 
     unit = series(1)
     matrix = tuple(tuple(series(1 if i == j else fld.p) for j in range(3)) for i in range(3))
+    poly8 = padicdisc.TruncatedSeries(fld, "t", fld.zero(),
+                                      unit.coeffs[:9] + (fld.zero(),) * (n - 9))
     return {"unit": unit, "other": series(3), "zero_at_center": series(1, start=1),
-            "inner": series(fld.p, start=1), "matrix": matrix}
+            "inner": series(fld.p, start=1), "matrix": matrix, "poly8": poly8,
+            "shift": fld.from_rational(fld.p)}
 
 
 def _calls(padicdisc, data):
@@ -61,7 +68,9 @@ def _calls(padicdisc, data):
             "mult_inverse": lambda: series.mult_inverse(data["unit"]),
             "reversion": lambda: series.reversion(data["zero_at_center"]),
             "compose": lambda: series.compose(data["unit"], data["inner"]),
-            "mat_inverse": lambda: diffmod.mat_inverse(data["matrix"])}
+            "mat_inverse": lambda: diffmod.mat_inverse(data["matrix"]),
+            "taylor_shift_poly8": lambda: series.taylor_shift(data["poly8"], data["shift"]),
+            "taylor_shift_dense": lambda: series.taylor_shift(data["unit"], data["shift"])}
 
 
 def _time(call) -> float:

@@ -22,6 +22,7 @@ from .errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
 from .padic import FieldDescriptor, _is_prime, root_of_unity
 from .series import TruncatedSeries, compose, mult_inverse, radius_estimate, valuation_polygon
 from .morphism import (
+    MAX_RESIDUE_FIELD,
     DiscMorphism,
     euler_count,
     fiber,
@@ -80,12 +81,14 @@ def validate_jobspec(raw: dict) -> dict:
     fld = spec["field"]
     if not isinstance(fld, dict) or "p" not in fld:
         raise SchemaError("field must be an object with a prime p")
-    if not isinstance(fld["p"], int) or not _is_prime(fld["p"]):
-        raise SchemaError("field p must be a prime integer, got %r" % (fld["p"],))
+    p = fld["p"]
+    if not isinstance(p, int) or p < 2:
+        raise SchemaError("field p must be a prime integer, got %r" % (p,))
     digits = fld.get("digits", DEFAULT_DIGITS)
     if not isinstance(digits, int) or digits < 8:
         raise SchemaError("digits must be an integer >= 8")
     ext = fld.get("ext", "base")
+    f = 1
     if ext != "base":
         if not isinstance(ext, dict) or any(key not in ext for key in ("poly", "e", "f")):
             raise SchemaError('field ext must be "base" or an object with poly, e and f')
@@ -93,6 +96,12 @@ def validate_jobspec(raw: dict) -> dict:
         if not (isinstance(e, int) and isinstance(f, int) and isinstance(poly, list)
                 and len(poly) == e * f + 1 >= 3):
             raise SchemaError("ext poly must list e*f + 1 >= 3 coefficients")
+    # checked first, so that trial division in _is_prime stops by sqrt(cap)
+    if p ** f > MAX_RESIDUE_FIELD:
+        raise SchemaError("residue field size p^f = %d^%d exceeds %d"
+                          % (p, f, MAX_RESIDUE_FIELD))
+    if not _is_prime(p):
+        raise SchemaError("field p must be a prime integer, got %r" % (p,))
     morph = spec["morphism"]
     if not isinstance(morph, dict) or "f" not in morph or "d" not in morph:
         raise SchemaError("morphism must carry f (coefficients) and d (degree)")

@@ -75,6 +75,10 @@ class NotEtale(PadicDiscError):
     """f'(t) is not a unit on the open disc."""
 
 
+class ResidueFieldTooLarge(PadicDiscError):
+    """The residue field has more than MAX_RESIDUE_FIELD elements to enumerate."""
+
+
 # -- linear algebra over series -----------------------------------------------
 
 class NonInvertibleTransition(PadicDiscError):

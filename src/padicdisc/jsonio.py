@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import INF, FieldDescriptor, PadicScalar, _EXACT
+from .padic import INF, FieldDescriptor, PadicScalar, _EXACT, _bnorm, _vp_int
 from .series import TruncatedSeries, ValuationPolygon
 
 
@@ -62,7 +62,9 @@ def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
         if m == 0:
             coords.append((0, _EXACT, _EXACT))
         else:
-            coords.append((m, e, e + fld.digits))
+            # m * p^e as from_rational stores it: a unit times p^valuation,
+            # known to fld.digits digits beyond the valuation
+            coords.append(_bnorm(fld.p, m, e, e + _vp_int(m, fld.p) + fld.digits))
     x = PadicScalar(fld, tuple(coords))
     if prec != "inf":
         x = x.with_precision(parse_frac(prec))

@@ -16,6 +16,7 @@ from itertools import product as iter_product
 from .errors import (
     FiberNotReduced,
     NotEtale,
+    ResidueFieldTooLarge,
     RootsNotInDeclaredField,
     SingularFiberPoint,
 )
@@ -32,6 +33,10 @@ from .series import (
     taylor_shift,
     valuation_polygon,
 )
+
+# Largest residue field p^f whose elements the fiber search enumerates; job
+# specs with a larger one are rejected before any primality test of p.
+MAX_RESIDUE_FIELD = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,9 @@ def local_degree(phi: DiscMorphism, a: PadicScalar, ell, closed: bool = False) -
 def _residue_candidates(fld: FieldDescriptor):
     """Nonzero residue-class representatives of the residue field."""
     p = fld.p
+    if p ** fld.f > MAX_RESIDUE_FIELD:
+        raise ResidueFieldTooLarge("residue field of %d^%d elements exceeds %d"
+                                   % (p, fld.f, MAX_RESIDUE_FIELD))
     if fld.kind == "unramified":
         reps = []
         for digits in iter_product(range(p), repeat=fld.f):

@@ -635,8 +635,16 @@ class PadicScalar:
 # ----------------------------------------------------------------------------
 
 def poly_eval(coeffs, x: PadicScalar) -> PadicScalar:
+    """sum_k c_k x^k by Horner.  Trailing exact-zero coefficients are dropped
+    first, so a polynomial padded with exact zeros costs its degree.  When
+    every coordinate of x has valuation and precision >= 0, as for each
+    caller's x in the closed unit disc, the digits are those of the full
+    loop: there an exact zero times x is the exact zero."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_exact_zero():
+        coeffs.pop()
     acc = x.field.zero()
-    for c in reversed(list(coeffs)):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 

@@ -237,22 +237,32 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
 def recenter(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
     """f expanded at a inside its disc: coefficients of f(a + x), constant f(a).
 
-    The constant term is the same Horner sum as ``evaluate(f, a)``.
+    The constant term is the same Horner sum as ``evaluate(f, a)``.  The
+    trailing exact-zero coefficients are skipped, so a degree-d polynomial
+    padded to order N costs O(d^2), not O(N^2): with every coordinate of
+    a - center known to valuation and precision >= 0, an exact zero times it
+    is again the exact zero, and adding the exact zero leaves a digit as it
+    is.  A zero at finite precision is kept, as it caps what it touches.
     """
     delta = a - f.center
     if not delta.is_zero() and delta.valuation() < 0:
         raise ShiftOutsideDisc("shift target has valuation %s" % delta.valuation())
-    n = f.order
+    if delta.precision() < 0:
+        raise ShiftOutsideDisc("shift target is known only to precision %s"
+                               % delta.precision())
     field = f.field
-    # Horner in (delta + x) over length-n coefficient vectors
-    acc = [field.zero()] * n
-    for c in reversed(f.coeffs):
-        nxt = [acc[i] * delta for i in range(n)]
-        for i in range(n - 1, 0, -1):
+    top = f.order
+    while top and f.coeffs[top - 1].is_exact_zero():
+        top -= 1
+    # Horner in (delta + x); the accumulator gains one entry per step
+    acc = []
+    for c in reversed(f.coeffs[:top]):
+        nxt = [x * delta for x in acc] + [field.zero()]
+        for i in range(len(acc), 0, -1):
             nxt[i] = nxt[i] + acc[i - 1]
         nxt[0] = nxt[0] + c
         acc = nxt
-    return TruncatedSeries(field, f.var, a, acc)
+    return TruncatedSeries(field, f.var, a, acc + [field.zero()] * (f.order - top))
 
 
 def taylor_shift(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:

@@ -1,6 +1,7 @@
 """CLI: job validation, pipelines, canned examples, polygon emission."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,15 @@ def test_scalar_json_roundtrip(q3pi):
     assert (back - z).is_zero()
 
 
+def test_scalar_json_coords_are_normalized(q2):
+    # [m, e] is m * p^e with the field's digits beyond its valuation
+    four = jsonio.scalar_from_json({"coords": [["4", "0"]]}, q2)
+    assert four.valuation() == 2
+    assert four.coords == q2.from_rational(4).coords
+    minus_three = jsonio.scalar_from_json({"coords": [["-3", "0"]]}, q2)
+    assert minus_three.coords == q2.from_rational(-3).coords
+
+
 def test_series_json_roundtrip(q2):
     f = TruncatedSeries.from_rationals(q2, "t", 0, [1, Fraction(1, 2), 3], order=8)
     back = jsonio.series_from_json(jsonio.series_to_json(f), q2)
@@ -213,12 +223,18 @@ def test_field_json_roundtrip(q3pi):
     ("p2-trivial", "field", "p", 4),
     ("p2-trivial", "morphism", "d", "two"),
     ("p3-trivial", "field", "ext", {"poly": ["3", "1"], "e": 1, "f": 1}),
-], ids=["p=4", "d=two", "degree-1 ext"])
+    ("p2-trivial", "field", "p", 2 ** 61 - 1),
+    # x^17 + x^3 + 1 is irreducible over F_2
+    ("p2-trivial", "field", "ext", {"poly": ["1", "0", "0", "1"] + ["0"] * 13 + ["1"],
+                                    "e": 1, "f": 17}),
+], ids=["p=4", "d=two", "degree-1 ext", "p=2^61-1", "p^f=2^17"])
 def test_malformed_field_and_degree_are_schema_errors(name, section, key, value, tmp_path):
     spec = example_spec(name)
     spec[section][key] = value
+    start = time.perf_counter()
     with pytest.raises(SchemaError):
         run(spec)
+    assert time.perf_counter() - start < 1.0
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["--spec", str(path)]) == 2

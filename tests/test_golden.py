@@ -5,12 +5,15 @@ at N = 32 as written by an earlier version of the library.  The sha256
 digests below pin the same reports at N = 16 with 1024 digits, where the
 big-integer digit arithmetic, rather than the series length, dominates, and
 at N = 40 with 64 digits, the size the benchmark's examples workload runs.
-A refactor that changes any digit, radius, check or key order of a report
+A last set of digests pins the ``tree`` reports of planted-root polynomial
+morphisms found by automatic fiber search, whose branching radii come from
+recentering the morphism at each branch point.  A refactor that changes any digit, radius, check or key order of a report
 fails here.  Neither the files nor the digests are ever regenerated to make
 a change pass.
 """
 
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,70 @@ def test_high_precision_report_digest(name):
 def test_order_40_report_digest(name):
     text = serialize_report(run(example_spec(name, order=40)))
     assert hashlib.sha256(text.encode()).hexdigest() == SHA256_N40[name]
+
+
+# Fields of the tree jobs; in the quadratic ones an element is a0 + a1*x.
+TREE_FIELDS = {
+    "Q2": {"p": 2, "ext": "base"},
+    "Q5": {"p": 5, "ext": "base"},
+    "Q3(sqrt-3)": {"p": 3, "ext": {"poly": ["3", "0", "1"], "e": 2, "f": 1}},
+    "Q4": {"p": 2, "ext": {"poly": ["1", "1", "1"], "e": 1, "f": 2}},
+}
+
+# Planted roots (a0, a1), all of positive valuation, in nested clusters.
+TREE_JOBS = {
+    "Q2-d3": ("Q2", [(2, 0), (6, 0), (4, 0)]),
+    "Q2-d5": ("Q2", [(2, 0), (6, 0), (14, 0), (4, 0), (12, 0)]),
+    "Q5-d4": ("Q5", [(5, 0), (30, 0), (55, 0), (10, 0)]),
+    "Q5-d6": ("Q5", [(5, 0), (10, 0), (15, 0), (20, 0), (25, 0), (50, 0)]),
+    "Q3(sqrt-3)-d3": ("Q3(sqrt-3)", [(0, 1), (0, 2), (3, 1)]),
+    "Q3(sqrt-3)-d7": ("Q3(sqrt-3)", [(0, 1), (0, 2), (3, 1), (0, 4), (3, 2), (3, 0),
+                                     (6, 0)]),
+    "Q4-d4": ("Q4", [(2, 0), (0, 2), (6, 0), (4, 0)]),
+    "Q4-d8": ("Q4", [(2, 0), (0, 2), (2, 2), (4, 0), (0, 4), (4, 4), (8, 0), (0, 8)]),
+}
+
+SHA256_TREE = {
+    "Q2-d3": "ba34eb9f300b4cf88ef8636726faa29b2ade5a2367cb8237c3065f5065d29d05",
+    "Q2-d5": "cdab615ce2a0f53f6ceb46c4bd848d85da581a694e444da27f6d57bb3958c5ba",
+    "Q3(sqrt-3)-d3": "7446be3733859239d7d8f8df3bc93fb863d517e2eca08b2d88d25603fbb95d60",
+    "Q3(sqrt-3)-d7": "59437f0f359264209d61f6b19757242b84850034e706157db2a4225e89a0437d",
+    "Q4-d4": "d9b1071ce84d5515b8efe31cdbc985a0a5efee17fb439e3a0a0c368283dd7698",
+    "Q4-d8": "9e54c6e2345d8cecfdebef6b7c9638e5424eecff1a83411231956f7137f00214",
+    "Q5-d4": "6ae715ab4bfc2be3df0ec91baf44cd3ca08191c3aee027cf45f190ff10d6686e",
+    "Q5-d6": "6cbac7bcbfa07dff9a7299d614972011c993f56463e70e9d486ec910f7e64fae",
+}
+
+
+def _expand(roots, poly):
+    """Coefficients, ascending, of prod (t - a) over Q[x]/(x^2 + c1 x + c0)
+    with poly = (c0, c1, 1); elements are pairs (a0, a1)."""
+    c0, c1 = (Fraction(c) for c in poly[:2])
+    coeffs = [(Fraction(1), Fraction(0))]
+    for a0, a1 in roots:
+        nxt = [(Fraction(0), Fraction(0))] * (len(coeffs) + 1)
+        for k, (b0, b1) in enumerate(coeffs):
+            # (b0 + b1 x)(a0 + a1 x) with x^2 = -c1 x - c0
+            top = b1 * a1
+            prod = (b0 * a0 - top * c0, b0 * a1 + b1 * a0 - top * c1)
+            nxt[k + 1] = (nxt[k + 1][0] + b0, nxt[k + 1][1] + b1)
+            nxt[k] = (nxt[k][0] - prod[0], nxt[k][1] - prod[1])
+        coeffs = nxt
+    return coeffs
+
+
+def tree_spec(name):
+    field, roots = TREE_JOBS[name]
+    fld = TREE_FIELDS[field]
+    base = fld["ext"] == "base"
+    coeffs = _expand(roots, (0, 0, 1) if base else fld["ext"]["poly"])
+    f = [str(c0) if base else [str(c0), str(c1)] for c0, c1 in coeffs]
+    return {"field": dict(fld, digits=64), "N": 32,
+            "morphism": {"f": f, "d": len(roots)},
+            "center": "0", "outputs": ["tree"], "seed": 0}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_JOBS))
+def test_tree_report_digest(name):
+    text = serialize_report(run(tree_spec(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SHA256_TREE[name]

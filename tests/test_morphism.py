@@ -21,10 +21,16 @@ from padicdisc import (
 from padicdisc.errors import (
     FiberNotReduced,
     NotEtale,
+    ResidueFieldTooLarge,
     RootsNotInDeclaredField,
     SingularFiberPoint,
 )
-from padicdisc.morphism import Fiber, relation_vanishes_on_identity
+from padicdisc.morphism import (
+    MAX_RESIDUE_FIELD,
+    Fiber,
+    _poly_roots,
+    relation_vanishes_on_identity,
+)
 from padicdisc.series import compose, evaluate
 from conftest import N, binom_rationals
 
@@ -119,6 +125,17 @@ def test_fiber_not_in_plain_q3():
     phi = make_phi(q3, [0, 3, 3, 1], 3)
     with pytest.raises(RootsNotInDeclaredField):
         fiber(phi, q3.zero())
+
+
+@pytest.mark.parametrize("p, poly, f", [(65537, None, 1), (257, [-3, 0, 1], 2)],
+                         ids=["p=2^16+1", "p^f=257^2"])
+def test_residue_enumeration_beyond_cap_raises(p, poly, f):
+    fld = FieldDescriptor(p, digits=8, poly=poly, e=1, f=f)
+    assert p ** f > MAX_RESIDUE_FIELD
+    # (t - p)(t - 2p): one Newton-polygon edge of slope 1 to enumerate
+    coeffs = [fld.from_rational(c) for c in (2 * p * p, -3 * p, 1)]
+    with pytest.raises(ResidueFieldTooLarge):
+        _poly_roots(coeffs, fld)
 
 
 def test_fiber_bad_hints(p2):

@@ -17,7 +17,7 @@ from padicdisc.errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from padicdisc.padic import _EXACT
+from padicdisc.padic import _EXACT, poly_eval
 from padicdisc.series import (
     compose,
     derivative,
@@ -103,22 +103,23 @@ _mul_coefficient = st.tuples(
     st.integers(-2, 4), st.integers(-3, 10))
 
 
+def coefficient_scalar(fld, kind, coords, shift, cap):
+    """The scalar of fld that one _mul_coefficient draw describes."""
+    if kind == 0:
+        return fld.zero()
+    c = fld.from_coords([Fraction(num, den) * fld.p ** shift
+                         for num, den in coords[:fld.n]])
+    return c.with_precision(cap) if kind == 2 else c
+
+
 @given(name=st.sampled_from(sorted(MUL_FIELDS)),
        xs=st.lists(_mul_coefficient, min_size=1, max_size=9),
        ys=st.lists(_mul_coefficient, min_size=1, max_size=9))
 @settings(max_examples=200, deadline=None)
 def test_mul_matches_schoolbook(name, xs, ys):
     fld = MUL_FIELDS[name]
-
-    def scalar(kind, coords, shift, cap):
-        if kind == 0:
-            return fld.zero()
-        c = fld.from_coords([Fraction(num, den) * fld.p ** shift
-                             for num, den in coords[:fld.n]])
-        return c.with_precision(cap) if kind == 2 else c
-
-    f = TruncatedSeries(fld, "t", fld.zero(), [scalar(*c) for c in xs])
-    g = TruncatedSeries(fld, "t", fld.zero(), [scalar(*c) for c in ys])
+    f = TruncatedSeries(fld, "t", fld.zero(), [coefficient_scalar(fld, *c) for c in xs])
+    g = TruncatedSeries(fld, "t", fld.zero(), [coefficient_scalar(fld, *c) for c in ys])
     assert [c.coords for c in (f * g).coeffs] == schoolbook_mul(f, g)
     assert [c.coords for c in (g * f).coeffs] == schoolbook_mul(g, f)
 
@@ -341,10 +342,17 @@ def test_taylor_shift_roundtrip(q2):
     assert (back - rational_series(q2, "t", [0, 2, 1, 7])).is_zero()
 
 
-def test_taylor_shift_outside(q2):
+def test_taylor_shift_outside(q2, q3pi):
     f = rational_series(q2, "t", [0, 1])
     with pytest.raises(ShiftOutsideDisc):
         taylor_shift(f, q2.from_rational(Fraction(1, 2)))
+    # a shift known only modulo p^-2 is not known to lie in the disc
+    with pytest.raises(ShiftOutsideDisc):
+        recenter(f, q2.zero().with_precision(-2))
+    # valuation 0, but the pi-coordinate is known only modulo 3^-1
+    g = rational_series(q3pi, "t", [0, 1])
+    with pytest.raises(ShiftOutsideDisc):
+        recenter(g, PadicScalar(q3pi, ((1, 0, 64), (0, -1, -1))))
 
 
 RECENTER_FIELDS = {
@@ -377,6 +385,65 @@ def test_recenter_is_taylor_shift_plus_value(name, coeffs, shift):
     want = taylor_shift(f, a) + evaluate(f, a)
     assert (got.var, got.center.coords) == (want.var, want.center.coords)
     assert [c.coords for c in got.coeffs] == [c.coords for c in want.coeffs]
+
+
+def full_width_recenter(f, a):
+    """Reference recentering: the Horner shift in (delta + x) over all N
+    coefficients, the exact-zero tail included."""
+    delta = a - f.center
+    n = f.order
+    acc = [f.field.zero()] * n
+    for c in reversed(f.coeffs):
+        nxt = [acc[i] * delta for i in range(n)]
+        for i in range(n - 1, 0, -1):
+            nxt[i] = nxt[i] + acc[i - 1]
+        nxt[0] = nxt[0] + c
+        acc = nxt
+    return [c.coords for c in acc]
+
+
+def full_poly_eval(coeffs, x):
+    """Reference evaluation: Horner over every coefficient."""
+    acc = x.field.zero()
+    for c in reversed(list(coeffs)):
+        acc = acc * x + c
+    return acc.coords
+
+
+SHIFT_FIELDS = {
+    "Q2": FieldDescriptor(2, digits=16),
+    "Q5": FieldDescriptor(5, digits=12),
+    "Q3(sqrt-3)": FieldDescriptor(3, digits=16, poly=[3, 0, 1], e=2, f=1),
+    "Q4": FieldDescriptor(2, digits=16, poly=[1, 1, 1], e=1, f=2),
+    "Q2[x]/(x^3+2x+2)": FieldDescriptor(2, digits=16, poly=[2, 2, 0, 1], e=3, f=1),
+}
+# a tail entry: None for the exact zero, else a zero at that finite precision
+_tail_entry = st.one_of(st.none(), st.none(), st.integers(-2, 10))
+# a shift: integer coordinates times p^shift (valuation 0 or more), optionally
+# capped at a precision >= 0, which for all-zero coordinates is a zero at
+# finite precision
+_shift = st.tuples(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+                   st.integers(0, 2), st.one_of(st.none(), st.integers(0, 10)))
+
+
+@given(name=st.sampled_from(sorted(SHIFT_FIELDS)),
+       body=st.lists(_mul_coefficient, min_size=0, max_size=6),
+       tail=st.lists(_tail_entry, min_size=0, max_size=6),
+       shift=_shift)
+@settings(max_examples=200, deadline=None)
+def test_horner_loops_skip_exact_zero_tail(name, body, tail, shift):
+    fld = SHIFT_FIELDS[name]
+    coeffs = [coefficient_scalar(fld, *c) for c in body]
+    coeffs += [fld.zero() if cap is None else fld.zero().with_precision(cap) for cap in tail]
+    if not coeffs:
+        coeffs = [fld.zero()]
+    f = TruncatedSeries(fld, "t", fld.zero(), coeffs)
+    coords, power, cap = shift
+    a = fld.from_coords([c * fld.p ** power for c in coords[:fld.n]])
+    if cap is not None:
+        a = a.with_precision(cap)
+    assert [c.coords for c in recenter(f, a).coeffs] == full_width_recenter(f, a)
+    assert poly_eval(f.coeffs, a).coords == full_poly_eval(f.coeffs, a)
 
 
 # -- polygons ---------------------------------------------------------------------------
