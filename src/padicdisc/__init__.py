@@ -49,7 +49,6 @@ from .optimal import (
     VandermondeData,
     LinkedColumn,
     FundamentalPair,
-    SelectedBranches,
     OptimalBasis,
     vandermonde,
     transfer_coordinates,

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
-from .padic import FieldDescriptor, _is_prime, root_of_unity
+from .padic import _is_prime, root_of_unity
 from .series import TruncatedSeries, compose, mult_inverse, radius_estimate, valuation_polygon
 from .morphism import (
     MAX_RESIDUE_FIELD,
@@ -43,10 +43,7 @@ from .diffmod import (
 )
 from .optimal import (
     LinkedColumn,
-    branch_selection,
-    fundamental_pairs,
     fundamental_solution_matrix,
-    linked_bases,
     optimal_basis,
     optimality_check,
     trivial_optimal_basis,
@@ -62,6 +59,45 @@ OUTPUT_KINDS = ("tree", "vandermonde", "direct-image", "fundamental", "optimal",
 # ----------------------------------------------------------------------------
 # job specs
 # ----------------------------------------------------------------------------
+
+def _parse_scalar(x, n: int):
+    """Read x as ``jsonio.scalar_from_json`` does, without a field: a rational
+    string, a list of n rational coordinates, or {"coords": n [m, e] pairs,
+    "prec": ...}.  Raises TypeError, ValueError, KeyError or ArithmeticError."""
+    if isinstance(x, str):
+        Fraction(x)
+    elif isinstance(x, list) and len(x) == n:
+        for c in x:
+            Fraction(c)
+    elif isinstance(x, dict) and isinstance(x["coords"], list) and len(x["coords"]) == n:
+        for m, e in x["coords"]:
+            int(m), int(e)
+        if x.get("prec", "inf") != "inf":
+            Fraction(x["prec"])
+    else:
+        raise TypeError("not a scalar with %d coordinates" % n)
+
+
+def _parse_series(x, n: int):
+    """Read x as ``_Pipeline._series_input`` does: a coefficient list or a
+    series object with a center and coefficients."""
+    if isinstance(x, dict):
+        _parse_scalar(x["center"], n)
+        int(x.get("N", 0))
+        x = x["coeffs"]
+    if not isinstance(x, list):
+        raise TypeError("not a coefficient list")
+    for c in x:
+        _parse_scalar(c, n)
+
+
+def _check_entries(where: str, parse, entries, *args):
+    for x in entries:
+        try:
+            parse(x, *args)
+        except (TypeError, ValueError, KeyError, ArithmeticError) as err:
+            raise SchemaError("%s does not parse: %s" % (where, err))
+
 
 def validate_jobspec(raw: dict) -> dict:
     """Normalize and validate a job spec dict; raises SchemaError."""
@@ -88,15 +124,17 @@ def validate_jobspec(raw: dict) -> dict:
     if not isinstance(digits, int) or digits < 8:
         raise SchemaError("digits must be an integer >= 8")
     ext = fld.get("ext", "base")
-    f = 1
+    e = f = 1
     if ext != "base":
         if not isinstance(ext, dict) or any(key not in ext for key in ("poly", "e", "f")):
             raise SchemaError('field ext must be "base" or an object with poly, e and f')
         e, f, poly = ext["e"], ext["f"], ext["poly"]
-        if not (isinstance(e, int) and isinstance(f, int) and isinstance(poly, list)
-                and len(poly) == e * f + 1 >= 3):
+        if not (isinstance(e, int) and isinstance(f, int) and e >= 1 and f >= 1):
+            raise SchemaError("ext e and f must be integers >= 1, got %r, %r" % (e, f))
+        if not (isinstance(poly, list) and len(poly) == e * f + 1 >= 3):
             raise SchemaError("ext poly must list e*f + 1 >= 3 coefficients")
-    # checked first, so that trial division in _is_prime stops by sqrt(cap)
+        _check_entries("ext poly", Fraction, poly)
+    # checked first: _is_prime raises on p beyond the range it decides
     if p ** f > MAX_RESIDUE_FIELD:
         raise SchemaError("residue field size p^f = %d^%d exceeds %d"
                           % (p, f, MAX_RESIDUE_FIELD))
@@ -107,12 +145,23 @@ def validate_jobspec(raw: dict) -> dict:
         raise SchemaError("morphism must carry f (coefficients) and d (degree)")
     if not isinstance(morph["d"], int) or morph["d"] < 1:
         raise SchemaError("morphism d must be a positive integer, got %r" % (morph["d"],))
+    _check_entries("morphism f", _parse_series, [morph["f"]], e * f)
+    hints = morph.get("hints")
+    if hints is not None:
+        if not isinstance(hints, list):
+            raise SchemaError("morphism hints must be a list")
+        _check_entries("morphism hints", _parse_scalar, hints, e * f)
+    _check_entries("center", _parse_scalar, [spec["center"]], e * f)
     module = spec["module"]
     if not isinstance(module, dict) or "rank" not in module or "A" not in module:
         raise SchemaError("module must carry rank and A")
-    if len(module["A"]) != module["rank"] or any(
-            len(row) != module["rank"] for row in module["A"]):
-        raise SchemaError("A must be rank x rank")
+    rank, rows = module["rank"], module["A"]
+    if not (isinstance(rank, int) and rank >= 1 and isinstance(rows, list)
+            and len(rows) == rank
+            and all(isinstance(row, list) and len(row) == rank for row in rows)):
+        raise SchemaError("A must be a rank x rank list of lists")
+    for row in rows:
+        _check_entries("module A", _parse_series, row, e * f)
     for out in spec["outputs"]:
         if out not in OUTPUT_KINDS:
             raise SchemaError("unknown output %r" % out)
@@ -190,7 +239,6 @@ class _Pipeline:
 
     def _fundamental(self):
         return fundamental_solution_matrix(self.get("upstairs_bases"),
-                                           self.get("solutions"),
                                            self.get("vandermonde"))
 
     def _is_trivial_module(self):
@@ -202,23 +250,14 @@ class _Pipeline:
         vd = self.get("vandermonde")
         if self.get("is_trivial_module"):
             return trivial_optimal_basis(tree, vd, self.get("phi"))
-        module = self.get("module")
-        if module.rank != 1:
+        if self.get("module").rank != 1:
             raise PadicDiscError(
                 "optimal output needs caller-asserted upstairs optimal bases for rank > 1; "
                 "use the library API")
-        fib = self.get("fiber")
-        bases = self.get("upstairs_bases")
-        cols = []
-        for i, hb in enumerate(bases):
-            cols.append([LinkedColumn(entries=hb.columns[0],
-                                      exponent=hb.radii[0].exponent,
-                                      origin=(i, 0))])
-        linked = linked_bases(cols, fib)
-        pairs = fundamental_pairs(linked, fib)
-        sels = [branch_selection(tree, p) for p in pairs]
-        return optimal_basis(pairs, sels, tree, vd, self.get("solutions"),
-                             self.get("phi"), rank=1)
+        bases = [[LinkedColumn(entries=hb.columns[0], exponent=hb.radii[0].exponent,
+                               origin=(i, 0))]
+                 for i, hb in enumerate(self.get("upstairs_bases"))]
+        return optimal_basis(bases, tree, vd, self.get("phi"))
 
 
 def _run_checks(pipe: _Pipeline) -> list:

@@ -63,6 +63,10 @@ class SingularFiberPoint(PadicDiscError):
 
 # -- morphisms and fibers -----------------------------------------------------
 
+class InvalidMorphism(PadicDiscError, ValueError):
+    """f is not a degree-d map of the open unit disc onto itself, as declared."""
+
+
 class RootsNotInDeclaredField(PadicDiscError):
     """Some fiber point does not lie in the declared coefficient field."""
 

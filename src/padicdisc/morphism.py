@@ -15,6 +15,7 @@ from itertools import product as iter_product
 
 from .errors import (
     FiberNotReduced,
+    InvalidMorphism,
     NotEtale,
     ResidueFieldTooLarge,
     RootsNotInDeclaredField,
@@ -54,15 +55,16 @@ class DiscMorphism:
 
     def __post_init__(self):
         if not self.f.center.is_zero():
-            raise ValueError("morphisms are written in the unit-disc coordinate (center 0)")
+            raise InvalidMorphism(
+                "morphisms are written in the unit-disc coordinate (center 0)")
         poly = valuation_polygon(self.f)
         if poly.max_slope() != self.degree:
-            raise ValueError(
+            raise InvalidMorphism(
                 "declared degree %d but polygon slope %d" % (self.degree, poly.max_slope()))
         onto = min((c.valuation() for c in self.f.coeffs[1:] if not c.is_zero()),
                    default=None)
         if onto is None or onto > 0:
-            raise ValueError("f does not map the open unit disc onto the open unit disc")
+            raise InvalidMorphism("f does not map the open unit disc onto the open unit disc")
 
     def derivative_series(self) -> TruncatedSeries:
         return derivative(self.f)
@@ -90,6 +92,13 @@ class Fiber:
     def __len__(self):
         return len(self.points)
 
+    def members(self, i: int, q) -> tuple:
+        """Indices j of the points in the open disc D(a_i, |p|^q): a_j - a_i is
+        zero at precision or of valuation > q.  i itself is included."""
+        a = self.points[i]
+        return tuple(j for j, b in enumerate(self.points)
+                     if (gap := b - a).is_zero() or gap.valuation() > q)
+
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -111,17 +120,6 @@ class BranchPoint:
 class TreeOverPoint:
     fiber: Fiber
     branch_points: tuple
-
-    def members(self, center_index: int, exponent) -> tuple:
-        """Indices of fiber points inside the open disc D(a_center, |p|^exponent)."""
-        exponent = Fraction(exponent)
-        a = self.fiber.points[center_index]
-        out = []
-        for j, aj in enumerate(self.fiber.points):
-            d = aj - a
-            if d.is_zero() or d.valuation() > exponent:
-                out.append(j)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -370,16 +368,9 @@ def euler_count(tree: TreeOverPoint, disc) -> tuple:
     rhs = number of fiber points inside.  The contract is lhs == rhs.
     """
     ci, ell = disc
-    ell = Fraction(ell)
-    members = tree.members(ci, ell)
-    a_center = tree.fiber.points[ci]
-    lhs = 1
-    for bp in tree.branch_points:
-        if bp.t_exponent <= ell:
-            continue
-        delta_c = tree.fiber.points[bp.rep] - a_center
-        if delta_c.is_zero() or delta_c.valuation() > ell:
-            lhs += bp.delta - 1
+    members = tree.fiber.members(ci, ell)
+    lhs = 1 + sum(bp.delta - 1 for bp in tree.branch_points
+                  if bp.t_exponent > ell and bp.rep in members)
     return (lhs, len(members))
 
 

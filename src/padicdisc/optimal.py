@@ -2,10 +2,12 @@
 
 U(s) stacks the powers of the local solutions u_{a_i}(s); V(s) = U(s)^{-1}
 moves horizontal data from the preimages of b down to coordinates in the
-direct-image basis.  Linked optimal bases upstairs plus one branch choice per
-branching point yield the optimal basis downstairs; every emitted column
-carries its predicted radius exponent next to the tail-slope estimate
-so disagreement is observable rather than silently trusted.
+direct-image basis.  ``optimal_basis(bases, tree, vdata, phi)`` takes an
+optimal basis upstairs at every preimage and links them, groups the shared
+columns into fundamental pairs and picks the branches of each pair itself;
+every emitted column carries its predicted radius exponent next to the
+tail-slope estimate so disagreement is observable rather than silently
+trusted.
 """
 
 from __future__ import annotations
@@ -54,19 +56,9 @@ class FundamentalPair:
 
     pair_id: int
     anchor: int
-    slot: int
     exponent: Fraction
     members: tuple
     columns_at: dict       # preimage index -> tuple of entries at that center
-
-
-@dataclass(frozen=True)
-class SelectedBranches:
-    """The branch choices for one pair: its own disc plus delta-1 branches
-    per branching point inside it."""
-
-    pair_id: int
-    choices: tuple         # ("self", None) or ("branch", (bp_index, part_index))
 
 
 @dataclass(frozen=True)
@@ -139,37 +131,33 @@ def transfer_coordinates(blocks, vdata: VandermondeData) -> tuple:
     return tuple(out)
 
 
-def _transfer_column(entries_at, u_list, vdata: VandermondeData, rank: int) -> tuple:
+def _transfer_column(entries_at, vdata: VandermondeData, rank: int) -> tuple:
     """V_r(s) applied to the column whose block at fiber point i is
     ``entries_at[i]`` composed along u_{a_i}(s), and zero at every point
     missing from ``entries_at``."""
-    n = min(u.order for u in u_list)
-    u = vdata.solutions[0]
-    zero = TruncatedSeries.constant(u.field, u.var, u.center, u.field.zero(), n)
-    blocks = [[compose(e, u_list[i]) for e in entries_at[i]] if i in entries_at
+    us = vdata.solutions
+    n = min(u.order for u in us)
+    zero = TruncatedSeries.constant(us[0].field, us[0].var, us[0].center,
+                                    us[0].field.zero(), n)
+    blocks = [[compose(e, us[i]) for e in entries_at[i]] if i in entries_at
               else [zero] * rank for i in range(vdata.degree)]
     return transfer_coordinates(blocks, vdata)
 
 
-def fundamental_solution_matrix(bases, u_list, vdata: VandermondeData) -> tuple:
+def fundamental_solution_matrix(bases, vdata: VandermondeData) -> tuple:
     """Columns spanning the horizontal space of the direct image at b:
     V_r(s) (+)_i Y_i(u_{a_i}(s)), ordered per preimage then per upstairs column."""
     d = vdata.degree
     if len(bases) != d:
         raise ValueError("need one upstairs basis per fiber point")
     r = len(bases[0].columns)
-    return tuple(_transfer_column({i: col}, u_list, vdata, r)
+    return tuple(_transfer_column({i: col}, vdata, r)
                  for i in range(d) for col in bases[i].columns)
 
 
 # ----------------------------------------------------------------------------
 # linked bases and fundamental pairs
 # ----------------------------------------------------------------------------
-
-def _distance(a: PadicScalar, b: PadicScalar):
-    d = a - b
-    return Fraction(10 ** 9) if d.is_zero() else Fraction(d.valuation())
-
 
 def linked_bases(bases, fib: Fiber):
     """Make per-preimage optimal bases literally share columns.
@@ -180,20 +168,16 @@ def linked_bases(bases, fib: Fiber):
     a_j lies strictly inside a column's convergence disc, that column (suitably
     recentered) replaces a_j's own column in the same slot.
     """
-    d = len(fib.points)
     work = [list(cols) for cols in bases]
-    for i in range(d):
-        for c1, c2 in zip(work[i], work[i][1:]):
+    for i, cols in enumerate(work):
+        for c1, c2 in zip(cols, cols[1:]):
             if c1.exponent < c2.exponent:
                 raise ValueError("columns must be sorted by nondecreasing radius")
-        for j in range(d):
-            if j == i:
-                continue
-            gap = _distance(fib.points[i], fib.points[j])
-            for slot, col in enumerate(work[i]):
-                if col.origin[0] != i:
-                    continue                      # only propagate own columns
-                if gap > col.exponent and work[j][slot].origin == (j, slot):
+        for slot, col in enumerate(cols):
+            if col.origin[0] != i:
+                continue                          # only propagate own columns
+            for j in fib.members(i, col.exponent):
+                if j != i and work[j][slot].origin == (j, slot):
                     entries = tuple(recenter(e, fib.points[j]) for e in col.entries)
                     work[j][slot] = LinkedColumn(entries=entries,
                                                  exponent=col.exponent,
@@ -203,18 +187,15 @@ def linked_bases(bases, fib: Fiber):
 
 
 def _verify_linked(work, fib: Fiber):
-    d = len(fib.points)
-    for i in range(d):
-        for col in work[i]:
-            for j in range(d):
+    for i, cols in enumerate(work):
+        for col in cols:
+            for j in fib.members(i, col.exponent):
                 if j == i:
                     continue
-                if _distance(fib.points[i], fib.points[j]) > col.exponent:
-                    wanted = tuple(recenter(e, fib.points[j]) for e in col.entries)
-                    if not any(_columns_equal(wanted, other.entries)
-                               for other in work[j]):
-                        raise InconsistentRadii(
-                            "linked predicate fails between %d and %d" % (i, j))
+                wanted = tuple(recenter(e, fib.points[j]) for e in col.entries)
+                if not any(_columns_equal(wanted, other.entries) for other in work[j]):
+                    raise InconsistentRadii(
+                        "linked predicate fails between %d and %d" % (i, j))
 
 
 def _columns_equal(a, b):
@@ -223,10 +204,9 @@ def _columns_equal(a, b):
 
 def fundamental_pairs(linked, fib: Fiber):
     """Deduplicated (column, disc) pairs, anchored at the least member."""
-    d = len(fib.points)
     groups = {}
-    for i in range(d):
-        for slot, col in enumerate(linked[i]):
+    for i, cols in enumerate(linked):
+        for col in cols:
             groups.setdefault(col.origin, {"exponent": col.exponent,
                                            "holders": {}})["holders"][i] = col.entries
     pairs = []
@@ -235,13 +215,10 @@ def fundamental_pairs(linked, fib: Fiber):
         holders = info["holders"]
         anchor = min(holders)
         q = info["exponent"]
-        members = tuple(sorted(
-            j for j in range(d)
-            if j in holders or _distance(fib.points[anchor], fib.points[j]) > q))
+        members = fib.members(anchor, q)
         if set(members) != set(holders):
             raise InconsistentRadii("pair membership does not match linkage")
-        pairs.append(FundamentalPair(pair_id=len(pairs), anchor=anchor,
-                                     slot=origin[1], exponent=q,
+        pairs.append(FundamentalPair(pair_id=len(pairs), anchor=anchor, exponent=q,
                                      members=members, columns_at=dict(holders)))
     return tuple(pairs)
 
@@ -250,8 +227,9 @@ def fundamental_pairs(linked, fib: Fiber):
 # branch selection and optimal bases
 # ----------------------------------------------------------------------------
 
-def branch_selection(tree: TreeOverPoint, pair: FundamentalPair) -> SelectedBranches:
-    """The pair's own disc plus delta-1 branches per branching point inside it.
+def branch_selection(tree: TreeOverPoint, pair: FundamentalPair) -> tuple:
+    """The pair's own disc plus delta-1 branches per branching point inside it,
+    as choices ("self", None) and ("branch", (bp_index, part_index)).
 
     The dropped branch at each point is the one containing the least fiber
     index there, matching the displayed example choices; correctness does not
@@ -271,7 +249,7 @@ def branch_selection(tree: TreeOverPoint, pair: FundamentalPair) -> SelectedBran
         raise CountMismatch(
             "selected %d discs for a pair with %d members"
             % (len(choices), len(pair.members)))
-    return SelectedBranches(pair_id=pair.pair_id, choices=tuple(choices))
+    return tuple(choices)
 
 
 def _choice_members(tree: TreeOverPoint, pair: FundamentalPair, choice):
@@ -289,22 +267,23 @@ def _choice_exponent(tree, pair, choice, phi):
     return tree.branch_points[ref[0]].branch_exponent
 
 
-def optimal_basis(pairs, selections, tree: TreeOverPoint, vdata: VandermondeData,
-                  u_list, phi: DiscMorphism, rank: int = 1) -> OptimalBasis:
-    """Columns V_r(s) v_{P,U,s} for every pair P and selected disc U.
+def optimal_basis(bases, tree: TreeOverPoint, vdata: VandermondeData,
+                  phi: DiscMorphism) -> OptimalBasis:
+    """Columns V_r(s) v_{P,U,s} for every fundamental pair P and selected disc U.
 
-    Each column's predicted radius exponent is the exponent of the image disc
-    of its branch; the estimate column is the tail-slope measurement.
+    ``bases`` lists, per fiber point, its upstairs optimal basis as
+    ``LinkedColumn``s of r entries each, in nondecreasing radius order.  They
+    are linked, grouped into pairs and given their branch choices here.  Each
+    column's predicted radius exponent is the exponent of the image disc of
+    its branch; the estimate column is the tail-slope measurement.
     """
-    d = vdata.degree
-    by_id = {sel.pair_id: sel for sel in selections}
+    rank = len(bases[0][0].entries)
     columns = []
-    for pair in pairs:
-        sel = by_id[pair.pair_id]
-        for choice in sel.choices:
+    for pair in fundamental_pairs(linked_bases(bases, tree.fiber), tree.fiber):
+        for choice in branch_selection(tree, pair):
             col = _transfer_column({i: pair.columns_at[i]
                                     for i in _choice_members(tree, pair, choice)},
-                                   u_list, vdata, rank)
+                                   vdata, rank)
             predicted = _choice_exponent(tree, pair, choice, phi)
             columns.append(BasisColumn(
                 entries=col,
@@ -312,31 +291,22 @@ def optimal_basis(pairs, selections, tree: TreeOverPoint, vdata: VandermondeData
                 estimate=element_radius(col, vdata.fiber.target),
                 provenance={"pair": pair.pair_id, "choice": choice},
             ))
-    if len(columns) != rank * d:
-        raise CountMismatch("emitted %d columns, expected %d" % (len(columns), rank * d))
+    if len(columns) != rank * vdata.degree:
+        raise CountMismatch("emitted %d columns, expected %d"
+                            % (len(columns), rank * vdata.degree))
     return OptimalBasis(columns=tuple(columns))
 
 
 def trivial_optimal_basis(tree: TreeOverPoint, vdata: VandermondeData,
                           phi: DiscMorphism) -> OptimalBasis:
-    """Optimal basis for the direct image of the trivial module.
-
-    The trivial module's horizontal column is the constant 1 on the whole
-    disc: one fundamental pair (anchor 0, exponent 0) held by every fiber
-    point.  The columns are then V(s) v_U over the selected branches plus
-    E_1 = V(s) (1..1)^T, as ``optimal_basis`` builds them.
-    """
-    d = vdata.degree
+    """Optimal basis for the direct image of the trivial module: its upstairs
+    column is the constant 1 (exponent 0) at every fiber point."""
     n = min(u.order for u in vdata.solutions)
     fld = vdata.solutions[0].field
-    pair = FundamentalPair(
-        pair_id=0, anchor=0, slot=0, exponent=Fraction(0),
-        members=tuple(range(d)),
-        columns_at={i: (TruncatedSeries.constant(fld, "t", tree.fiber.points[i],
-                                                 fld.one(), n),)
-                    for i in range(d)})
-    return optimal_basis((pair,), (branch_selection(tree, pair),), tree, vdata,
-                         vdata.solutions, phi)
+    return optimal_basis(
+        [[LinkedColumn(entries=(TruncatedSeries.constant(fld, "t", a, fld.one(), n),),
+                       exponent=Fraction(0), origin=(i, 0))]
+         for i, a in enumerate(tree.fiber.points)], tree, vdata, phi)
 
 
 # ----------------------------------------------------------------------------

@@ -194,14 +194,34 @@ def _bfrom_fraction(p: int, q: Fraction, rel: int):
     return (u, v, v + rel)
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below this
+# bound (J. Sorenson and J. Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < _PRIME_BOUND; larger n raise ValueError."""
+    if n >= _PRIME_BOUND:
+        raise ValueError("primality of p >= %d is not decided" % _PRIME_BOUND)
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

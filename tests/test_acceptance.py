@@ -18,15 +18,12 @@ from padicdisc import (
     DiscMorphism,
     FieldDescriptor,
     TruncatedSeries,
-    branch_selection,
     direct_image,
     element_radius,
     euler_count,
     fiber,
-    fundamental_pairs,
     fundamental_solution_matrix,
     horizontal_check,
-    linked_bases,
     local_solution,
     local_solution_matrix,
     monic_relation,
@@ -266,11 +263,9 @@ def all_bases(p2, p3, p2_exp_module):
     di2 = direct_image(p2.trivial, p2.phi, p2.rel)
     out.append(("p2 trivial", trivial_optimal_basis(p2.tree, p2.vd, p2.phi), di2))
     di2e = direct_image(p2_exp_module, p2.phi, p2.rel)
-    linked = linked_bases(_rank1_basis_input(p2, p2_exp_module), p2.fib)
-    pairs = fundamental_pairs(linked, p2.fib)
-    sels = [branch_selection(p2.tree, pr) for pr in pairs]
     out.append(("p2 exp",
-                optimal_basis(pairs, sels, p2.tree, p2.vd, p2.solutions, p2.phi),
+                optimal_basis(_rank1_basis_input(p2, p2_exp_module), p2.tree, p2.vd,
+                              p2.phi),
                 di2e))
     di3 = direct_image(p3.trivial, p3.phi, p3.rel)
     out.append(("p3 trivial", trivial_optimal_basis(p3.tree, p3.vd, p3.phi), di3))
@@ -284,7 +279,7 @@ def test_criterion_07_horizontality(p2, p3, p2_exp_module, all_bases):
     for setup, module in ((p2, p2.trivial), (p2, p2_exp_module), (p3, p3.trivial)):
         di = direct_image(module, setup.phi, setup.rel)
         bases = [local_solution_matrix(module, a) for a in setup.fib.points]
-        for col in fundamental_solution_matrix(bases, setup.solutions, setup.vd):
+        for col in fundamental_solution_matrix(bases, setup.vd):
             good, worst = horizontal_check(col, di)
             ok = ok and good and worst >= Fraction(R, 2)
     for label, basis, di in all_bases:
@@ -363,10 +358,7 @@ def test_criterion_09_counts(p2, p3, p2_exp_module, all_bases):
                 LinkedColumn(entries=hb.columns[0], exponent=Fraction(0),
                              origin=(i, 1)),
             ])
-        linked = linked_bases(cols, fib)
-        pairs = fundamental_pairs(linked, fib)
-        sels = [branch_selection(tree, pr) for pr in pairs]
-        basis = optimal_basis(pairs, sels, tree, vd, us, phi, rank=2)
+        basis = optimal_basis(cols, tree, vd, phi)
         ok = ok and len(basis) == 2 * d and constant_rank(basis.columns) == 2 * d
     _report(9, "counts: |trivial| = d, |general| = r*d (examples + 20 synthetic)", ok)
 

@@ -1,10 +1,14 @@
 """CLI: job validation, pipelines, canned examples, polygon emission."""
 
+import ast
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import padicdisc
 
 from padicdisc.cli import (
     emit_polygon,
@@ -15,7 +19,7 @@ from padicdisc.cli import (
     serialize_report,
     validate_jobspec,
 )
-from padicdisc.errors import SchemaError, SelectorError, UnknownExample
+from padicdisc.errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
 from padicdisc import FieldDescriptor, TruncatedSeries
 from padicdisc import jsonio
 
@@ -238,3 +242,54 @@ def test_malformed_field_and_degree_are_schema_errors(name, section, key, value,
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["--spec", str(path)]) == 2
+
+
+def _spec_with(name, section, key, value):
+    spec = example_spec(name)
+    spec[section][key] = value
+    return spec
+
+
+@pytest.mark.parametrize("spec", [
+    _spec_with("p2-trivial", "morphism", "f", ["x"]),
+    _spec_with("p2-trivial", "module", "A", 5),
+    _spec_with("p3-trivial", "field", "ext", {"poly": ["3", "0", "1"], "e": -1, "f": -2}),
+    _spec_with("p2-trivial", "morphism", "f", ["0", "0", "0", "1"]),
+], ids=["f=[x]", "A=5", "e=-1,f=-2", "degree 2 against slope 3"])
+def test_malformed_specs_never_escape_as_bare_exceptions(spec, tmp_path):
+    try:
+        run(spec)
+    except PadicDiscError:
+        pass
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--spec", str(path)]) in (1, 2)
+
+
+def test_readme_quickstart_runs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "order=32" in block
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["basis"]) == 2
+    assert [c.predicted_exponent for c in namespace["exp_basis"].columns] == [2, 2]
+
+
+def test_package_has_no_unused_imports():
+    unused = []
+    for path in sorted(Path(padicdisc.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue                      # the package namespace re-exports its imports
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -231,9 +231,13 @@ def brute_force_euler_rhs(points, ci, ell):
     return sum(1 for a in points if _val(a - points[ci]) > ell)
 
 
+def brute_force_members(points, ci, ell):
+    return [i for i in range(len(points)) if _val(points[i] - points[ci]) > ell]
+
+
 def brute_force_euler_lhs(points, ci, ell):
     """Independent recount: BFS components per level, straight from the definition."""
-    members = [i for i in range(len(points)) if _val(points[i] - points[ci]) > ell]
+    members = brute_force_members(points, ci, ell)
     levels = sorted({_val(points[i] - points[j])
                      for i in members for j in members if i < j})
     lhs = 1
@@ -276,9 +280,11 @@ def test_euler_randomized(data):
     raw = data.draw(st.lists(st.integers(1, 60), min_size=d, max_size=d, unique=True))
     points = [q2.from_rational(2 * v) for v in raw]
     phi = _poly_through(q2, points)
-    tree = tree_over_point(phi, Fiber(target=q2.zero(), points=tuple(points)))
+    fib = Fiber(target=q2.zero(), points=tuple(points))
+    tree = tree_over_point(phi, fib)
     ci = data.draw(st.integers(0, d - 1))
     ell = data.draw(st.fractions(min_value=Fraction(1, 2), max_value=6, max_denominator=2))
+    assert list(fib.members(ci, ell)) == brute_force_members(points, ci, ell)
     lhs, rhs = euler_count(tree, (ci, ell))
     assert lhs == rhs
     assert rhs == brute_force_euler_rhs(points, ci, ell)

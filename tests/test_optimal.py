@@ -152,7 +152,7 @@ def test_transfer_rank_one_degree_one(q2):
 
 def test_fundamental_trivial_is_v(p2):
     bases = [local_solution_matrix(p2.trivial, a) for a in p2.fib.points]
-    cols = fundamental_solution_matrix(bases, p2.solutions, p2.vd)
+    cols = fundamental_solution_matrix(bases, p2.vd)
     assert len(cols) == 2
     for j, col in enumerate(cols):
         for i in range(2):
@@ -162,7 +162,7 @@ def test_fundamental_trivial_is_v(p2):
 def test_fundamental_exp_matches_display(p2, p2_exp_module, inv2f2):
     q2 = p2.field
     bases = [local_solution_matrix(p2_exp_module, a) for a in p2.fib.points]
-    cols = fundamental_solution_matrix(bases, p2.solutions, p2.vd)
+    cols = fundamental_solution_matrix(bases, p2.vd)
     expser = series(q2, exp_rationals(N))
     f2 = p2.fp
     h_minus = compose(expser, 1 - f2)
@@ -182,7 +182,7 @@ def test_fundamental_exp_matches_display(p2, p2_exp_module, inv2f2):
 
 def test_fundamental_columns_independent(p3):
     bases = [local_solution_matrix(p3.trivial, a) for a in p3.fib.points]
-    cols = fundamental_solution_matrix(bases, p3.solutions, p3.vd)
+    cols = fundamental_solution_matrix(bases, p3.vd)
     wrapped = [BasisColumn(entries=c, predicted_exponent=Fraction(0),
                            estimate=element_radius(c, p3.field.zero()),
                            provenance={}) for c in cols]
@@ -284,20 +284,20 @@ def test_branch_selection_cases(p2, p3):
     linked = linked_bases(_exp_linked_input(p2, p2.trivial), p2.fib)
     pair = fundamental_pairs(linked, p2.fib)[0]
     sel = branch_selection(p2.tree, pair)
-    assert sel.choices == (("self", None), ("branch", (0, 1)))
+    assert sel == (("self", None), ("branch", (0, 1)))
 
     linked3 = linked_bases(_exp_linked_input(p3, p3.trivial), p3.fib)
     pair3 = fundamental_pairs(linked3, p3.fib)[0]
     sel3 = branch_selection(p3.tree, pair3)
-    assert sel3.choices == (("self", None), ("branch", (0, 1)), ("branch", (0, 2)))
-    assert len(sel3.choices) == 3    # cardinality identity |U_P| = #(U n fiber)
+    assert sel3 == (("self", None), ("branch", (0, 1)), ("branch", (0, 2)))
+    assert len(sel3) == 3    # cardinality identity |U_P| = #(U n fiber)
 
 
 def test_branch_selection_no_interior_point(p2, p2_exp_module):
     linked = linked_bases(_exp_linked_input(p2, p2_exp_module), p2.fib)
     for pair in fundamental_pairs(linked, p2.fib):
         sel = branch_selection(p2.tree, pair)
-        assert sel.choices == (("self", None),)
+        assert sel == (("self", None),)
 
 
 # -- optimal bases ---------------------------------------------------------------------------------
@@ -327,10 +327,7 @@ def test_trivial_optimal_basis_p3(p3):
 
 
 def test_optimal_basis_trivial_specialization(p2):
-    linked = linked_bases(_exp_linked_input(p2, p2.trivial), p2.fib)
-    pairs = fundamental_pairs(linked, p2.fib)
-    sels = [branch_selection(p2.tree, p) for p in pairs]
-    general = optimal_basis(pairs, sels, p2.tree, p2.vd, p2.solutions, p2.phi)
+    general = optimal_basis(_exp_linked_input(p2, p2.trivial), p2.tree, p2.vd, p2.phi)
     special = trivial_optimal_basis(p2.tree, p2.vd, p2.phi)
     assert len(general) == len(special) == 2
     for g, s in zip(general.columns, special.columns):
@@ -340,10 +337,7 @@ def test_optimal_basis_trivial_specialization(p2):
 
 
 def test_optimal_basis_exp(p2, p2_exp_module):
-    linked = linked_bases(_exp_linked_input(p2, p2_exp_module), p2.fib)
-    pairs = fundamental_pairs(linked, p2.fib)
-    sels = [branch_selection(p2.tree, p) for p in pairs]
-    basis = optimal_basis(pairs, sels, p2.tree, p2.vd, p2.solutions, p2.phi)
+    basis = optimal_basis(_exp_linked_input(p2, p2_exp_module), p2.tree, p2.vd, p2.phi)
     assert len(basis) == 2
     assert all(c.predicted_exponent == 2 for c in basis.columns)
     assert all(c.estimate.exponent == 2 and c.estimate.stable for c in basis.columns)
@@ -382,10 +376,7 @@ def test_optimal_basis_degree_one(q2):
     hb = local_solution_matrix(mod, fib.points[0])
     cols = [[LinkedColumn(entries=hb.columns[0], exponent=hb.radii[0].exponent,
                           origin=(0, 0))]]
-    linked = linked_bases(cols, fib)
-    pairs = fundamental_pairs(linked, fib)
-    sels = [branch_selection(tree, p) for p in pairs]
-    basis = optimal_basis(pairs, sels, tree, vd, [u], phi)
+    basis = optimal_basis(cols, tree, vd, phi)
     assert len(basis) == 1
     assert (basis.columns[0].entries[0] - series(q2, exp_rationals(N))).is_zero()
 
@@ -413,17 +404,14 @@ def test_rank2_optimal_basis_horizontal(q2):
             LinkedColumn(entries=hb.columns[1], exponent=Fraction(1), origin=(i, 0)),
             LinkedColumn(entries=hb.columns[0], exponent=Fraction(0), origin=(i, 1)),
         ])
-    linked = linked_bases(cols, fib)
-    pairs = fundamental_pairs(linked, fib)
-    sels = [branch_selection(tree, p) for p in pairs]
-    basis = optimal_basis(pairs, sels, tree, vd, us, phi, rank=2)
+    basis = optimal_basis(cols, tree, vd, phi)
     di = direct_image(mod, phi, rel)
     assert di.rank == 4 and len(basis) == 4
     for col in basis.columns:
         ok, worst = horizontal_check(col.entries, di)
         assert ok and worst == float("inf")
     bases = [local_solution_matrix(mod, a) for a in fib.points]
-    for col in fundamental_solution_matrix(bases, us, vd):
+    for col in fundamental_solution_matrix(bases, vd):
         ok, _ = horizontal_check(col, di)
         assert ok
     assert constant_rank(basis.columns) == 4

@@ -1,5 +1,6 @@
 """Scalar arithmetic, Hensel lifting, and roots of unity."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from padicdisc.errors import (
     HenselHypothesisFailed,
     UnsupportedRoot,
 )
+from padicdisc.padic import _is_prime
 
 
 def vp_fraction(q, p):
@@ -170,6 +172,26 @@ def test_unramified_rejects_reducible():
 def test_eisenstein_rejects_non_eisenstein():
     with pytest.raises(ValueError):
         FieldDescriptor(3, digits=32, poly=[9, 0, 1], e=2, f=1)   # v(9) = 2, slope 1 not 1/2
+
+
+def test_large_prime_field_is_decided_quickly():
+    start = time.perf_counter()
+    assert FieldDescriptor(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError):
+        FieldDescriptor(2 ** 61 + 1)                               # divisible by 3
+    with pytest.raises(ValueError):
+        FieldDescriptor(2 ** 127 - 1)                              # beyond the decided range
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
 
 
 # -- algebraic properties ---------------------------------------------------------
