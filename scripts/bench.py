@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the series layer: one column of a BENCH_*.json file.
+"""Timings of the series layer and of whole jobs: one column of a BENCH_*.json file.
 
 Times series ``__mul__``, ``mult_inverse``, ``reversion``, ``compose``,
 ``mat_inverse`` (3 x 3) and ``taylor_shift`` at N = 32, 64, 128 over Q_2 and
 the Eisenstein field Q_3(sqrt-3), both with 64 digits, on fixed seeded
 inputs.  ``taylor_shift`` runs on two inputs: a degree-8 polynomial padded
 with exact zeros to order N (``taylor_shift_poly8``) and a dense order-N
-series (``taylor_shift_dense``), both shifted to p.  Each cell is the
-median time of one call over repeats that run until 0.5 s is spent (at
-least one, at most 7 calls).
+series (``taylor_shift_dense``), both shifted to p.  End to end, the rows
+``run:<example>`` time ``cli.run(cli.example_spec(example, order=N))`` for
+the three canned examples at N = 32 and 64.  Each cell is the median time
+of one call over repeats that run until 0.5 s is spent (at least one, at
+most 7 calls).
 
 Run it once per checkout on the same machine, e.g.
 
@@ -32,6 +34,8 @@ from fractions import Fraction
 from pathlib import Path
 
 ORDERS = (32, 64, 128)
+RUN_ORDERS = (32, 64)
+EXAMPLE_FIELDS = {"p2-trivial": "Q2", "p2-exp": "Q2", "p3-trivial": "Q3(sqrt-3)"}
 OPS = ("mul", "mult_inverse", "reversion", "compose", "mat_inverse",
        "taylor_shift_poly8", "taylor_shift_dense")
 BUDGET_S = 0.5
@@ -84,15 +88,23 @@ def _time(call) -> float:
     return statistics.median(times)
 
 
+def _row(op, field, n, call) -> dict:
+    ms = _time(call) * 1e3
+    print("%-18s %-11s N=%-4d %10.3f ms" % (op, field, n, ms), flush=True)
+    return {"op": op, "field": field, "N": n, "ms": round(ms, 3)}
+
+
 def measure(padicdisc) -> list:
     rows = []
     for name, fld in _fields(padicdisc).items():
         for n in ORDERS:
             calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))
-            for op in OPS:
-                ms = _time(calls[op]) * 1e3
-                print("%-13s %-11s N=%-4d %10.3f ms" % (op, name, n, ms), flush=True)
-                rows.append({"op": op, "field": name, "N": n, "ms": round(ms, 3)})
+            rows += [_row(op, name, n, calls[op]) for op in OPS]
+    cli = padicdisc.cli
+    for example, field in EXAMPLE_FIELDS.items():
+        for n in RUN_ORDERS:
+            spec = cli.example_spec(example, order=n)
+            rows.append(_row("run:" + example, field, n, lambda: cli.run(spec)))
     return rows
 
 
@@ -123,7 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to create or extend")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    import padicdisc
+    import padicdisc.cli
     rows = measure(padicdisc)
     merge(Path(args.out), args.column, rows)
     return 0

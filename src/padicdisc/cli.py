@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
-from .padic import _is_prime, root_of_unity
+from .padic import root_of_unity
 from .series import TruncatedSeries, compose, mult_inverse, radius_estimate, valuation_polygon
 from .morphism import (
     MAX_RESIDUE_FIELD,
@@ -60,47 +60,24 @@ OUTPUT_KINDS = ("tree", "vandermonde", "direct-image", "fundamental", "optimal",
 # job specs
 # ----------------------------------------------------------------------------
 
-def _parse_scalar(x, n: int):
-    """Read x as ``jsonio.scalar_from_json`` does, without a field: a rational
-    string, a list of n rational coordinates, or {"coords": n [m, e] pairs,
-    "prec": ...}.  Raises TypeError, ValueError, KeyError or ArithmeticError."""
-    if isinstance(x, str):
-        Fraction(x)
-    elif isinstance(x, list) and len(x) == n:
-        for c in x:
-            Fraction(c)
-    elif isinstance(x, dict) and isinstance(x["coords"], list) and len(x["coords"]) == n:
-        for m, e in x["coords"]:
-            int(m), int(e)
-        if x.get("prec", "inf") != "inf":
-            Fraction(x["prec"])
-    else:
-        raise TypeError("not a scalar with %d coordinates" % n)
+def _read(where: str, read, x, *args):
+    try:
+        return read(x, *args)
+    except SchemaError as err:
+        raise SchemaError("%s does not parse: %s" % (where, err))
 
 
-def _parse_series(x, n: int):
-    """Read x as ``_Pipeline._series_input`` does: a coefficient list or a
-    series object with a center and coefficients."""
-    if isinstance(x, dict):
-        _parse_scalar(x["center"], n)
-        int(x.get("N", 0))
-        x = x["coeffs"]
-    if not isinstance(x, list):
-        raise TypeError("not a coefficient list")
-    for c in x:
-        _parse_scalar(c, n)
+def _read_series(where: str, x, fld, n: int):
+    """A morphism or module entry: a series at center 0 known to order >= n."""
+    f = _read(where, jsonio.series_from_json, x, fld, n)
+    if not f.center.is_zero():
+        raise SchemaError("%s must be centered at 0, the center of the disc" % where)
+    return f
 
 
-def _check_entries(where: str, parse, entries, *args):
-    for x in entries:
-        try:
-            parse(x, *args)
-        except (TypeError, ValueError, KeyError, ArithmeticError) as err:
-            raise SchemaError("%s does not parse: %s" % (where, err))
-
-
-def validate_jobspec(raw: dict) -> dict:
-    """Normalize and validate a job spec dict; raises SchemaError."""
+def _load(raw: dict) -> _Pipeline:
+    """Validate a job spec and read each of its scalars and series once, into
+    a pipeline; raises SchemaError."""
     if not isinstance(raw, dict):
         raise SchemaError("job spec must be an object")
     spec = dict(raw)
@@ -112,19 +89,20 @@ def validate_jobspec(raw: dict) -> dict:
     spec.setdefault("outputs", list(OUTPUT_KINDS))
     spec.setdefault("seed", 0)
     spec.setdefault("module", {"rank": 1, "A": [[["0"]]]})
-    if not isinstance(spec["N"], int) or spec["N"] < 8:
+    n = spec["N"]
+    if not isinstance(n, int) or n < 8:
         raise SchemaError("N must be an integer >= 8")
-    fld = spec["field"]
-    if not isinstance(fld, dict) or "p" not in fld:
+    field = spec["field"]
+    if not isinstance(field, dict) or "p" not in field:
         raise SchemaError("field must be an object with a prime p")
-    p = fld["p"]
+    p = field["p"]
     if not isinstance(p, int) or p < 2:
         raise SchemaError("field p must be a prime integer, got %r" % (p,))
-    digits = fld.get("digits", DEFAULT_DIGITS)
+    digits = field.get("digits", DEFAULT_DIGITS)
     if not isinstance(digits, int) or digits < 8:
         raise SchemaError("digits must be an integer >= 8")
-    ext = fld.get("ext", "base")
-    e = f = 1
+    ext = field.get("ext", "base")
+    f = 1
     if ext != "base":
         if not isinstance(ext, dict) or any(key not in ext for key in ("poly", "e", "f")):
             raise SchemaError('field ext must be "base" or an object with poly, e and f')
@@ -133,25 +111,29 @@ def validate_jobspec(raw: dict) -> dict:
             raise SchemaError("ext e and f must be integers >= 1, got %r, %r" % (e, f))
         if not (isinstance(poly, list) and len(poly) == e * f + 1 >= 3):
             raise SchemaError("ext poly must list e*f + 1 >= 3 coefficients")
-        _check_entries("ext poly", Fraction, poly)
-    # checked first: _is_prime raises on p beyond the range it decides
+    # checked before the field is built: residue enumeration is bounded up front
     if p ** f > MAX_RESIDUE_FIELD:
         raise SchemaError("residue field size p^f = %d^%d exceeds %d"
                           % (p, f, MAX_RESIDUE_FIELD))
-    if not _is_prime(p):
-        raise SchemaError("field p must be a prime integer, got %r" % (p,))
+    try:
+        fld = jsonio.field_from_json(field)
+    except (ValueError, SchemaError) as err:    # ValueError: InvalidField
+        raise SchemaError("field does not parse: %s" % err)
     morph = spec["morphism"]
     if not isinstance(morph, dict) or "f" not in morph or "d" not in morph:
         raise SchemaError("morphism must carry f (coefficients) and d (degree)")
     if not isinstance(morph["d"], int) or morph["d"] < 1:
         raise SchemaError("morphism d must be a positive integer, got %r" % (morph["d"],))
-    _check_entries("morphism f", _parse_series, [morph["f"]], e * f)
+    inputs = {"field": fld, "f": _read_series("morphism f", morph["f"], fld, n)}
     hints = morph.get("hints")
     if hints is not None:
         if not isinstance(hints, list):
             raise SchemaError("morphism hints must be a list")
-        _check_entries("morphism hints", _parse_scalar, hints, e * f)
-    _check_entries("center", _parse_scalar, [spec["center"]], e * f)
+        hints = [_read("morphism hints", jsonio.scalar_from_json, h, fld) for h in hints]
+    inputs["hints"] = hints
+    center = inputs["center"] = _read("center", jsonio.scalar_from_json, spec["center"], fld)
+    if center.valuation() < 0:
+        raise SchemaError("center %r lies outside the disc: v(b) < 0" % (spec["center"],))
     module = spec["module"]
     if not isinstance(module, dict) or "rank" not in module or "A" not in module:
         raise SchemaError("module must carry rank and A")
@@ -160,21 +142,28 @@ def validate_jobspec(raw: dict) -> dict:
             and len(rows) == rank
             and all(isinstance(row, list) and len(row) == rank for row in rows)):
         raise SchemaError("A must be a rank x rank list of lists")
-    for row in rows:
-        _check_entries("module A", _parse_series, row, e * f)
-    for out in spec["outputs"]:
-        if out not in OUTPUT_KINDS:
-            raise SchemaError("unknown output %r" % out)
+    inputs["A"] = tuple(tuple(_read_series("module A", x, fld, n) for x in row)
+                        for row in rows)
+    outputs = spec["outputs"]
+    if not isinstance(outputs, list) or any(out not in OUTPUT_KINDS for out in outputs):
+        raise SchemaError("outputs must be a list drawn from %s, got %r" % (OUTPUT_KINDS, outputs))
     if not isinstance(spec["seed"], int):
         raise SchemaError("seed must be an integer")
-    return spec
+    return _Pipeline(spec, inputs)
+
+
+def validate_jobspec(raw: dict) -> dict:
+    """Normalize and validate a job spec dict; raises SchemaError."""
+    return _load(raw).spec
 
 
 class _Pipeline:
-    """Lazily evaluated computation stages of one job."""
+    """Lazily evaluated computation stages of one job, over inputs that
+    ``_load`` has already read from its spec."""
 
-    def __init__(self, spec: dict):
+    def __init__(self, spec: dict, inputs: dict):
         self.spec = spec
+        self.inputs = inputs
         self.cache = {}
 
     def get(self, name):
@@ -183,30 +172,16 @@ class _Pipeline:
         return self.cache[name]
 
     def _field(self):
-        return jsonio.field_from_json(self.spec["field"])
-
-    def _series_input(self, data, var="t"):
-        fld = self.get("field")
-        n = self.spec["N"]
-        if isinstance(data, dict):
-            return jsonio.series_from_json(data, fld).truncate(n)
-        coeffs = [jsonio.scalar_from_json(c, fld) for c in data]
-        coeffs += [fld.zero()] * (n - len(coeffs))
-        return TruncatedSeries(fld, var, fld.zero(), coeffs[:n])
+        return self.inputs["field"]
 
     def _phi(self):
-        f = self._series_input(self.spec["morphism"]["f"])
-        return DiscMorphism(f=f, degree=int(self.spec["morphism"]["d"]))
+        return DiscMorphism(f=self.inputs["f"], degree=int(self.spec["morphism"]["d"]))
 
     def _center(self):
-        return jsonio.scalar_from_json(self.spec["center"], self.get("field"))
+        return self.inputs["center"]
 
     def _fiber(self):
-        hints = self.spec["morphism"].get("hints")
-        fld = self.get("field")
-        if hints is not None:
-            hints = [jsonio.scalar_from_json(h, fld) for h in hints]
-        return fiber(self.get("phi"), self.get("center"), hints=hints)
+        return fiber(self.get("phi"), self.get("center"), hints=self.inputs["hints"])
 
     def _tree(self):
         return tree_over_point(self.get("phi"), self.get("fiber"))
@@ -222,12 +197,8 @@ class _Pipeline:
         return monic_relation(self.get("phi"), self.get("fiber"))
 
     def _module(self):
-        fld = self.get("field")
-        spec_m = self.spec["module"]
-        rows = tuple(tuple(self._series_input(entry) for entry in row)
-                     for row in spec_m["A"])
-        return DiffModule(rank=int(spec_m["rank"]), matrix=rows, var="t",
-                          center=fld.zero())
+        return DiffModule(rank=int(self.spec["module"]["rank"]), matrix=self.inputs["A"],
+                          var="t", center=self.get("field").zero())
 
     def _direct_image(self):
         return direct_image(self.get("module"), self.get("phi"), self.get("relation"))
@@ -362,9 +333,13 @@ def _run_checks(pipe: _Pipeline) -> list:
 
 def run(raw_spec: dict) -> dict:
     """Execute a validated job spec into a total JobReport dict."""
-    spec = validate_jobspec(raw_spec)
-    pipe = _Pipeline(spec)
-    report = {"spec": spec, "outputs": {}, "errors": []}
+    return _report(_load(raw_spec))
+
+
+def _report(pipe: _Pipeline) -> dict:
+    """The JobReport of a loaded job; reuses every stage the pipeline already ran."""
+    spec = pipe.spec
+    report = {"spec": spec, "outputs": {}, "errors": [], "checks": []}
 
     def attempt(kind, fn):
         if kind not in spec["outputs"]:
@@ -384,14 +359,7 @@ def run(raw_spec: dict) -> dict:
         [jsonio.series_to_json(e) for e in col] for col in pipe.get("fundamental")])
     attempt("optimal", lambda: jsonio.basis_to_json(pipe.get("optimal")))
     if "checks" in spec["outputs"]:
-        try:
-            report["checks"] = _run_checks(pipe)
-        except PadicDiscError as err:
-            report["errors"].append({"stage": "checks", "error": type(err).__name__,
-                                     "message": str(err)})
-            report["checks"] = []
-    else:
-        report["checks"] = []
+        report["checks"] = _run_checks(pipe)    # records a failing check, never raises
     prec = {}
     for key in ("vandermonde", "direct_image"):
         if key in pipe.cache or key.replace("_", "-") in spec["outputs"]:
@@ -399,12 +367,8 @@ def run(raw_spec: dict) -> dict:
                 obj = pipe.get(key)
             except PadicDiscError:
                 continue
-            if key == "vandermonde":
-                prec[key] = jsonio.frac_str(min(
-                    c.min_precision() for row in obj.matrix_v for c in row))
-            else:
-                prec[key] = jsonio.frac_str(min(
-                    c.min_precision() for row in obj.matrix for c in row))
+            mat = obj.matrix_v if key == "vandermonde" else obj.matrix
+            prec[key] = jsonio.frac_str(min(c.min_precision() for row in mat for c in row))
     report["achieved_precision"] = prec
     return report
 
@@ -460,10 +424,9 @@ def run_example(name: str, order: int = DEFAULT_ORDER,
     """Run a canned example and diff every displayed quantity entrywise."""
     if name not in ("p2-trivial", "p2-exp", "p3-trivial"):
         raise UnknownExample(name)
-    spec = example_spec(name, order, digits, seed)
-    pipe = _Pipeline(validate_jobspec(spec))
+    pipe = _load(example_spec(name, order, digits, seed))
     fld = pipe.get("field")
-    n = spec["N"]
+    n = order
     b = pipe.get("center")
     rows = []
 
@@ -515,7 +478,6 @@ def run_example(name: str, order: int = DEFAULT_ORDER,
                          "match": [c.estimate.exponent for c in basis.columns]
                          == [Fraction(0), Fraction(2)]})
         else:
-            half = fld.from_rational(Fraction(1, 2))
             s_ser = TruncatedSeries.identity(fld, "s", b, n)
             derived = [inv_s1 * half, (s_ser - 1) * inv_s1 * half,
                        inv_s1 * half, inv_s1 * fld.from_rational(-1)]
@@ -589,8 +551,7 @@ def run_example(name: str, order: int = DEFAULT_ORDER,
                      == [Fraction(0), Fraction(3, 2), Fraction(3, 2)]})
 
     passed = all(row["match"] for row in rows if row.get("blocking", True))
-    report = run(spec)
-    return {"example": name, "diffs": rows, "passed": passed, "report": report}
+    return {"example": name, "diffs": rows, "passed": passed, "report": _report(pipe)}
 
 
 # ----------------------------------------------------------------------------
@@ -599,7 +560,7 @@ def run_example(name: str, order: int = DEFAULT_ORDER,
 
 def emit_polygon(spec: dict, selector: str) -> dict:
     """Vertex list and sampled vq values for one series of the job."""
-    pipe = _Pipeline(validate_jobspec(spec))
+    pipe = _load(spec)
     fld = pipe.get("field")
     n = pipe.spec["N"]
     if selector == "f":
@@ -645,6 +606,17 @@ def serialize_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _read_spec_file(path: str) -> dict:
+    try:
+        with open(path) as handle:
+            spec = json.load(handle)
+    except (OSError, ValueError) as err:     # ValueError: JSON or text decoding
+        raise SchemaError("cannot read job spec %s: %s" % (path, err))
+    if not isinstance(spec, dict):
+        raise SchemaError("job spec must be an object")
+    return spec
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="padicdisc",
@@ -670,15 +642,11 @@ def main(argv=None) -> int:
             ok = result["passed"] and all(c["passed"] for c in result["report"]["checks"])
             text = serialize_report(result)
         elif args.spec or args.example:
-            if args.spec:
-                with open(args.spec) as handle:
-                    spec = json.load(handle)
-            else:
-                spec = example_spec(args.example)
+            spec = _read_spec_file(args.spec) if args.spec else example_spec(args.example)
             if args.series_order:
                 spec["N"] = args.series_order
-            if args.digits:
-                spec.setdefault("field", {})["digits"] = args.digits
+            if args.digits and isinstance(spec.get("field"), dict):
+                spec["field"]["digits"] = args.digits
             spec["seed"] = args.seed
             if args.polygon:
                 data = emit_polygon(spec, args.polygon)

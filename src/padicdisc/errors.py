@@ -9,7 +9,11 @@ class PadicDiscError(Exception):
     """Base class for all library errors."""
 
 
-# -- scalar arithmetic --------------------------------------------------------
+# -- fields and scalar arithmetic ---------------------------------------------
+
+class InvalidField(PadicDiscError, ValueError):
+    """FieldDescriptor arguments do not describe Q_p or one supported extension."""
+
 
 class DivisionByZeroAtPrecision(PadicDiscError):
     """Divisor is indistinguishable from zero at the tracked precision."""

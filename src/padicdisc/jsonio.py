@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SchemaError
 from .padic import INF, FieldDescriptor, PadicScalar, _EXACT, _bnorm, _vp_int
 from .series import TruncatedSeries, ValuationPolygon
 
@@ -15,10 +16,11 @@ def frac_str(x) -> str:
     return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
 
 
-def parse_frac(s):
-    if s == "inf":
-        return INF
-    return Fraction(s)
+def parse_frac(s) -> Fraction:
+    try:
+        return Fraction(s)
+    except (TypeError, ValueError, ArithmeticError):
+        raise SchemaError("not a rational: %r" % (s,))
 
 
 def field_to_json(fld: FieldDescriptor) -> dict:
@@ -30,6 +32,8 @@ def field_to_json(fld: FieldDescriptor) -> dict:
 
 
 def field_from_json(d: dict) -> FieldDescriptor:
+    """Raises SchemaError on a poly entry that is not a rational, and
+    InvalidField on arguments that describe no supported field."""
     ext = d.get("ext", "base")
     digits = int(d.get("digits", 64))
     if ext == "base":
@@ -50,15 +54,23 @@ def scalar_to_json(x: PadicScalar) -> dict:
 
 
 def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
-    """Accepts the full encoding, a rational string, or a coordinate list."""
+    """A rational string, a list of fld.n rational coordinates, or the full
+    encoding {"coords": fld.n [m, e] pairs, "prec": ...}; anything else
+    raises SchemaError."""
     if isinstance(d, str):
         return fld.from_rational(parse_frac(d))
-    if isinstance(d, list):
+    if isinstance(d, list) and len(d) == fld.n:
         return fld.from_coords([parse_frac(c) for c in d])
-    prec = d.get("prec", "inf")
+    pairs = d.get("coords") if isinstance(d, dict) else None
+    if not (isinstance(pairs, list) and len(pairs) == fld.n
+            and all(isinstance(me, list) and len(me) == 2 for me in pairs)):
+        raise SchemaError("not a scalar with %d coordinates: %r" % (fld.n, d))
     coords = []
-    for (m, e) in d["coords"]:
-        m, e = int(m), int(e)
+    for m, e in pairs:
+        try:
+            m, e = int(m), int(e)
+        except (TypeError, ValueError, ArithmeticError):
+            raise SchemaError("coordinate [m, e] needs integers: %r" % ([m, e],))
         if m == 0:
             coords.append((0, _EXACT, _EXACT))
         else:
@@ -66,9 +78,8 @@ def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
             # known to fld.digits digits beyond the valuation
             coords.append(_bnorm(fld.p, m, e, e + _vp_int(m, fld.p) + fld.digits))
     x = PadicScalar(fld, tuple(coords))
-    if prec != "inf":
-        x = x.with_precision(parse_frac(prec))
-    return x
+    prec = d.get("prec", "inf")
+    return x if prec == "inf" else x.with_precision(parse_frac(prec))
 
 
 def series_to_json(f: TruncatedSeries) -> dict:
@@ -76,12 +87,26 @@ def series_to_json(f: TruncatedSeries) -> dict:
             "coeffs": [scalar_to_json(c) for c in f.coeffs]}
 
 
-def series_from_json(d, fld: FieldDescriptor) -> TruncatedSeries:
-    center = scalar_from_json(d["center"], fld)
-    coeffs = [scalar_from_json(c, fld) for c in d["coeffs"]]
-    n = int(d.get("N", len(coeffs)))
+def series_from_json(d, fld: FieldDescriptor, order=None) -> TruncatedSeries:
+    """A series object {"center", "coeffs", "N" (default: the number of
+    coefficients), "var" (default "t")}, or a bare coefficient list: a
+    polynomial in t at center 0, exact to any order.  With ``order`` the
+    series is cut to that order, and an object known only to a lower N
+    raises SchemaError, as does any malformed value."""
+    if isinstance(d, list):
+        center, coeffs, n, var = fld.zero(), d, order or len(d), "t"
+    elif isinstance(d, dict) and "center" in d and isinstance(d.get("coeffs"), list):
+        center, coeffs = scalar_from_json(d["center"], fld), d["coeffs"]
+        n, var = d.get("N", len(coeffs)), d.get("var", "t")
+    else:
+        raise SchemaError("not a series object or coefficient list: %r" % (d,))
+    if not (isinstance(n, int) and n >= 1 and isinstance(var, str)):
+        raise SchemaError("a series needs an order N >= 1 and a variable name")
+    if order is not None and n < order:
+        raise SchemaError("series known to order %d, below the order %d asked for" % (n, order))
+    coeffs = [scalar_from_json(c, fld) for c in coeffs]
     coeffs += [fld.zero()] * (n - len(coeffs))
-    return TruncatedSeries(fld, d.get("var", "t"), center, coeffs[:n])
+    return TruncatedSeries(fld, var, center, coeffs[:order or n])
 
 
 def polygon_to_json(poly: ValuationPolygon) -> dict:

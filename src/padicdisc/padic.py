@@ -19,6 +19,7 @@ from operator import add
 from .errors import (
     DivisionByZeroAtPrecision,
     HenselHypothesisFailed,
+    InvalidField,
     NoConvergence,
     UnsupportedRoot,
 )
@@ -201,9 +202,9 @@ _PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic primality for n < _PRIME_BOUND; larger n raise ValueError."""
+    """Deterministic primality for n < _PRIME_BOUND; larger n raise InvalidField."""
     if n >= _PRIME_BOUND:
-        raise ValueError("primality of p >= %d is not decided" % _PRIME_BOUND)
+        raise InvalidField("primality of p >= %d is not decided" % _PRIME_BOUND)
     if n < 2:
         return False
     for b in _PRIME_BASES:
@@ -332,24 +333,24 @@ class FieldDescriptor:
 
     def __init__(self, p: int, digits: int = 64, poly=None, e: int = 1, f: int = 1):
         if not _is_prime(p):
-            raise ValueError("p = %s is not prime" % p)
+            raise InvalidField("p = %s is not prime" % p)
         if digits < 1:
-            raise ValueError("precision cap must be >= 1")
+            raise InvalidField("precision cap must be >= 1")
         self.p = p
         self.digits = digits
         if poly is None:
             if e != 1 or f != 1:
-                raise ValueError("base field has e = f = 1")
+                raise InvalidField("base field has e = f = 1")
             self.poly = None
             self.kind = "base"
             self.e, self.f, self.n = 1, 1, 1
         else:
             poly = [Fraction(c) for c in poly]
             if poly[-1] != 1:
-                raise ValueError("defining polynomial must be monic")
+                raise InvalidField("defining polynomial must be monic")
             n = len(poly) - 1
             if n < 2 or e * f != n:
-                raise ValueError("degree must equal e*f >= 2")
+                raise InvalidField("degree must equal e*f >= 2")
             self.poly = tuple(poly)
             self.e, self.f, self.n = e, f, n
             vals = [INF if c == 0 else Fraction(_vp_int(c.numerator, p) - _vp_int(c.denominator, p))
@@ -357,17 +358,17 @@ class FieldDescriptor:
             if e == n and f == 1:
                 # Eisenstein: one Newton-polygon slope 1/e, hence irreducible
                 if vals[0] != 1 or any(v < 1 for v in vals):
-                    raise ValueError("not an Eisenstein polynomial at p")
+                    raise InvalidField("not an Eisenstein polynomial at p")
                 self.kind = "eisenstein"
             elif f == n and e == 1:
                 if any(v < 0 for v in vals):
-                    raise ValueError("unramified polynomial must be integral")
+                    raise InvalidField("unramified polynomial must be integral")
                 g = [int(c) % p for c in poly]
                 if not _fp_irreducible(g, p):
-                    raise ValueError("residue polynomial is reducible over F_p")
+                    raise InvalidField("residue polynomial is reducible over F_p")
                 self.kind = "unramified"
             else:
-                raise ValueError("only Eisenstein or unramified extensions; towers out of scope")
+                raise InvalidField("only Eisenstein or unramified extensions; towers out of scope")
         if self.kind == "eisenstein":
             self.shifts = tuple(Fraction(i, self.e) for i in range(self.n))
         else:

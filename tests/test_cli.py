@@ -1,14 +1,20 @@
 """CLI: job validation, pipelines, canned examples, polygon emission."""
 
 import ast
+import copy
 import json
+import os
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padicdisc
+from padicdisc import cli
 
 from padicdisc.cli import (
     emit_polygon,
@@ -19,7 +25,13 @@ from padicdisc.cli import (
     serialize_report,
     validate_jobspec,
 )
-from padicdisc.errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
+from padicdisc.errors import (
+    InvalidField,
+    PadicDiscError,
+    SchemaError,
+    SelectorError,
+    UnknownExample,
+)
 from padicdisc import FieldDescriptor, TruncatedSeries
 from padicdisc import jsonio
 
@@ -231,7 +243,9 @@ def test_field_json_roundtrip(q3pi):
     # x^17 + x^3 + 1 is irreducible over F_2
     ("p2-trivial", "field", "ext", {"poly": ["1", "0", "0", "1"] + ["0"] * 13 + ["1"],
                                     "e": 1, "f": 17}),
-], ids=["p=4", "d=two", "degree-1 ext", "p=2^61-1", "p^f=2^17"])
+    # v(9) = 2: the FieldDescriptor error becomes a SchemaError, not a bare ValueError
+    ("p3-trivial", "field", "ext", {"poly": ["9", "0", "1"], "e": 2, "f": 1}),
+], ids=["p=4", "d=two", "degree-1 ext", "p=2^61-1", "p^f=2^17", "non-Eisenstein ext"])
 def test_malformed_field_and_degree_are_schema_errors(name, section, key, value, tmp_path):
     spec = example_spec(name)
     spec[section][key] = value
@@ -264,6 +278,141 @@ def test_malformed_specs_never_escape_as_bare_exceptions(spec, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["--spec", str(path)]) in (1, 2)
+
+
+def _set(spec, path, value):
+    *head, key = path
+    reduce(getitem, head, spec)[key] = value
+    return spec
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("p2-trivial", ("center",), "1/2"),
+    ("p3-trivial", ("center",), ["1/3", "0"]),
+    ("p2-trivial", ("module", "A"), [[{"center": "2", "coeffs": ["0", "1"], "N": 16}]]),
+    ("p2-trivial", ("morphism", "f"), {"center": "2", "coeffs": ["0", "2", "1"], "N": 16}),
+    ("p2-exp", ("module", "A"), [[{"center": "0", "coeffs": ["-1"], "N": 4}]]),
+    ("p2-exp", ("module", "A"), [[{"center": "0", "coeffs": ["-1"]}]]),
+], ids=["center 1/2", "center 1/3 in Q3(pi)", "A off center", "f off center", "A to N=4",
+        "A to N=1"])
+def test_inputs_outside_the_disc_are_schema_errors(name, path, value, tmp_path):
+    spec = _set(example_spec(name, order=16), path, value)
+    with pytest.raises(SchemaError):
+        run(spec)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+
+
+def test_series_object_inputs_at_center_0_read_as_lists():
+    plain = run(example_spec("p2-exp", order=16))
+    spec = _set(example_spec("p2-exp", order=16), ("module", "A"),
+                [[{"center": "0", "coeffs": ["-1"], "N": 20}]])
+    _set(spec, ("morphism", "f"), {"center": "0", "coeffs": ["0", "2", "1"], "N": 16})
+    assert run(spec)["outputs"] == plain["outputs"]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{bad", "\"spec\"", None],
+                         ids=["list", "not JSON", "string", "missing file"])
+def test_unusable_spec_files_exit_2(text, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    if text is not None:
+        spec_file.write_text(text)
+    assert main(["--spec", str(spec_file), "--series-order", "9", "--digits", "16",
+                 "--seed", "3"]) == 2
+
+
+def test_digits_override_leaves_a_malformed_field_to_validation(tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(_set(example_spec("p2-trivial"), ("field",), 5)))
+    assert main(["--spec", str(spec_file), "--digits", "16"]) == 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p": 4},
+    {"p": 2 ** 127 - 1},
+    {"p": 2, "digits": 0},
+    {"p": 3, "poly": [9, 0, 1], "e": 2, "f": 1},
+    {"p": 3, "poly": [3, 0, 1], "e": -1, "f": -2},
+    {"p": 2, "poly": [1, 0, 1], "e": 1, "f": 2},
+], ids=["p=4", "p undecided", "digits=0", "non-Eisenstein", "e=-1,f=-2", "reducible"])
+def test_field_descriptor_errors_are_invalid_field(kwargs):
+    with pytest.raises(InvalidField) as info:
+        FieldDescriptor(**kwargs)
+    assert isinstance(info.value, PadicDiscError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("value", [
+    5, None, "x", "1/0", "inf", [], ["1", "0"], {}, {"coords": 3},
+    {"coords": [["1", "0"], ["1", "0"]]}, {"coords": [["1"]]}, {"coords": [["1", "x"]]},
+    {"coords": [["1", "0"]], "prec": None},
+], ids=repr)
+def test_scalar_reader_is_total(q2, value):
+    with pytest.raises(SchemaError):
+        jsonio.scalar_from_json(value, q2)
+
+
+@pytest.mark.parametrize("value, order", [
+    (5, None), (None, None), ({}, None), ({"center": "0"}, None),
+    ({"center": "0", "coeffs": 5}, None), ({"center": 5, "coeffs": ["1"]}, None),
+    ({"center": "0", "coeffs": ["1"], "N": "8"}, None),
+    ({"center": "0", "coeffs": ["1"], "var": 5}, None),
+    ([], None), (["1", None], 8), ({"center": "0", "coeffs": ["1"], "N": 7}, 8),
+], ids=repr)
+def test_series_reader_is_total(q2, value, order):
+    with pytest.raises(SchemaError):
+        jsonio.series_from_json(value, q2, order)
+
+
+def test_run_example_runs_its_job_once(monkeypatch):
+    calls = []
+    real_fiber = cli.fiber
+    monkeypatch.setattr(cli, "fiber", lambda *a, **k: calls.append(a) or real_fiber(*a, **k))
+    result = run_example("p2-trivial", order=12)
+    assert len(calls) == 1
+    assert result["report"] == run(example_spec("p2-trivial", order=12))
+
+
+FUZZ_VALUES = [5, None, "x", [], {}, -1, "1/2"]
+
+
+def _paths(x, prefix=()):
+    """The key path of every value inside a spec."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_specs_never_escape_as_bare_exceptions(data, fuzz_file):
+    # one key dropped, or one value replaced by a wrong one or a list of the
+    # wrong length; run raises only library errors and main exits 0, 1 or 2
+    spec = example_spec(data.draw(st.sampled_from(["p2-trivial", "p2-exp", "p3-trivial"])),
+                        order=data.draw(st.integers(8, 12)))
+    *head, key = data.draw(st.sampled_from(list(_paths(spec))))
+    parent = reduce(getitem, head, spec)
+    old = parent[key]
+    action = data.draw(st.sampled_from(
+        ["drop"] + FUZZ_VALUES + (["shorter", "longer"] if isinstance(old, list) else [])))
+    if action == "drop":
+        del parent[key]
+    elif action in ("shorter", "longer"):
+        parent[key] = old[:-1] if action == "shorter" else old + old[-1:] + ["0"]
+    else:
+        parent[key] = copy.deepcopy(action)
+    try:
+        run(spec)
+    except PadicDiscError:
+        pass
+    fuzz_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(fuzz_file), "--out", os.devnull]) in (0, 1, 2)
 
 
 def test_readme_quickstart_runs():

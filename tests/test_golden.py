@@ -5,6 +5,8 @@ at N = 32 as written by an earlier version of the library.  The sha256
 digests below pin the same reports at N = 16 with 1024 digits, where the
 big-integer digit arithmetic, rather than the series length, dominates, and
 at N = 40 with 64 digits, the size the benchmark's examples workload runs.
+The ``run_example`` results at N = 16 (diff tables and reports, hashed as
+``json.dumps(result, sort_keys=True)``) are pinned as well.
 A last set of digests pins the ``tree`` reports of planted-root polynomial
 morphisms found by automatic fiber search, whose branching radii come from
 recentering the morphism at each branch point.  A refactor that changes any digit, radius, check or key order of a report
@@ -13,12 +15,13 @@ a change pass.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padicdisc.cli import example_spec, run, serialize_report
+from padicdisc.cli import example_spec, run, run_example, serialize_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -34,6 +37,12 @@ SHA256_N40 = {
     "p2-trivial": "4373e963f2682816cbe31afa5b406a6aecb39560e9e7ee017c6a28f23af86247",
     "p2-exp": "8cef81e208208473c5c17c5ae99a85f90d13b59ddfffc4b310e436d952c29099",
     "p3-trivial": "f6683f395760b91925f372e8f127a4fde8e145d4f774ed7256db8b3eaf2ec422",
+}
+
+SHA256_RUN_EXAMPLE_N16 = {
+    "p2-trivial": "56e49075c036020686d2342df722a7f2bd305dd3331347462716bc1c457c8314",
+    "p2-exp": "d176adbcf882e85a8b66643103fa42888d518bbcc2a382f39a634b70a2e9427d",
+    "p3-trivial": "27e707b9812aa49c9d4d5eca6bb0d8a233c478ad5353a72f7e35e267a9bc3276",
 }
 
 
@@ -53,6 +62,12 @@ def test_high_precision_report_digest(name):
 def test_order_40_report_digest(name):
     text = serialize_report(run(example_spec(name, order=40)))
     assert hashlib.sha256(text.encode()).hexdigest() == SHA256_N40[name]
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_run_example_digest(name):
+    text = json.dumps(run_example(name, order=16), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SHA256_RUN_EXAMPLE_N16[name]
 
 
 # Fields of the tree jobs; in the quadratic ones an element is a0 + a1*x.
