@@ -132,8 +132,8 @@ def _load(raw: dict) -> _Pipeline:
         hints = [_read("morphism hints", jsonio.scalar_from_json, h, fld) for h in hints]
     inputs["hints"] = hints
     center = inputs["center"] = _read("center", jsonio.scalar_from_json, spec["center"], fld)
-    if center.valuation() < 0:
-        raise SchemaError("center %r lies outside the disc: v(b) < 0" % (spec["center"],))
+    if center.valuation() <= 0:
+        raise SchemaError("center %r lies outside the open disc: v(b) <= 0" % (spec["center"],))
     module = spec["module"]
     if not isinstance(module, dict) or "rank" not in module or "A" not in module:
         raise SchemaError("module must carry rank and A")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -16,7 +17,24 @@ def frac_str(x) -> str:
     return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
 
 
+# Largest rational literal a spec may carry: its length in characters, the
+# size of its decimal exponent, and 4 bits a digit for a JSON integer.
+# Fraction builds "1e2000000" in full, which alone takes a second.
+MAX_LITERAL_DIGITS = 4096
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_frac(s) -> Fraction:
+    """A rational from a string, an int or a float; SchemaError for anything
+    else, and for a literal past MAX_LITERAL_DIGITS before it is built."""
+    if isinstance(s, str):
+        exponent = _EXPONENT.search(s)
+        too_big = len(s) > MAX_LITERAL_DIGITS or (
+            exponent is not None and abs(int(exponent.group(1))) > MAX_LITERAL_DIGITS)
+    else:
+        too_big = isinstance(s, int) and s.bit_length() > 4 * MAX_LITERAL_DIGITS
+    if too_big:
+        raise SchemaError("rational literal beyond %d digits" % MAX_LITERAL_DIGITS)
     try:
         return Fraction(s)
     except (TypeError, ValueError, ArithmeticError):

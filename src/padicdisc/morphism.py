@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 
 from .errors import (
@@ -92,12 +93,21 @@ class Fiber:
     def __len__(self):
         return len(self.points)
 
+    @cached_property
+    def gaps(self) -> tuple:
+        """gaps[i][j] = v(a_j - a_i), +inf where that difference is zero at
+        precision (so on the diagonal); one subtraction per unordered pair."""
+        pts = self.points
+        rows = [[INF] * len(pts) for _ in pts]
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                rows[i][j] = rows[j][i] = (pts[j] - pts[i]).valuation()
+        return tuple(map(tuple, rows))
+
     def members(self, i: int, q) -> tuple:
         """Indices j of the points in the open disc D(a_i, |p|^q): a_j - a_i is
         zero at precision or of valuation > q.  i itself is included."""
-        a = self.points[i]
-        return tuple(j for j, b in enumerate(self.points)
-                     if (gap := b - a).is_zero() or gap.valuation() > q)
+        return tuple(j for j, gap in enumerate(self.gaps[i]) if gap > q)
 
 
 @dataclass(frozen=True)
@@ -105,21 +115,29 @@ class BranchPoint:
     """One branching point of the tree over b.
 
     ``parts`` partitions the indices of the fiber points at pairwise
-    valuation >= t_exponent into branches (pairwise valuation > t_exponent);
-    delta = len(parts) >= 2.
+    valuation >= t_exponent into branches (pairwise valuation > t_exponent),
+    ordered by least index; rep, the least index of all, lies in parts[0].
     """
 
     rep: int
     t_exponent: Fraction
     branch_exponent: Fraction
-    delta: int
     parts: tuple
+
+    @property
+    def delta(self) -> int:
+        return len(self.parts)
 
 
 @dataclass(frozen=True)
 class TreeOverPoint:
     fiber: Fiber
     branch_points: tuple
+
+    def inside(self, i: int, q) -> tuple:
+        """Indices of the branching points inside the open disc D(a_i, |p|^q)."""
+        return tuple(k for k, bp in enumerate(self.branch_points)
+                     if bp.t_exponent > q and self.fiber.gaps[i][bp.rep] > q)
 
 
 @dataclass(frozen=True)
@@ -284,79 +302,46 @@ def fiber(phi: DiscMorphism, b: PadicScalar, hints=None) -> Fiber:
     for a in pts:
         if not (evaluate(phi.f, a) - b).is_zero():
             raise RootsNotInDeclaredField("fiber candidate fails f(a) = b at precision")
+    fib = Fiber(target=b, points=tuple(pts))
     for i in range(d):
         for j in range(i + 1, d):
-            if (pts[i] - pts[j]).is_zero():
+            if fib.gaps[i][j] == INF:
                 raise FiberNotReduced("fiber points %d and %d collide at precision" % (i, j))
-    return Fiber(target=b, points=tuple(pts))
+    return fib
 
 
 # ----------------------------------------------------------------------------
 # the tree over a point
 # ----------------------------------------------------------------------------
 
-def _pairwise_valuations(points):
-    d = len(points)
-    vals = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            vals[(i, j)] = Fraction((points[i] - points[j]).valuation())
-    return vals
-
-
-def _clusters(indices, vals, threshold, strict):
-    """Connected components under valuation >= threshold (or > when strict)."""
-    parent = {i: i for i in indices}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    idx = sorted(indices)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = idx[a], idx[b]
-            v = vals[(min(i, j), max(i, j))]
-            if (v > threshold) if strict else (v >= threshold):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in idx:
-        groups.setdefault(find(i), []).append(i)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
-
-
 def tree_over_point(phi: DiscMorphism, fib: Fiber) -> TreeOverPoint:
-    """Branching points from the pairwise valuation matrix of the fiber.
+    """Branching points from the pairwise gaps of the fiber.
 
-    At each distinct pairwise valuation ell, a cluster (pairwise valuation
-    >= ell) that splits into delta >= 2 parts under > ell is a branching
-    point with t-radius exponent ell and branching radius the image radius
-    at that level.
+    The fiber splits as a disc of points: a disc with >= 2 points has rep its
+    least index and t-radius exponent ell its least gap from rep; its branches
+    are the open discs D(a_j, |p|^ell) inside it, each split again in turn.
+    Each split is a branching point with branching radius the image radius at
+    that level; they are listed by decreasing ell, then by rep.
     """
-    points = fib.points
-    d = len(points)
-    vals = _pairwise_valuations(points)
-    levels = sorted(set(vals.values()), reverse=True)
     branch_points = []
-    for ell in levels:
-        for cluster in _clusters(range(d), vals, ell, strict=False):
-            if len(cluster) < 2:
-                continue
-            parts = _clusters(cluster, vals, ell, strict=True)
-            if len(parts) < 2:
-                continue
-            rep = cluster[0]
-            branch_points.append(BranchPoint(
-                rep=rep,
-                t_exponent=ell,
-                branch_exponent=image_radius(phi, points[rep], ell),
-                delta=len(parts),
-                parts=tuple(parts),
-            ))
+    discs = [tuple(range(len(fib)))]
+    while discs:
+        disc = discs.pop()
+        if len(disc) < 2:
+            continue
+        rep = disc[0]
+        ell = min(fib.gaps[rep][j] for j in disc[1:])
+        if ell == INF:
+            raise FiberNotReduced("fiber points %d and %d collide at precision" % (rep, disc[1]))
+        parts = sorted({fib.members(j, ell) for j in disc})   # disjoint: by least index
+        discs.extend(parts)
+        branch_points.append(BranchPoint(
+            rep=rep,
+            t_exponent=ell,
+            branch_exponent=image_radius(phi, fib.points[rep], ell),
+            parts=tuple(parts),
+        ))
+    branch_points.sort(key=lambda bp: (-bp.t_exponent, bp.rep))
     return TreeOverPoint(fiber=fib, branch_points=tuple(branch_points))
 
 
@@ -368,10 +353,8 @@ def euler_count(tree: TreeOverPoint, disc) -> tuple:
     rhs = number of fiber points inside.  The contract is lhs == rhs.
     """
     ci, ell = disc
-    members = tree.fiber.members(ci, ell)
-    lhs = 1 + sum(bp.delta - 1 for bp in tree.branch_points
-                  if bp.t_exponent > ell and bp.rep in members)
-    return (lhs, len(members))
+    lhs = 1 + sum(tree.branch_points[k].delta - 1 for k in tree.inside(ci, ell))
+    return (lhs, len(tree.fiber.members(ci, ell)))
 
 
 # ----------------------------------------------------------------------------

@@ -231,20 +231,14 @@ def branch_selection(tree: TreeOverPoint, pair: FundamentalPair) -> tuple:
     """The pair's own disc plus delta-1 branches per branching point inside it,
     as choices ("self", None) and ("branch", (bp_index, part_index)).
 
-    The dropped branch at each point is the one containing the least fiber
-    index there, matching the displayed example choices; correctness does not
-    depend on the choice.
+    The dropped branch at each point is parts[0], the one containing the least
+    fiber index there, matching the displayed example choices; correctness
+    does not depend on the choice.
     """
     choices = [("self", None)]
-    inside = 0
-    for bp_index, bp in enumerate(tree.branch_points):
-        if bp.t_exponent <= pair.exponent or bp.rep not in pair.members:
-            continue
-        inside += 1
-        drop = min(range(len(bp.parts)), key=lambda k: min(bp.parts[k]))
-        for part_index in range(len(bp.parts)):
-            if part_index != drop:
-                choices.append(("branch", (bp_index, part_index)))
+    for bp_index in tree.inside(pair.anchor, pair.exponent):
+        choices.extend(("branch", (bp_index, part_index))
+                       for part_index in range(1, tree.branch_points[bp_index].delta))
     if len(choices) != len(pair.members):
         raise CountMismatch(
             "selected %d discs for a pair with %d members"

@@ -289,12 +289,14 @@ def _set(spec, path, value):
 @pytest.mark.parametrize("name, path, value", [
     ("p2-trivial", ("center",), "1/2"),
     ("p3-trivial", ("center",), ["1/3", "0"]),
+    ("p2-trivial", ("center",), "1"),
+    ("p3-trivial", ("center",), ["1", "1"]),
     ("p2-trivial", ("module", "A"), [[{"center": "2", "coeffs": ["0", "1"], "N": 16}]]),
     ("p2-trivial", ("morphism", "f"), {"center": "2", "coeffs": ["0", "2", "1"], "N": 16}),
     ("p2-exp", ("module", "A"), [[{"center": "0", "coeffs": ["-1"], "N": 4}]]),
     ("p2-exp", ("module", "A"), [[{"center": "0", "coeffs": ["-1"]}]]),
-], ids=["center 1/2", "center 1/3 in Q3(pi)", "A off center", "f off center", "A to N=4",
-        "A to N=1"])
+], ids=["center 1/2", "center 1/3 in Q3(pi)", "center 1", "center 1+pi in Q3(pi)",
+        "A off center", "f off center", "A to N=4", "A to N=1"])
 def test_inputs_outside_the_disc_are_schema_errors(name, path, value, tmp_path):
     spec = _set(example_spec(name, order=16), path, value)
     with pytest.raises(SchemaError):
@@ -345,11 +347,21 @@ def test_field_descriptor_errors_are_invalid_field(kwargs):
 @pytest.mark.parametrize("value", [
     5, None, "x", "1/0", "inf", [], ["1", "0"], {}, {"coords": 3},
     {"coords": [["1", "0"], ["1", "0"]]}, {"coords": [["1"]]}, {"coords": [["1", "x"]]},
-    {"coords": [["1", "0"]], "prec": None},
+    {"coords": [["1", "0"]], "prec": None}, "1e200000", "1e2000000",
 ], ids=repr)
 def test_scalar_reader_is_total(q2, value):
+    start = time.perf_counter()
     with pytest.raises(SchemaError):
         jsonio.scalar_from_json(value, q2)
+    assert time.perf_counter() - start < 1
+
+
+def test_literal_bound_keeps_short_literals():
+    assert jsonio.parse_frac("3/2") == Fraction(3, 2)
+    assert jsonio.parse_frac("1e20") == 10 ** 20
+    assert jsonio.parse_frac(2 ** 100) == 2 ** 100
+    with pytest.raises(SchemaError):
+        jsonio.parse_frac(2 ** (4 * jsonio.MAX_LITERAL_DIGITS + 1))
 
 
 @pytest.mark.parametrize("value, order", [

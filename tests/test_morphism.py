@@ -31,6 +31,7 @@ from padicdisc.morphism import (
     _poly_roots,
     relation_vanishes_on_identity,
 )
+from padicdisc.padic import INF
 from padicdisc.series import compose, evaluate
 from conftest import N, binom_rationals
 
@@ -143,6 +144,9 @@ def test_fiber_bad_hints(p2):
         fiber(p2.phi, p2.field.zero(), hints=[2, 4])
     with pytest.raises(FiberNotReduced):
         fiber(p2.phi, p2.field.zero(), hints=[0, 0])
+    four = p2.field.from_rational(4)
+    with pytest.raises(FiberNotReduced):
+        tree_over_point(p2.phi, Fiber(target=p2.field.zero(), points=(p2.field.zero(), four, four)))
 
 
 def test_fiber_general_target(q2):
@@ -272,16 +276,46 @@ def _bfs_components(indices, points, threshold, strict):
     return comps
 
 
+def brute_force_tree(points):
+    """(t_exponent, parts) per branching point, straight from the definition:
+    BFS components under >= m that split under > m, by decreasing m, then by
+    least index."""
+    d = len(points)
+    levels = sorted({_val(points[i] - points[j]) for i in range(d) for j in range(i + 1, d)},
+                    reverse=True)
+    listing = []
+    for m in levels:
+        for cluster in _bfs_components(range(d), points, m, strict=False):
+            parts = _bfs_components(cluster, points, m, strict=True)
+            if len(parts) >= 2:
+                listing.append((m, tuple(tuple(part) for part in parts)))
+    return listing
+
+
+_EULER_FIELDS = {"Q2": FieldDescriptor(2, digits=32),
+                 "Q3(sqrt-3)": FieldDescriptor(3, digits=32, poly=[3, 0, 1], e=2, f=1)}
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_euler_randomized(data):
-    q2 = FieldDescriptor(2, digits=32)
+    name = data.draw(st.sampled_from(sorted(_EULER_FIELDS)))
+    fld = _EULER_FIELDS[name]
     d = data.draw(st.integers(2, 6))
-    raw = data.draw(st.lists(st.integers(1, 60), min_size=d, max_size=d, unique=True))
-    points = [q2.from_rational(2 * v) for v in raw]
-    phi = _poly_through(q2, points)
-    fib = Fiber(target=q2.zero(), points=tuple(points))
+    if name == "Q2":
+        raw = data.draw(st.lists(st.integers(1, 60), min_size=d, max_size=d, unique=True))
+        points = [fld.from_rational(2 * v) for v in raw]
+    else:
+        # a + b*pi with 3 | a: valuations min(v_3(a), v_3(b) + 1/2) lie in (1/2)Z
+        raw = data.draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(-60, 60)),
+                                 min_size=d, max_size=d, unique=True))
+        points = [fld.from_coords([Fraction(3 * a), Fraction(b)]) for a, b in raw]
+    phi = _poly_through(fld, points)
+    fib = Fiber(target=fld.zero(), points=tuple(points))
+    assert all(fib.gaps[i][j] == fib.gaps[j][i] for i in range(d) for j in range(d))
+    assert all(fib.gaps[i][i] == INF for i in range(d))
     tree = tree_over_point(phi, fib)
+    assert [(bp.t_exponent, bp.parts) for bp in tree.branch_points] == brute_force_tree(points)
     ci = data.draw(st.integers(0, d - 1))
     ell = data.draw(st.fractions(min_value=Fraction(1, 2), max_value=6, max_denominator=2))
     assert list(fib.members(ci, ell)) == brute_force_members(points, ci, ell)
