@@ -50,9 +50,9 @@ from .optimal import (
     vandermonde,
 )
 from . import jsonio
+from .jsonio import DEFAULT_DIGITS
 
 DEFAULT_ORDER = 32
-DEFAULT_DIGITS = 64
 OUTPUT_KINDS = ("tree", "vandermonde", "direct-image", "fundamental", "optimal", "checks")
 
 
@@ -168,7 +168,7 @@ class _Pipeline:
 
     def get(self, name):
         if name not in self.cache:
-            self.cache[name] = getattr(self, "_" + name.replace("-", "_"))()
+            self.cache[name] = getattr(self, "_" + name)()
         return self.cache[name]
 
     def _field(self):
@@ -312,8 +312,7 @@ def _run_checks(pipe: _Pipeline) -> list:
         return ok, "; ".join(details) or "stable estimates match predictions"
 
     def chk_optimality():
-        report = optimality_check(pipe.get("optimal"), trials=50,
-                                  seed=pipe.spec["seed"])
+        report = optimality_check(pipe.get("optimal"), seed=pipe.spec["seed"])
         return report["passed"], "%d radius classes" % len(report["classes"])
 
     record("etale", chk_etale)

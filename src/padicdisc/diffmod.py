@@ -50,7 +50,6 @@ class DiffModule:
 class HorizontalMatrix:
     """Columns of candidate horizontal elements at a base point, with radii."""
 
-    base_point: PadicScalar
     columns: tuple         # tuple of columns; each column a tuple of TruncatedSeries
     radii: tuple           # per-column RadiusEstimate
 
@@ -157,14 +156,14 @@ def change_basis(module: DiffModule, transition) -> DiffModule:
                       center=module.center)
 
 
-def local_solution_matrix(module: DiffModule, a: PadicScalar, order=None) -> HorizontalMatrix:
+def local_solution_matrix(module: DiffModule, a: PadicScalar) -> HorizontalMatrix:
     """Fundamental matrix Y with Y(a) = I solving dY/dx = -A^T Y.
 
     Built by the coefficient recursion Y_{k+1} = (sum S_i Y_{k-i}) / (k+1)
     with S = -A^T recentered at a; the division by k+1 is where p-adic digits
     are genuinely spent.
     """
-    n = order or module.order()
+    n = module.order()
     r = module.rank
     fld = module.field
     system = module.system_matrix()
@@ -190,8 +189,8 @@ def local_solution_matrix(module: DiffModule, a: PadicScalar, order=None) -> Hor
         col = tuple(TruncatedSeries(fld, module.var, a, [y[k][i][j] for k in range(n)])
                     for i in range(r))
         columns.append(col)
-        radii.append(element_radius(col, a))
-    return HorizontalMatrix(base_point=a, columns=tuple(columns), radii=tuple(radii))
+        radii.append(element_radius(col))
+    return HorizontalMatrix(columns=tuple(columns), radii=tuple(radii))
 
 
 def horizontal_check(column, module: DiffModule):
@@ -231,11 +230,11 @@ def _horizontal_residual(column, module: DiffModule):
     return residual
 
 
-def element_radius(column, a: PadicScalar, window=None) -> RadiusEstimate:
+def element_radius(column) -> RadiusEstimate:
     """Vector radius: minimum of component radii = maximum exponent q."""
     best = None
     for entry in column:
-        est = radius_estimate(entry, window)
+        est = radius_estimate(entry)
         if best is None or est.exponent > best.exponent:
             best = est
     return best

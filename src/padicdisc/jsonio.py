@@ -41,6 +41,10 @@ def parse_frac(s) -> Fraction:
         raise SchemaError("not a rational: %r" % (s,))
 
 
+# Digits of precision when a field spec gives none.
+DEFAULT_DIGITS = 64
+
+
 def field_to_json(fld: FieldDescriptor) -> dict:
     if fld.kind == "base":
         ext = "base"
@@ -53,7 +57,7 @@ def field_from_json(d: dict) -> FieldDescriptor:
     """Raises SchemaError on a poly entry that is not a rational, and
     InvalidField on arguments that describe no supported field."""
     ext = d.get("ext", "base")
-    digits = int(d.get("digits", 64))
+    digits = int(d.get("digits", DEFAULT_DIGITS))
     if ext == "base":
         return FieldDescriptor(int(d["p"]), digits=digits)
     return FieldDescriptor(int(d["p"]), digits=digits,

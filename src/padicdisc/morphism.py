@@ -361,8 +361,7 @@ def euler_count(tree: TreeOverPoint, disc) -> tuple:
 # local solutions, sections, the monic relation
 # ----------------------------------------------------------------------------
 
-def local_solution(phi: DiscMorphism, a: PadicScalar, b: PadicScalar,
-                   var: str = "s") -> TruncatedSeries:
+def local_solution(phi: DiscMorphism, a: PadicScalar, b: PadicScalar) -> TruncatedSeries:
     """The series u_a(s) = a + ... with f(u_a(s)) = s + O((s-b)^N), u_a(b) = a."""
     if not (evaluate(phi.f, a) - b).is_zero():
         raise ValueError("f(a) != b at precision")
@@ -371,16 +370,16 @@ def local_solution(phi: DiscMorphism, a: PadicScalar, b: PadicScalar,
         raise SingularFiberPoint("f'(a) vanishes at precision: a is not a simple preimage")
     rev = reversion(shifted)
     coeffs = [a] + list(rev.coeffs[1:])
-    return TruncatedSeries(phi.f.field, var, b, coeffs)
+    return TruncatedSeries(phi.f.field, "s", b, coeffs)
 
 
-def monic_relation(phi: DiscMorphism, fib: Fiber, var: str = "s") -> MonicRelation:
+def monic_relation(phi: DiscMorphism, fib: Fiber) -> MonicRelation:
     """P(s, X) = prod_i (X - u_{a_i}(s)) expanded over the local solutions."""
-    us = [local_solution(phi, a, fib.target, var=var) for a in fib.points]
+    us = [local_solution(phi, a, fib.target) for a in fib.points]
     n = us[0].order
     fld = phi.f.field
-    zero = TruncatedSeries.constant(fld, var, fib.target, fld.zero(), n)
-    one = TruncatedSeries.constant(fld, var, fib.target, fld.one(), n)
+    zero = TruncatedSeries.constant(fld, "s", fib.target, fld.zero(), n)
+    one = TruncatedSeries.constant(fld, "s", fib.target, fld.one(), n)
     poly = [one]
     for u in us:
         nxt = [zero] * (len(poly) + 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
-from .padic import PadicScalar
+from .padic import INF, PadicScalar
 from .series import RadiusEstimate, TruncatedSeries, compose, recenter
 from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
 from .diffmod import element_radius, mat_inverse, mat_vec, row_reduce
@@ -90,10 +90,8 @@ def vandermonde(fib: Fiber, u_list) -> VandermondeData:
     for a, u in zip(fib.points, u_list):
         if not (u.coeffs[0] - a).is_zero():
             raise ValueError("solution constant term does not match the fiber order")
-    for i in range(d):
-        for j in range(i + 1, d):
-            if (u_list[i].coeffs[0] - u_list[j].coeffs[0]).is_zero():
-                raise DegenerateFiber("coincident constant terms at precision")
+    if any(fib.gaps[i][j] == INF for i in range(d) for j in range(i + 1, d)):
+        raise DegenerateFiber("coincident fiber points at precision")
     n = min(u.order for u in u_list)
     fld = u_list[0].field
     one = TruncatedSeries.constant(fld, u_list[0].var, u_list[0].center, fld.one(), n)
@@ -282,7 +280,7 @@ def optimal_basis(bases, tree: TreeOverPoint, vdata: VandermondeData,
             columns.append(BasisColumn(
                 entries=col,
                 predicted_exponent=predicted,
-                estimate=element_radius(col, vdata.fiber.target),
+                estimate=element_radius(col),
                 provenance={"pair": pair.pair_id, "choice": choice},
             ))
     if len(columns) != rank * vdata.degree:
@@ -307,6 +305,10 @@ def trivial_optimal_basis(tree: TreeOverPoint, vdata: VandermondeData,
 # optimality checking
 # ----------------------------------------------------------------------------
 
+# Random combinations tried per radius class.
+OPTIMALITY_TRIALS = 50
+
+
 def constant_rank(columns) -> int:
     """Rank of the constant-term matrix over the field (independence check)."""
     if not columns:
@@ -316,7 +318,7 @@ def constant_rank(columns) -> int:
     return len(row_reduce(rows, len(columns), lambda c: c, PadicScalar.inverse))
 
 
-def optimality_check(basis: OptimalBasis, trials: int = 50, seed: int = 0) -> dict:
+def optimality_check(basis: OptimalBasis, seed: int = 0) -> dict:
     """Randomized combination-radius test of the optimality criterion.
 
     For each radius class, random small-integer combinations of its columns
@@ -327,12 +329,11 @@ def optimality_check(basis: OptimalBasis, trials: int = 50, seed: int = 0) -> di
     classes = {}
     for idx, col in enumerate(basis.columns):
         classes.setdefault(col.predicted_exponent, []).append(idx)
-    target = basis.columns[0].entries[0]
     report = {"classes": [], "passed": True}
     for exponent in sorted(classes):
         idxs = classes[exponent]
         failures = []
-        for t in range(trials):
+        for t in range(OPTIMALITY_TRIALS):
             coeffs = [rng.randint(-3, 3) for _ in idxs]
             if not any(coeffs):
                 coeffs[rng.randrange(len(coeffs))] = 1
@@ -343,14 +344,14 @@ def optimality_check(basis: OptimalBasis, trials: int = 50, seed: int = 0) -> di
                     x + y for x, y in zip(combo, scaled))
             if all(e.is_zero() for e in combo):
                 continue
-            est = element_radius(combo, target.center)
+            est = element_radius(combo)
             if est.exponent != exponent:
                 failures.append({"trial": t, "coeffs": coeffs,
                                  "estimated": str(est.exponent)})
         report["classes"].append({
             "exponent": str(exponent),
             "members": list(idxs),
-            "trials": trials,
+            "trials": OPTIMALITY_TRIALS,
             "failures": failures,
         })
         if failures:

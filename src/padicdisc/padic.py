@@ -682,20 +682,21 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     """
     g = list(g)
     dg = poly_derivative(g)
-    r0 = poly_eval(g, x0)
-    d0 = poly_eval(dg, x0)
-    v_r = INF if r0.is_zero() else r0.valuation()
-    v_d = INF if d0.is_zero() else d0.valuation()
+    r = poly_eval(g, x0)
+    d = poly_eval(dg, x0)
+    v_r, v_d = r.valuation(), d.valuation()
     if v_d == INF or not v_r > 2 * v_d:
         raise HenselHypothesisFailed(
             "v(g(x0))=%s must exceed 2*v(g'(x0))=%s" % (v_r, 2 * v_d if v_d != INF else INF))
     x = x0
     for _ in range(x0.field.digits + 4):
-        r = poly_eval(g, x)
         if r.is_zero():
             return x
-        x = x - r / poly_eval(dg, x)
-    if poly_eval(g, x).is_zero():
+        x = x - r / d
+        r = poly_eval(g, x)
+        if not r.is_zero():
+            d = poly_eval(dg, x)
+    if r.is_zero():
         return x
     raise NoConvergence("residual did not vanish at the precision cap")
 

@@ -78,9 +78,6 @@ class TruncatedSeries:
                 return i
         return None
 
-    def equals(self, other) -> bool:
-        return (self - other).is_zero()
-
     def min_precision(self):
         return min(c.precision() for c in self.coeffs)
 
@@ -345,14 +342,11 @@ def valuation_polygon(f: TruncatedSeries) -> ValuationPolygon:
 class RadiusEstimate:
     """Radius of convergence as an exponent q (radius |p|^q), capped at q >= 0.
 
-    mode is "exact-from-closed-form" when supplied analytically, else
-    "tail-slope-estimate".  unclamped keeps the raw slope as a diagnostic for
-    series converging beyond the unit disc.
+    unclamped keeps the raw slope as a diagnostic for series converging
+    beyond the unit disc.
     """
 
     exponent: Fraction
-    mode: str
-    window: tuple
     stable: bool
     unclamped: object = None
 
@@ -365,11 +359,9 @@ def _digit_sum(j: int, p: int) -> int:
     return s
 
 
-def _dominant_edge(points):
-    """(slope, x_left, x_right) of the widest lower-hull edge (later edge on ties)."""
-    hull = lower_hull(points)
-    if len(hull) < 2:
-        return None
+def _dominant_edge(hull):
+    """(slope, x_left, x_right) of the widest edge of a lower hull of at least
+    two points (later edge on ties)."""
     best = None
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if best is None or x2 - x1 >= best[2] - best[1]:
@@ -377,8 +369,8 @@ def _dominant_edge(points):
     return best
 
 
-def radius_estimate(f: TruncatedSeries, window=None) -> RadiusEstimate:
-    """Tail-slope radius estimator over a window of high-order coefficients.
+def radius_estimate(f: TruncatedSeries) -> RadiusEstimate:
+    """Tail-slope radius estimator over the coefficients of index [N/2, N).
 
     Tries the Newton polygon of raw coefficient valuations first, then of the
     Legendre-normalized valuations v_j + v_p(j!): horizontal solutions carry a
@@ -390,31 +382,24 @@ def radius_estimate(f: TruncatedSeries, window=None) -> RadiusEstimate:
     windows report the maximal radius exponent 0, flagged unstable.
     """
     n = f.order
-    if window is None:
-        window = (n // 2, n)
-    lo, hi = window
-    if not (n // 2 <= lo < hi <= n):
-        raise ValueError("window must be a nonempty subinterval of [N/2, N)")
+    lo = n // 2
     pts = [(j, Fraction(f.coeffs[j].valuation()))
-           for j in range(lo, hi) if not f.coeffs[j].is_zero()]
+           for j in range(lo, n) if not f.coeffs[j].is_zero()]
     if len(pts) < 2:
-        return RadiusEstimate(Fraction(0), "tail-slope-estimate", (lo, hi), False, None)
+        return RadiusEstimate(Fraction(0), False, None)
     p = f.field.p
-    width = Fraction(hi - 1 - lo)
-    legendre = [(j, v + Fraction(j - _digit_sum(j, p), p - 1)) for j, v in pts]
-    for gauge, gpts in (("raw", pts), ("legendre", legendre)):
-        edge = _dominant_edge(gpts)
-        if edge is None:
-            continue
-        slope, x1, x2 = edge
-        if 2 * (x2 - x1) >= width and x2 >= hi - 3:
-            q = -slope if gauge == "raw" else Fraction(1, p - 1) - slope
-            return RadiusEstimate(max(Fraction(0), q), "tail-slope-estimate",
-                                  (lo, hi), True, q)
-    hull = lower_hull(pts)
-    (x1, y1), (x2, y2) = hull[-2], hull[-1]
+    width = Fraction(n - 1 - lo)
+    raw = lower_hull(pts)
+    for shift in (Fraction(0), Fraction(1, p - 1)):
+        hull = raw if not shift else lower_hull(
+            [(j, v + Fraction(j - _digit_sum(j, p), p - 1)) for j, v in pts])
+        slope, x1, x2 = _dominant_edge(hull)
+        if 2 * (x2 - x1) >= width and x2 >= n - 3:
+            q = shift - slope
+            return RadiusEstimate(max(Fraction(0), q), True, q)
+    (x1, y1), (x2, y2) = raw[-2], raw[-1]
     q = -Fraction(y2 - y1, x2 - x1)
-    return RadiusEstimate(max(Fraction(0), q), "tail-slope-estimate", (lo, hi), False, q)
+    return RadiusEstimate(max(Fraction(0), q), False, q)
 
 
 # ----------------------------------------------------------------------------

@@ -188,12 +188,12 @@ def test_horizontal_check_detects_violation(q2, p2_exp_module):
 
 def test_element_radius_cases(q2, p2, inv2f2):
     const_col = (series(q2, [1]), series(q2, [1]))
-    assert element_radius(const_col, q2.zero()).exponent == 0
+    assert element_radius(const_col).exponent == 0
     mixed = (series(q2, exp_rationals(N)), series(q2, [1]))
-    assert element_radius(mixed, q2.zero()).exponent == 1
+    assert element_radius(mixed).exponent == 1
     # V(s) [0,1]^T for p=2 has exponent 2
     vcol = tuple(p2.vd.matrix_v[i][1] for i in range(2))
-    est = element_radius(vcol, q2.zero())
+    est = element_radius(vcol)
     assert est.exponent == 2 and est.stable
 
 

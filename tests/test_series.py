@@ -505,9 +505,8 @@ def test_polygon_multiplicativity(fc, gc, ell):
 # -- radius estimation ---------------------------------------------------------------------
 
 def test_radius_f2(p2):
-    est = radius_estimate(p2.fp, (16, 32))
+    est = radius_estimate(p2.fp)
     assert est.exponent == 2 and est.stable
-    assert est.mode == "tail-slope-estimate"
 
 
 def test_radius_exp_legendre_oracle(q2):
@@ -516,23 +515,18 @@ def test_radius_exp_legendre_oracle(q2):
     for j in (17, 24, 31):
         s2 = bin(j).count("1")
         assert f.coeffs[j].valuation() == -(j - s2)
-    est = radius_estimate(f, (16, 32))
+    est = radius_estimate(f)
     assert est.exponent == 1 and est.stable
 
 
 def test_radius_geometric(q2):
-    est = radius_estimate(rational_series(q2, "t", [1] * N), (16, 32))
+    est = radius_estimate(rational_series(q2, "t", [1] * N))
     assert est.exponent == 0 and est.stable
 
 
 def test_radius_degenerate_polynomial(q2):
-    est = radius_estimate(rational_series(q2, "t", [0, 2, 1]), (16, 32))
+    est = radius_estimate(rational_series(q2, "t", [0, 2, 1]))
     assert est.exponent == 0 and not est.stable
-
-
-def test_radius_window_validation(q2):
-    with pytest.raises(ValueError):
-        radius_estimate(rational_series(q2, "t", [1] * N), (2, 10))
 
 
 @given(q=st.integers(0, 3), period=st.integers(2, 5), bump=st.integers(0, 3))
@@ -546,7 +540,7 @@ def test_radius_exact_on_periodic_linear(q, period, bump):
         v = -q * j + (bump if j % period == 0 else 0)
         rats.append(Fraction(2) ** v)
     f = TruncatedSeries.from_rationals(q2, "t", 0, rats, order=n)
-    est = radius_estimate(f, (16, 32))
+    est = radius_estimate(f)
     assert est.exponent == q
     assert est.stable
 
@@ -562,7 +556,7 @@ def test_radius_exact_half_integer_slopes(q3pi, qnum, bump):
         twice_v = -qnum * j + (2 * bump if j % 3 == 0 else 0)
         coeffs.append(pi ** twice_v)
     f = TruncatedSeries(q3pi, "t", q3pi.zero(), coeffs)
-    est = radius_estimate(f, (16, 32))
+    est = radius_estimate(f)
     assert est.exponent == Fraction(qnum, 2)
     assert est.stable
 
@@ -570,7 +564,7 @@ def test_radius_exact_half_integer_slopes(q3pi, qnum, bump):
 def test_radius_unclamped_diagnostic(q2):
     # converges beyond the unit disc: clamped to 0, raw slope kept
     f = rational_series(q2, "t", [Fraction(1) * 4 ** j for j in range(N)])
-    est = radius_estimate(f, (16, 32))
+    est = radius_estimate(f)
     assert est.exponent == 0 and est.stable
     assert est.unclamped == -2
 
