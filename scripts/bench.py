@@ -8,9 +8,15 @@ inputs.  ``taylor_shift`` runs on two inputs: a degree-8 polynomial padded
 with exact zeros to order N (``taylor_shift_poly8``) and a dense order-N
 series (``taylor_shift_dense``), both shifted to p.  End to end, the rows
 ``run:<example>`` time ``cli.run(cli.example_spec(example, order=N))`` for
-the three canned examples at N = 32 and 64.  Each cell is the median time
-of one call over repeats that run until 0.5 s is spent (at least one, at
-most 7 calls).
+the three canned examples at N = 32 and 64.  Below the series layer, the
+rows ``bmul``, ``badd`` and ``bnorm`` time one batch of 1000 calls of the
+digit helper on fixed seeded unit digits (p = 2 for Q_2, p = 3 for
+Q_3(sqrt-3)); their N is the digit count, 64 or 1024.  The rows
+``fiber:<field>`` time ``fiber()`` over b = 0 of a planted degree-8
+polynomial (order N = 32, 64 digits) over each field of the benchmark's
+``fibers`` workload, roots planted by ``perfbench/workloads.py``.  Each cell
+is the median time of one call over repeats that run until 0.5 s is spent
+(at least one, at most 7 calls).
 
 Run it once per checkout on the same machine, e.g.
 
@@ -38,6 +44,12 @@ RUN_ORDERS = (32, 64)
 EXAMPLE_FIELDS = {"p2-trivial": "Q2", "p2-exp": "Q2", "p3-trivial": "Q3(sqrt-3)"}
 OPS = ("mul", "mult_inverse", "reversion", "compose", "mat_inverse",
        "taylor_shift_poly8", "taylor_shift_dense")
+DIGIT_PRIMES = {"Q2": 2, "Q3(sqrt-3)": 3}
+DIGIT_COUNTS = (64, 1024)
+DIGIT_BATCH = 1000
+FIBER_DEGREE = 8
+FIBER_ORDER = 32
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BUDGET_S = 0.5
 MAX_REPEATS = 7
 
@@ -77,6 +89,40 @@ def _calls(padicdisc, data):
             "taylor_shift_dense": lambda: series.taylor_shift(data["unit"], data["shift"])}
 
 
+def _digit_calls(padic, p, digits, seed):
+    """One batch call per digit helper over seeded digits u * p^v, u a unit
+    known to ``digits`` digits; ``bnorm`` gets the products ``bmul`` forms."""
+    rng = random.Random(seed)
+
+    def digit():
+        u, v = rng.randrange(1, p ** digits), rng.randint(0, 3)
+        return (u + 1 if u % p == 0 else u, v, v + digits)
+
+    pairs = [(digit(), digit()) for _ in range(DIGIT_BATCH)]
+    norms = [(ux * uy, vx + vy, min(vx + ky, vy + kx))
+             for (ux, vx, kx), (uy, vy, ky) in pairs]
+    return {"bmul": lambda: [padic._bmul(p, x, y) for x, y in pairs],
+            "badd": lambda: [padic._badd(p, x, y) for x, y in pairs],
+            "bnorm": lambda: [padic._bnorm(p, m, e, k) for m, e, k in norms]}
+
+
+def _fiber_calls(padicdisc) -> dict:
+    """fiber() over b = 0 of a planted degree-8 polynomial, per benchmark field."""
+    sys.path.append(str(PERFBENCH))
+    import workloads
+    from fields import FIELDS
+    jsonio = padicdisc.jsonio
+    calls = {}
+    for name, field in sorted(FIELDS.items()):
+        roots = workloads.plant_roots(random.Random(FIBER_DEGREE), field, FIBER_DEGREE)
+        fld = jsonio.field_from_json(field.spec(64))
+        coeffs = [field.coeff_json(c) for c in field.poly_from_roots(roots)]
+        phi = padicdisc.DiscMorphism(f=jsonio.series_from_json(coeffs, fld, order=FIBER_ORDER),
+                                     degree=FIBER_DEGREE)
+        calls[name] = lambda phi=phi, b=fld.zero(): padicdisc.fiber(phi, b)
+    return calls
+
+
 def _time(call) -> float:
     times = []
     spent = 0.0
@@ -96,6 +142,12 @@ def _row(op, field, n, call) -> dict:
 
 def measure(padicdisc) -> list:
     rows = []
+    for name, p in DIGIT_PRIMES.items():
+        for digits in DIGIT_COUNTS:
+            calls = _digit_calls(padicdisc.padic, p, digits, seed=digits)
+            rows += [_row(op, name, digits, call) for op, call in calls.items()]
+    for name, call in _fiber_calls(padicdisc).items():
+        rows.append(_row("fiber:" + name, name, FIBER_ORDER, call))
     for name, fld in _fields(padicdisc).items():
         for n in ORDERS:
             calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))

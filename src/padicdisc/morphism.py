@@ -22,7 +22,8 @@ from .errors import (
     RootsNotInDeclaredField,
     SingularFiberPoint,
 )
-from .padic import INF, FieldDescriptor, PadicScalar, hensel_lift, poly_derivative, poly_eval
+from .padic import (INF, FieldDescriptor, PadicScalar, _fp_eval, hensel_lift,
+                    poly_derivative, poly_eval)
 from .series import (
     TruncatedSeries,
     compose,
@@ -181,18 +182,42 @@ def local_degree(phi: DiscMorphism, a: PadicScalar, ell, closed: bool = False) -
 # ----------------------------------------------------------------------------
 
 def _residue_candidates(fld: FieldDescriptor):
-    """Nonzero residue-class representatives of the residue field."""
+    """Nonzero elements of the residue field F_p[X]/(fld.residue_poly), as
+    int coordinate tuples: the first coordinates of their representatives."""
     p = fld.p
     if p ** fld.f > MAX_RESIDUE_FIELD:
         raise ResidueFieldTooLarge("residue field of %d^%d elements exceeds %d"
                                    % (p, fld.f, MAX_RESIDUE_FIELD))
-    if fld.kind == "unramified":
-        reps = []
-        for digits in iter_product(range(p), repeat=fld.f):
-            if any(digits):
-                reps.append(fld.from_coords([Fraction(d) for d in digits]))
-        return reps
-    return [fld.from_rational(r) for r in range(1, p)]
+    return [r for r in iter_product(range(p), repeat=fld.f) if any(r)]
+
+
+def _residue_roots(g, dg, fld: FieldDescriptor):
+    """(r, simple) for each residue-class representative r != 0 with g(r)
+    zero at precision or of positive valuation; simple tells whether g'(r)
+    is a unit.  The coefficients of g have valuation >= 0, dg is g'.
+
+    When every coordinate of g and dg is known modulo p, so are g(r) and
+    g'(r), and both tests are decided on ints in the residue field: coordinate
+    0 for Q_p and Eisenstein fields, all f coordinates for unramified ones.
+    Only the r that pass become scalars.  Otherwise g and g' are evaluated at
+    each r at full precision.
+    """
+    p, mod, f = fld.p, fld.residue_poly, fld.f
+    pad = (0,) * (fld.n - f)
+    if all(k >= 1 for c in g + dg for _, _, k in c.coords):
+        g_bar, dg_bar = ([[u % p if u and not v else 0 for u, v, _ in c.coords[:f]]
+                          for c in cs] for cs in (g, dg))
+        for r in _residue_candidates(fld):
+            if not any(_fp_eval(g_bar, r, mod, p)):
+                yield fld.from_coords(r + pad), any(_fp_eval(dg_bar, r, mod, p))
+        return
+    for digits in _residue_candidates(fld):
+        r = fld.from_coords(digits + pad)
+        val_at = poly_eval(g, r)
+        if not val_at.is_zero() and not val_at.valuation() > 0:
+            continue
+        dv = poly_eval(dg, r)
+        yield r, not dv.is_zero() and dv.valuation() == 0
 
 
 def _scaled_uniformizer(fld: FieldDescriptor, ell: Fraction) -> PadicScalar:
@@ -251,16 +276,11 @@ def _poly_roots(coeffs, fld: FieldDescriptor, depth: int = 0):
         norm = _scaled_uniformizer(fld, floor)
         if norm is None:
             raise RootsNotInDeclaredField("normalization valuation not in value group")
-        unit_poly = [c / norm for c in scaled]
-        dpoly = poly_derivative(unit_poly)
-        for r in _residue_candidates(fld):
-            val_at = poly_eval(unit_poly, r)
-            if not val_at.is_zero() and not val_at.valuation() > 0:
-                continue
-            dv = poly_eval(dpoly, r)
-            if not dv.is_zero() and dv.valuation() == 0:
-                tau = hensel_lift(unit_poly, r)
-                roots.append(sigma * tau)
+        inv_norm = PadicScalar(fld, fld._inv(norm.coords))
+        unit_poly = [c * inv_norm for c in scaled]
+        for r, simple in _residue_roots(unit_poly, poly_derivative(unit_poly), fld):
+            if simple:
+                roots.append(sigma * hensel_lift(unit_poly, r))
             else:
                 shifted = recenter(TruncatedSeries(fld, "t", fld.zero(), unit_poly), r)
                 for sub in _poly_roots(shifted.coeffs, fld, depth + 1):

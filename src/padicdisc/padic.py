@@ -75,13 +75,18 @@ def _bnorm(p: int, m: int, e: int, k: int):
         k = _EXACT
     if m == 0 or e >= k:
         return (0, k, k)
-    m %= _ppow(p, k - e)
+    pows = _POWS.get(p, ())
+    m %= pows[k - e] if k - e < len(pows) else _ppow(p, k - e)
     if m == 0:
         return (0, k, k)
-    w = _vp_int(m, p)
-    v = e + w
-    u = (m // _ppow(p, w)) % _ppow(p, k - v)
-    return (u, v, k)
+    # m < p^(k - e), so m stripped of its w factors p is below p^(k - e - w)
+    if p == 2:
+        w = (m & -m).bit_length() - 1
+        return (m >> w, e + w, k)
+    while m % p == 0:
+        m //= p
+        e += 1
+    return (m, e, k)
 
 
 def _badd(p: int, x: tuple, y: tuple):
@@ -91,11 +96,12 @@ def _badd(p: int, x: tuple, y: tuple):
     if not ux and not uy:
         return (0, k, k)
     e = min(vx, vy)
+    pows = _POWS.get(p, ())
     m = 0
     if ux:
-        m += ux * _ppow(p, vx - e)
+        m += ux * (pows[vx - e] if vx - e < len(pows) else _ppow(p, vx - e))
     if uy:
-        m += uy * _ppow(p, vy - e)
+        m += uy * (pows[vy - e] if vy - e < len(pows) else _ppow(p, vy - e))
     return _bnorm(p, m, e, k)
 
 
@@ -109,10 +115,12 @@ def _bneg(p: int, x: tuple):
 def _bmul(p: int, x: tuple, y: tuple):
     ux, vx, kx = x
     uy, vy, ky = y
-    k = min(vx + ky, vy + kx)
-    if not ux or not uy:
-        return _bzero(k)
-    return _bnorm(p, ux * uy, vx + vy, k)
+    k = min(vx + ky, vy + kx, _EXACT)
+    v = vx + vy
+    if not ux or not uy or v >= k:
+        return (0, k, k)
+    # a product of units is a unit: there is no valuation to strip
+    return (ux * uy % _ppow(p, k - v), v, k)
 
 
 def _bconv(p: int, xs, ys, x_live, y_live):
@@ -227,7 +235,8 @@ def _is_prime(n: int) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# residue-field polynomial helpers (for unramified irreducibility checks)
+# residue-field polynomial helpers (unramified irreducibility checks, and the
+# fiber search's residue tests in F_p[X]/(residue_poly))
 # ----------------------------------------------------------------------------
 
 def _fp_polymulmod(a, b, g, p):
@@ -245,6 +254,14 @@ def _fp_polymulmod(a, b, g, p):
             for i in range(dg):
                 out[k - dg + i] = (out[k - dg + i] - c * g[i]) % p
     return out[:dg]
+
+
+def _fp_eval(coeffs, x, g, p):
+    # sum c_k x^k in F_p[X]/(g) by Horner; elements are deg(g) coefficients
+    acc = [0] * (len(g) - 1)
+    for c in reversed(coeffs):
+        acc = [(a + b) % p for a, b in zip(_fp_polymulmod(acc, x, g, p), c)]
+    return acc
 
 
 def _fp_powmod_x(exp, g, p):
@@ -338,6 +355,9 @@ class FieldDescriptor:
             raise InvalidField("precision cap must be >= 1")
         self.p = p
         self.digits = digits
+        # the residue field is F_p[X]/(residue_poly): X for Q_p and Eisenstein
+        # extensions, the reduction of poly for an unramified one
+        self.residue_poly = (0, 1)
         if poly is None:
             if e != 1 or f != 1:
                 raise InvalidField("base field has e = f = 1")
@@ -363,10 +383,11 @@ class FieldDescriptor:
             elif f == n and e == 1:
                 if any(v < 0 for v in vals):
                     raise InvalidField("unramified polynomial must be integral")
-                g = [int(c) % p for c in poly]
+                g = tuple(c.numerator * pow(c.denominator, -1, p) % p for c in poly)
                 if not _fp_irreducible(g, p):
                     raise InvalidField("residue polynomial is reducible over F_p")
                 self.kind = "unramified"
+                self.residue_poly = g
             else:
                 raise InvalidField("only Eisenstein or unramified extensions; towers out of scope")
         if self.kind == "eisenstein":
@@ -546,6 +567,9 @@ class PadicScalar:
         When every nonzero coordinate sits above some zero coordinate's
         precision floor this is still a certified lower bound.
         """
+        if len(self.coords) == 1:
+            u, v, _ = self.coords[0]
+            return Fraction(v) if u else INF
         best = INF
         for (u, v, k), s in zip(self.coords, self.field.shifts):
             if u:

@@ -340,15 +340,10 @@ def valuation_polygon(f: TruncatedSeries) -> ValuationPolygon:
 
 @dataclass(frozen=True)
 class RadiusEstimate:
-    """Radius of convergence as an exponent q (radius |p|^q), capped at q >= 0.
-
-    unclamped keeps the raw slope as a diagnostic for series converging
-    beyond the unit disc.
-    """
+    """Radius of convergence as an exponent q (radius |p|^q), capped at q >= 0."""
 
     exponent: Fraction
     stable: bool
-    unclamped: object = None
 
 
 def _digit_sum(j: int, p: int) -> int:
@@ -386,7 +381,7 @@ def radius_estimate(f: TruncatedSeries) -> RadiusEstimate:
     pts = [(j, Fraction(f.coeffs[j].valuation()))
            for j in range(lo, n) if not f.coeffs[j].is_zero()]
     if len(pts) < 2:
-        return RadiusEstimate(Fraction(0), False, None)
+        return RadiusEstimate(Fraction(0), False)
     p = f.field.p
     width = Fraction(n - 1 - lo)
     raw = lower_hull(pts)
@@ -395,11 +390,9 @@ def radius_estimate(f: TruncatedSeries) -> RadiusEstimate:
             [(j, v + Fraction(j - _digit_sum(j, p), p - 1)) for j, v in pts])
         slope, x1, x2 = _dominant_edge(hull)
         if 2 * (x2 - x1) >= width and x2 >= n - 3:
-            q = shift - slope
-            return RadiusEstimate(max(Fraction(0), q), True, q)
+            return RadiusEstimate(max(Fraction(0), shift - slope), True)
     (x1, y1), (x2, y2) = raw[-2], raw[-1]
-    q = -Fraction(y2 - y1, x2 - x1)
-    return RadiusEstimate(max(Fraction(0), q), False, q)
+    return RadiusEstimate(max(Fraction(0), -Fraction(y2 - y1, x2 - x1)), False)
 
 
 # ----------------------------------------------------------------------------

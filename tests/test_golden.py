@@ -9,13 +9,18 @@ The ``run_example`` results at N = 16 (diff tables and reports, hashed as
 ``json.dumps(result, sort_keys=True)``) are pinned as well.
 A last set of digests pins the ``tree`` reports of planted-root polynomial
 morphisms found by automatic fiber search, whose branching radii come from
-recentering the morphism at each branch point.  A refactor that changes any digit, radius, check or key order of a report
+recentering the morphism at each branch point.  Two more digests pin the
+benchmark's ``fibers`` jobs (``perfbench/workloads.py``, only imported): the
+336 jobs of seed 301, and 120 jobs of seed 5 at digits = 8, where the fiber
+search meets coefficients known only below their residue and some jobs end
+in a stage error.  A refactor that changes any digit, radius, check or key order of a report
 fails here.  Neither the files nor the digests are ever regenerated to make
 a change pass.
 """
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +29,7 @@ import pytest
 from padicdisc.cli import example_spec, run, run_example, serialize_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 EXAMPLES = ["p2-trivial", "p2-exp", "p3-trivial"]
 
@@ -135,3 +141,30 @@ def tree_spec(name):
 def test_tree_report_digest(name):
     text = serialize_report(run(tree_spec(name)))
     assert hashlib.sha256(text.encode()).hexdigest() == SHA256_TREE[name]
+
+
+# sha256 of the concatenated per-job sha256 hex digests of the reports.
+SHA256_FIBERS_SEED301 = "585953dc2a1de6a514019bb24f19102b3b3724e46b851e2b07d67199de86cf1e"
+SHA256_FIBERS_DIGITS8 = "bc715f21e2ae8a528a029fa8c76ac2f3beee44f524c79c073fffd9cbb9e5e617"
+
+
+def _fiber_specs(seed):
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    import workloads
+    return [job["spec"] for job in workloads.fiber_jobs(seed)]
+
+
+def _jobs_digest(specs):
+    reports = "".join(hashlib.sha256(serialize_report(run(spec)).encode()).hexdigest()
+                      for spec in specs)
+    return hashlib.sha256(reports.encode()).hexdigest()
+
+
+def test_fibers_workload_digest():
+    assert _jobs_digest(_fiber_specs(301)) == SHA256_FIBERS_SEED301
+
+
+def test_fibers_low_digit_digest():
+    specs = [dict(spec, field=dict(spec["field"], digits=8)) for spec in _fiber_specs(5)[:120]]
+    assert _jobs_digest(specs) == SHA256_FIBERS_DIGITS8

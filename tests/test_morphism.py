@@ -1,6 +1,7 @@
 """Disc morphisms: fibers, trees, Euler counts, local solutions, sections."""
 
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +30,10 @@ from padicdisc.morphism import (
     MAX_RESIDUE_FIELD,
     Fiber,
     _poly_roots,
+    _residue_roots,
     relation_vanishes_on_identity,
 )
-from padicdisc.padic import INF
+from padicdisc.padic import INF, poly_derivative, poly_eval
 from padicdisc.series import compose, evaluate
 from conftest import N, binom_rationals
 
@@ -137,6 +139,57 @@ def test_residue_enumeration_beyond_cap_raises(p, poly, f):
     coeffs = [fld.from_rational(c) for c in (2 * p * p, -3 * p, 1)]
     with pytest.raises(ResidueFieldTooLarge):
         _poly_roots(coeffs, fld)
+
+
+_RESIDUE_FIELDS = {
+    "Q2": FieldDescriptor(2, digits=16),
+    "Q3(sqrt-3)": FieldDescriptor(3, digits=16, poly=[3, 0, 1], e=2, f=1),
+    "Q4": FieldDescriptor(2, digits=16, poly=[1, 1, 1], e=1, f=2),
+    "Q25": FieldDescriptor(5, digits=16, poly=[-2, 0, 1], e=1, f=2),
+}
+
+
+def full_precision_residue_roots(g, fld):
+    """(r.coords, simple) for each nonzero residue representative r with
+    v(g(r)) > 0 or g(r) zero at precision, simple telling whether g'(r) is a
+    unit: g and g' evaluated at r at full precision."""
+    dg = poly_derivative(g)
+    out = []
+    for digits in iter_product(range(fld.p), repeat=fld.f):
+        if not any(digits):
+            continue
+        r = fld.from_coords(list(digits) + [0] * (fld.n - fld.f))
+        val = poly_eval(g, r)
+        if val.is_zero() or val.valuation() > 0:
+            dv = poly_eval(dg, r)
+            out.append((r.coords, not dv.is_zero() and dv.valuation() == 0))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_residue_tests_match_full_precision(data):
+    name = data.draw(st.sampled_from(sorted(_RESIDUE_FIELDS)))
+    fld = _RESIDUE_FIELDS[name]
+    p = fld.p
+    element = st.lists(st.integers(0, 2 * p - 1), min_size=fld.n, max_size=fld.n)
+    # prod (t - a) over roots a near the residue representatives: simple and
+    # repeated residue roots, then moved by noise of valuation 0, 1 or 2
+    g = [fld.one()]
+    for a in data.draw(st.lists(element, min_size=1, max_size=4)):
+        a = fld.from_coords(a)
+        g = [x - a * y for x, y in zip(g + [fld.zero()], [fld.zero()] + g)]
+    noise = st.lists(st.builds(Fraction, st.integers(-p * p, p * p), st.sampled_from([1, 7, 11])),
+                     min_size=fld.n, max_size=fld.n)
+    for i in range(len(g)):
+        if data.draw(st.booleans()):
+            g[i] = g[i] + fld.from_coords(data.draw(noise)) * p ** data.draw(st.integers(0, 2))
+        # a cap of 0 or 1/e leaves a coordinate known only below its residue
+        cap = data.draw(st.sampled_from([None] * 4 + [0, Fraction(1, fld.e), 1, 2]))
+        if cap is not None:
+            g[i] = g[i].with_precision(cap)
+    got = [(r.coords, simple) for r, simple in _residue_roots(g, poly_derivative(g), fld)]
+    assert got == full_precision_residue_roots(g, fld)
 
 
 def test_fiber_bad_hints(p2):

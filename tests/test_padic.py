@@ -17,7 +17,7 @@ from padicdisc.errors import (
     HenselHypothesisFailed,
     UnsupportedRoot,
 )
-from padicdisc.padic import _is_prime
+from padicdisc.padic import _EXACT, _badd, _bmul, _bnorm, _is_prime
 
 
 def vp_fraction(q, p):
@@ -270,3 +270,72 @@ def test_extension_ultrametric(q3pi, a0, a1, b0, b1):
         assert s.valuation() >= min(x.valuation(), y.valuation())
     if not x.is_zero() and not y.is_zero():
         assert (x * y).valuation() == x.valuation() + y.valuation()
+
+
+# -- digit helpers against the normalize-every-result reference --------------------
+
+def reference_bnorm(p, m, e, k):
+    """(u, v, k) for m * p^e known modulo p^k, normalized step by step."""
+    k = min(k, _EXACT)
+    if m == 0 or e >= k:
+        return (0, k, k)
+    m %= p ** (k - e)
+    if m == 0:
+        return (0, k, k)
+    w = 0
+    while m % p ** (w + 1) == 0:
+        w += 1
+    v = e + w
+    return ((m // p ** w) % p ** (k - v), v, k)
+
+
+def reference_badd(p, x, y):
+    (ux, vx, kx), (uy, vy, ky) = x, y
+    k = min(kx, ky)
+    if not ux and not uy:
+        return (0, k, k)
+    e = min(vx, vy)
+    return reference_bnorm(p, ux * p ** (vx - e) + uy * p ** (vy - e), e, k)
+
+
+def reference_bmul(p, x, y):
+    (ux, vx, kx), (uy, vy, ky) = x, y
+    k = min(vx + ky, vy + kx)
+    if not ux or not uy:
+        return (0, min(k, _EXACT), min(k, _EXACT))
+    return reference_bnorm(p, ux * uy, vx + vy, k)
+
+
+def is_normal_digit(p, x):
+    u, v, k = x
+    if not u:
+        return v == k <= _EXACT
+    return u % p != 0 and 0 < u < p ** (k - v) and k <= _EXACT
+
+
+@st.composite
+def digits(draw, p):
+    """A normalized digit: zero at a precision, or u * p^v known modulo p^k,
+    exact (k = _EXACT) or not, some of valuation near _EXACT."""
+    v = draw(st.one_of(st.integers(-8, 40), st.integers(_EXACT - 40, _EXACT - 1)))
+    k = _EXACT if v > 40 or draw(st.booleans()) else v + draw(st.integers(1, 70))
+    if draw(st.integers(0, 5)) == 0:
+        return (0, k, k)
+    u = draw(st.integers(1, p ** (k - v) - 1))
+    return (u + 1 if u % p == 0 else u, v, k)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_digit_helpers_match_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    x, y = data.draw(digits(p)), data.draw(digits(p))
+    assert is_normal_digit(p, x) and is_normal_digit(p, y)
+    m = data.draw(st.integers(-10 ** 9, 10 ** 9)) * p ** data.draw(st.integers(0, 12))
+    e = data.draw(st.integers(-8, 40))
+    k = data.draw(st.one_of(st.integers(-8, 90), st.sampled_from([_EXACT, _EXACT + 9])))
+    for got, want in ((_bmul(p, x, y), reference_bmul(p, x, y)),
+                      (_badd(p, x, y), reference_badd(p, x, y)),
+                      (_bnorm(p, m, e, k), reference_bnorm(p, m, e, k))):
+        assert got == want
+        assert is_normal_digit(p, got)

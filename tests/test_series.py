@@ -561,12 +561,11 @@ def test_radius_exact_half_integer_slopes(q3pi, qnum, bump):
     assert est.stable
 
 
-def test_radius_unclamped_diagnostic(q2):
-    # converges beyond the unit disc: clamped to 0, raw slope kept
+def test_radius_beyond_unit_disc_is_clamped(q2):
+    # converges beyond the unit disc: the exponent is clamped to 0
     f = rational_series(q2, "t", [Fraction(1) * 4 ** j for j in range(N)])
     est = radius_estimate(f)
     assert est.exponent == 0 and est.stable
-    assert est.unclamped == -2
 
 
 # -- newton_solve ------------------------------------------------------------------------------
