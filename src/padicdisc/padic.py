@@ -235,8 +235,9 @@ def _is_prime(n: int) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# residue-field polynomial helpers (unramified irreducibility checks, and the
-# fiber search's residue tests in F_p[X]/(residue_poly))
+# polynomial helpers over Z/m for any modulus m: F_p[X]/(residue_poly) for
+# unramified irreducibility checks and the fiber search's residue tests,
+# O/p^K for the untracked Newton iteration of hensel_lift
 # ----------------------------------------------------------------------------
 
 def _fp_polymulmod(a, b, g, p):
@@ -698,11 +699,48 @@ def poly_derivative(coeffs):
     return [c * j for j, c in enumerate(coeffs)][1:]
 
 
+def _newton_mod(g, dg, x: PadicScalar, inv_d: PadicScalar):
+    """A root of g modulo p^K, K = digits + 2, as int coordinates, found by
+    Newton's iteration from x in O/p^K = (Z/p^K)[X]/(poly) (Z/p^K for Q_p);
+    the approximate inverse y of g'(x) takes its own Newton step
+    y <- y (2 - g'(x) y) from inv_d.  None after ceil(log2 K) + 2 steps
+    without g(x) = 0 mod p^K.  Every coordinate of g, x and inv_d has
+    valuation >= 0."""
+    fld = x.field
+    p = fld.p
+    K = fld.digits + 2
+    mod = _ppow(p, K)
+    ring = (0, 1) if fld.poly is None else tuple(
+        c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.poly)
+
+    def ints(s):
+        return [u * _ppow(p, v) % mod if u else 0 for u, v, _ in s.coords]
+
+    g, dg = [ints(c) for c in g], [ints(c) for c in dg]
+    x, y = ints(x), ints(inv_d)
+    for _ in range((K - 1).bit_length() + 2):
+        gx = _fp_eval(g, x, ring, mod)
+        if not any(gx):
+            return x
+        x = [(a - b) % mod for a, b in zip(x, _fp_polymulmod(gx, y, ring, mod))]
+        dy = _fp_polymulmod(_fp_eval(dg, x, ring, mod), y, ring, mod)
+        y = _fp_polymulmod(y, [(2 - dy[0]) % mod] + [-c % mod for c in dy[1:]], ring, mod)
+    return None
+
+
 def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     """Newton-lift a simple root of g from the seed x0.
 
-    Classical hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front; the
-    iteration doubles correct digits per step.
+    The classical hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front.
+    The tracked loop x <- x - g(x)/g'(x) returns once g(x) vanishes at
+    precision; it is the whole lift when g'(x0) is not a unit, when some
+    coordinate of g or x0 has negative valuation, or when g(x0) already
+    vanishes.  Otherwise the loop's first step x1 = x0 - g(x0)/g'(x0) fixes
+    the precision of each coordinate.  Unless g(x1) vanishes, Newton's
+    iteration then runs untracked on int coordinates (``_newton_mod``), and
+    its root, promoted to x1's precisions, takes one more tracked step before
+    the loop certifies it.  The tests hold the result to the tracked loop's,
+    triple for triple.
     """
     g = list(g)
     dg = poly_derivative(g)
@@ -712,8 +750,20 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     if v_d == INF or not v_r > 2 * v_d:
         raise HenselHypothesisFailed(
             "v(g(x0))=%s must exceed 2*v(g'(x0))=%s" % (v_r, 2 * v_d if v_d != INF else INF))
+    fld = x0.field
     x = x0
-    for _ in range(x0.field.digits + 4):
+    if not r.is_zero() and v_d == 0 and all(v >= 0 for c in g + [x0] for _, v, _ in c.coords):
+        inv_d = PadicScalar(fld, fld._inv(d.coords))
+        x = x0 - r * inv_d
+        r = poly_eval(g, x)
+        root = None if r.is_zero() else _newton_mod(g, dg, x, inv_d)
+        if root is not None:
+            x = PadicScalar(fld, tuple(_bnorm(fld.p, a, 0, k) for a, (_, _, k) in zip(root, x.coords)))
+            x = x - poly_eval(g, x) * inv_d
+            r = poly_eval(g, x)
+        if not r.is_zero():
+            d = poly_eval(dg, x)
+    for _ in range(fld.digits + 4):
         if r.is_zero():
             return x
         x = x - r / d

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from padicdisc import (
     FieldDescriptor,
@@ -15,9 +15,12 @@ from padicdisc import (
 from padicdisc.errors import (
     DivisionByZeroAtPrecision,
     HenselHypothesisFailed,
+    NoConvergence,
+    PadicDiscError,
     UnsupportedRoot,
 )
-from padicdisc.padic import _EXACT, _badd, _bmul, _bnorm, _is_prime
+from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bmul, _bnorm, _is_prime,
+                             poly_derivative, poly_eval)
 
 
 def vp_fraction(q, p):
@@ -130,6 +133,80 @@ def test_hensel_hypothesis_failure_collapsed_roots(q2):
         hensel_lift(poly, q2.zero())
     with pytest.raises(HenselHypothesisFailed):
         hensel_lift(poly, q2.from_rational(2))
+
+
+# The fields of the benchmark's fibers workload, as (p, poly, e, f).
+LIFT_FIELDS = {
+    "Q2": (2, None, 1, 1), "Q3": (3, None, 1, 1), "Q5": (5, None, 1, 1), "Q7": (7, None, 1, 1),
+    "Q2(sqrt-2)": (2, [2, 0, 1], 2, 1), "Q3(sqrt-3)": (3, [3, 0, 1], 2, 1),
+    "Q4": (2, [1, 1, 1], 1, 2), "Q25": (5, [-2, 0, 1], 1, 2),
+}
+
+
+def tracked_lift(g, x0):
+    """The lift as a tracked Newton loop alone: the reference for hensel_lift."""
+    dg = poly_derivative(g)
+    r, d = poly_eval(g, x0), poly_eval(dg, x0)
+    x = x0
+    for _ in range(x0.field.digits + 4):
+        if r.is_zero():
+            return x
+        x = x - r / d
+        r = poly_eval(g, x)
+        if not r.is_zero():
+            d = poly_eval(dg, x)
+    if r.is_zero():
+        return x
+    raise NoConvergence("residual did not vanish at the precision cap")
+
+
+def lift_outcome(lift, g, x0):
+    try:
+        return lift(g, x0).coords
+    except PadicDiscError as exc:
+        return type(exc).__name__
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_hensel_lift_matches_tracked_loop(data):
+    # A planted simple root in the residue class of the seed, the other roots
+    # anywhere in the unit disc or, for a non-unit g'(x0), one of them in that
+    # residue class; a seed at distance |pi|^m from the root (m = 0: the
+    # residue representative), exact or rough; coefficient coordinates capped
+    # at random precisions above m, so that g(x0) stays nonzero at precision,
+    # often just above m, so that one tracked step can already end the loop.
+    p, poly, e, f = LIFT_FIELDS[data.draw(st.sampled_from(sorted(LIFT_FIELDS)))]
+    fld = FieldDescriptor(p, digits=data.draw(st.sampled_from([8, 64])), poly=poly, e=e, f=f)
+    pi = fld.uniformizer()
+
+    def element():
+        return fld.from_coords(data.draw(st.lists(st.integers(0, p ** 6),
+                                                  min_size=fld.n, max_size=fld.n)))
+
+    residue = data.draw(st.integers(1, p ** f - 1))
+    seed = fld.from_coords([residue // p ** i % p for i in range(f)] + [0] * (fld.n - f))
+    root = seed + pi * element()
+    roots = [root] + [element() for _ in range(data.draw(st.integers(1, 7)))]
+    unit_derivative = data.draw(st.booleans())
+    if not unit_derivative:
+        roots[1] = root + pi * (1 + pi * element())
+    m = data.draw(st.integers(0 if unit_derivative else 3, 6))
+    x0 = seed if m == 0 else root + pi ** m * element()
+    if data.draw(st.booleans()):
+        x0 = x0.with_precision(Fraction(data.draw(st.integers(m + 1, e * fld.digits)), e))
+    g = [fld.one()]
+    for a in roots:
+        g = [hi - a * lo for hi, lo in zip([fld.zero()] + g, g + [fld.zero()])]
+    for i, c in enumerate(g):
+        if data.draw(st.booleans()):
+            cap = st.one_of(st.integers(m + 1, m + 4), st.integers(m + 1, fld.digits + 2))
+            caps = data.draw(st.lists(cap, min_size=fld.n, max_size=fld.n))
+            g[i] = PadicScalar(fld, tuple(_bnorm(p, u * p ** v if u else 0, 0, min(k, cap))
+                                          for (u, v, k), cap in zip(c.coords, caps)))
+    r, d = poly_eval(g, x0), poly_eval(poly_derivative(g), x0)
+    assume(not r.is_zero() and not d.is_zero() and r.valuation() > 2 * d.valuation())
+    assert lift_outcome(hensel_lift, g, x0) == lift_outcome(tracked_lift, g, x0)
 
 
 def test_root_of_unity_cases(q2, q3pi):
