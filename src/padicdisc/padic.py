@@ -732,15 +732,15 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     """Newton-lift a simple root of g from the seed x0.
 
     The classical hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front.
-    The tracked loop x <- x - g(x)/g'(x) returns once g(x) vanishes at
-    precision; it is the whole lift when g'(x0) is not a unit, when some
-    coordinate of g or x0 has negative valuation, or when g(x0) already
-    vanishes.  Otherwise the loop's first step x1 = x0 - g(x0)/g'(x0) fixes
-    the precision of each coordinate.  Unless g(x1) vanishes, Newton's
-    iteration then runs untracked on int coordinates (``_newton_mod``), and
-    its root, promoted to x1's precisions, takes one more tracked step before
-    the loop certifies it.  The tests hold the result to the tracked loop's,
-    triple for triple.
+    When g(x0) vanishes at precision, the result is x0 - g(x0)/g'(x0): x0
+    capped at the precision that g(x0) supports.  Otherwise the tracked loop
+    x <- x - g(x)/g'(x) runs until g(x) vanishes at precision.  When g'(x0)
+    is a unit and every coordinate of g and x0 is integral, the loop's first
+    step x1 fixes the precision of each coordinate; unless g(x1) vanishes,
+    Newton's iteration then runs untracked on int coordinates
+    (``_newton_mod``), and its root, promoted to x1's precisions, takes one
+    more tracked step before the loop certifies it.  The tests hold the
+    result to the tracked loop's, triple for triple.
     """
     g = list(g)
     dg = poly_derivative(g)
@@ -750,9 +750,12 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     if v_d == INF or not v_r > 2 * v_d:
         raise HenselHypothesisFailed(
             "v(g(x0))=%s must exceed 2*v(g'(x0))=%s" % (v_r, 2 * v_d if v_d != INF else INF))
+    if r.is_zero():
+        # x0 is a root only to the precision of g(x0) / g'(x0)
+        return x0 - r / d
     fld = x0.field
     x = x0
-    if not r.is_zero() and v_d == 0 and all(v >= 0 for c in g + [x0] for _, v, _ in c.coords):
+    if v_d == 0 and all(v >= 0 for c in g + [x0] for _, v, _ in c.coords):
         inv_d = PadicScalar(fld, fld._inv(d.coords))
         x = x0 - r * inv_d
         r = poly_eval(g, x)

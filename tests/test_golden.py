@@ -144,8 +144,8 @@ def test_tree_report_digest(name):
 
 
 # sha256 of the concatenated per-job sha256 hex digests of the reports.
-SHA256_FIBERS_SEED301 = "585953dc2a1de6a514019bb24f19102b3b3724e46b851e2b07d67199de86cf1e"
-SHA256_FIBERS_DIGITS8 = "bc715f21e2ae8a528a029fa8c76ac2f3beee44f524c79c073fffd9cbb9e5e617"
+SHA256_FIBERS_SEED301 = "74df026b075e754da97651c8945055cb71b2fd98fcb353d72c5b158fb82d5ea5"
+SHA256_FIBERS_DIGITS8 = "a403e0790253728414e06135c13c49290a6522e20c2b28ba643b2b0b62b828b7"
 
 
 def _fiber_specs(seed):

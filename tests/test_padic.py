@@ -126,6 +126,22 @@ def test_hensel_residual_vanishes_at_cap(q2):
     assert value.precision() >= q2.digits - 8
 
 
+@pytest.mark.parametrize("p, poly, e", [(7, None, 1), (3, [3, 0, 1], 2)])
+def test_hensel_seed_root_claims_only_what_g_supports(p, poly, e):
+    # X^3 - 1 over Q_7 (g' a unit) and over Q_3(sqrt-3) (v(g') = 1), its
+    # coefficients known to precision 60 and the seed a 64-digit cube root of
+    # unity: g(x0) vanishes at precision 60, and the lift may not claim more
+    fld = FieldDescriptor(p, digits=64, poly=poly, e=e, f=1)
+    g = [fld.from_rational(-1).with_precision(60), fld.zero(), fld.zero(),
+         fld.one().with_precision(60)]
+    x0 = root_of_unity(3, fld)
+    r, d = poly_eval(g, x0), poly_eval(poly_derivative(g), x0)
+    assert r.is_zero() and x0.precision() > r.precision() - d.valuation()
+    root = hensel_lift(g, x0)
+    assert root.precision() <= r.precision() - d.valuation()
+    assert (root - x0).is_zero() and poly_eval(g, root).is_zero()
+
+
 def test_hensel_hypothesis_failure_collapsed_roots(q2):
     # X^2 - 1: both roots collide mod 2, and an even seed certifies nothing
     poly = [q2.from_rational(-1), q2.zero(), q2.one()]
