@@ -157,13 +157,17 @@ class MonicRelation:
 # radii and degrees
 # ----------------------------------------------------------------------------
 
+def _recentered_polygon(phi: DiscMorphism, a: PadicScalar):
+    """The valuation polygon of f recentered at a, off which the image radii
+    and local degrees of the discs around a are read."""
+    return valuation_polygon(taylor_shift(phi.f, a))
+
+
 def image_radius(phi: DiscMorphism, a: PadicScalar, ell) -> Fraction:
     """Exponent of the radius of phi(D(a, |p|^ell)): vq of f recentered at a."""
     if not a.is_zero() and a.valuation() < 0:
         raise ValueError("a must lie in the unit disc")
-    ell = Fraction(ell)
-    shifted = taylor_shift(phi.f, a)
-    return valuation_polygon(shifted).value_at(ell)
+    return _recentered_polygon(phi, a).value_at(Fraction(ell))
 
 
 def local_degree(phi: DiscMorphism, a: PadicScalar, ell, closed: bool = False) -> int:
@@ -172,8 +176,7 @@ def local_degree(phi: DiscMorphism, a: PadicScalar, ell, closed: bool = False) -
     Right slope for open discs, left slope for closed ones.
     """
     ell = Fraction(ell)
-    shifted = taylor_shift(phi.f, a)
-    poly = valuation_polygon(shifted)
+    poly = _recentered_polygon(phi, a)
     return poly.left_slope(ell) if closed else poly.right_slope(ell)
 
 
@@ -341,9 +344,11 @@ def tree_over_point(phi: DiscMorphism, fib: Fiber) -> TreeOverPoint:
     least index and t-radius exponent ell its least gap from rep; its branches
     are the open discs D(a_j, |p|^ell) inside it, each split again in turn.
     Each split is a branching point with branching radius the image radius at
-    that level; they are listed by decreasing ell, then by rep.
+    that level, read off f recentered at rep once per rep; they are listed by
+    decreasing ell, then by rep.
     """
     branch_points = []
+    polygons = {}
     discs = [tuple(range(len(fib)))]
     while discs:
         disc = discs.pop()
@@ -355,10 +360,12 @@ def tree_over_point(phi: DiscMorphism, fib: Fiber) -> TreeOverPoint:
             raise FiberNotReduced("fiber points %d and %d collide at precision" % (rep, disc[1]))
         parts = sorted({fib.members(j, ell) for j in disc})   # disjoint: by least index
         discs.extend(parts)
+        if rep not in polygons:
+            polygons[rep] = _recentered_polygon(phi, fib.points[rep])
         branch_points.append(BranchPoint(
             rep=rep,
             t_exponent=ell,
-            branch_exponent=image_radius(phi, fib.points[rep], ell),
+            branch_exponent=polygons[rep].value_at(ell),
             parts=tuple(parts),
         ))
     branch_points.sort(key=lambda bp: (-bp.t_exponent, bp.rep))
