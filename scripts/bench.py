@@ -14,9 +14,12 @@ digit helper on fixed seeded unit digits (p = 2 for Q_2, p = 3 for
 Q_3(sqrt-3)); their N is the digit count, 64 or 1024.  The rows
 ``fiber:<field>`` time ``fiber()`` over b = 0 of a planted degree-8
 polynomial (order N = 32, 64 digits) over each field of the benchmark's
-``fibers`` workload, roots planted by ``perfbench/workloads.py``.  Each cell
-is the median time of one call over repeats that run until 0.5 s is spent
-(at least one, at most 7 calls).
+``fibers`` workload, roots planted by ``perfbench/workloads.py``.  The rows
+``hensel:<field>`` time one ``hensel_lift`` from the seed 1 of a degree-8
+polynomial with a simple unit root 1 + a_0 and roots a_1, ..., a_7, the a_i
+planted as for ``fiber:<field>``, so g'(1) is a unit (N is the digit count,
+64).  Each cell is the median time of one call over repeats that run until
+0.5 s is spent (at least one, at most 7 calls).
 
 Run it once per checkout on the same machine, e.g.
 
@@ -123,6 +126,22 @@ def _fiber_calls(padicdisc) -> dict:
     return calls
 
 
+def _hensel_calls(padicdisc) -> dict:
+    """hensel_lift from the seed 1 of the planted unit root 1 + a_0, per field."""
+    sys.path.append(str(PERFBENCH))
+    import workloads
+    from fields import FIELDS
+    calls = {}
+    for name, field in sorted(FIELDS.items()):
+        roots = workloads.plant_roots(random.Random(FIBER_DEGREE), field, FIBER_DEGREE)
+        roots[0] = field.add(field.one(), roots[0])
+        fld = padicdisc.jsonio.field_from_json(field.spec(64))
+        g = [padicdisc.jsonio.scalar_from_json(field.coeff_json(c), fld)
+             for c in field.poly_from_roots(roots)]
+        calls[name] = lambda g=g, one=fld.one(): padicdisc.hensel_lift(g, one)
+    return calls
+
+
 def _time(call) -> float:
     times = []
     spent = 0.0
@@ -148,6 +167,8 @@ def measure(padicdisc) -> list:
             rows += [_row(op, name, digits, call) for op, call in calls.items()]
     for name, call in _fiber_calls(padicdisc).items():
         rows.append(_row("fiber:" + name, name, FIBER_ORDER, call))
+    for name, call in _hensel_calls(padicdisc).items():
+        rows.append(_row("hensel:" + name, name, 64, call))
     for name, fld in _fields(padicdisc).items():
         for n in ORDERS:
             calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))

@@ -158,8 +158,7 @@ class MonicRelation:
 # ----------------------------------------------------------------------------
 
 def _recentered_polygon(phi: DiscMorphism, a: PadicScalar):
-    """The valuation polygon of f recentered at a, off which the image radii
-    and local degrees of the discs around a are read."""
+    """The valuation polygon of f recentered at a: radii and degrees near a."""
     return valuation_polygon(taylor_shift(phi.f, a))
 
 

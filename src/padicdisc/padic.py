@@ -699,16 +699,13 @@ def poly_derivative(coeffs):
     return [c * j for j, c in enumerate(coeffs)][1:]
 
 
-def _newton_mod(g, dg, x: PadicScalar, inv_d: PadicScalar):
-    """A root of g modulo p^K, K = digits + 2, as int coordinates, found by
-    Newton's iteration from x in O/p^K = (Z/p^K)[X]/(poly) (Z/p^K for Q_p);
-    the approximate inverse y of g'(x) takes its own Newton step
-    y <- y (2 - g'(x) y) from inv_d.  None after ceil(log2 K) + 2 steps
-    without g(x) = 0 mod p^K.  Every coordinate of g, x and inv_d has
-    valuation >= 0."""
+def _newton_mod(g, dg, x: PadicScalar, y: PadicScalar):
+    """A root of g modulo p^K, K = digits + 2, as int coordinates in
+    O/p^K = (Z/p^K)[X]/(poly): Newton's iteration from x, with y ~ 1/g'(x)
+    refined by its own step y <- y (2 - g'(x) y).  None when g(x) = 0 mod p^K
+    takes more than ceil(log2 K) + 2 steps.  All coordinates are integral."""
     fld = x.field
-    p = fld.p
-    K = fld.digits + 2
+    p, K = fld.p, fld.digits + 2
     mod = _ppow(p, K)
     ring = (0, 1) if fld.poly is None else tuple(
         c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.poly)
@@ -716,8 +713,7 @@ def _newton_mod(g, dg, x: PadicScalar, inv_d: PadicScalar):
     def ints(s):
         return [u * _ppow(p, v) % mod if u else 0 for u, v, _ in s.coords]
 
-    g, dg = [ints(c) for c in g], [ints(c) for c in dg]
-    x, y = ints(x), ints(inv_d)
+    g, dg, x, y = [ints(c) for c in g], [ints(c) for c in dg], ints(x), ints(y)
     for _ in range((K - 1).bit_length() + 2):
         gx = _fp_eval(g, x, ring, mod)
         if not any(gx):
@@ -731,16 +727,13 @@ def _newton_mod(g, dg, x: PadicScalar, inv_d: PadicScalar):
 def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     """Newton-lift a simple root of g from the seed x0.
 
-    The classical hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front.
-    When g(x0) vanishes at precision, the result is x0 - g(x0)/g'(x0): x0
-    capped at the precision that g(x0) supports.  Otherwise the tracked loop
-    x <- x - g(x)/g'(x) runs until g(x) vanishes at precision.  When g'(x0)
-    is a unit and every coordinate of g and x0 is integral, the loop's first
-    step x1 fixes the precision of each coordinate; unless g(x1) vanishes,
-    Newton's iteration then runs untracked on int coordinates
-    (``_newton_mod``), and its root, promoted to x1's precisions, takes one
-    more tracked step before the loop certifies it.  The tests hold the
-    result to the tracked loop's, triple for triple.
+    The hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front.  A seed with
+    g(x0) zero at precision gives x0 - g(x0)/g'(x0), capped at what g(x0)
+    supports.  Otherwise the tracked loop x <- x - g(x)/g'(x) runs until g(x)
+    vanishes at precision.  When g'(x0) is a unit and g and x0 are integral,
+    the loop's first step x1 fixes each coordinate's precision; unless g(x1)
+    vanishes, ``_newton_mod`` finds the root untracked, and promoted to x1's
+    precisions it takes one tracked step before the loop certifies it.
     """
     g = list(g)
     dg = poly_derivative(g)
@@ -751,10 +744,8 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
         raise HenselHypothesisFailed(
             "v(g(x0))=%s must exceed 2*v(g'(x0))=%s" % (v_r, 2 * v_d if v_d != INF else INF))
     if r.is_zero():
-        # x0 is a root only to the precision of g(x0) / g'(x0)
         return x0 - r / d
-    fld = x0.field
-    x = x0
+    fld, x = x0.field, x0
     if v_d == 0 and all(v >= 0 for c in g + [x0] for _, v, _ in c.coords):
         inv_d = PadicScalar(fld, fld._inv(d.coords))
         x = x0 - r * inv_d
