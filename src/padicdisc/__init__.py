@@ -29,15 +29,12 @@ from .morphism import (
     tree_over_point,
     euler_count,
     image_radius,
-    local_degree,
     local_solution,
     monic_relation,
-    section_apply,
 )
 from .diffmod import (
     DiffModule,
     HorizontalMatrix,
-    change_basis,
     local_solution_matrix,
     horizontal_check,
     element_radius,

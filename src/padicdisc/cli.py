@@ -152,11 +152,6 @@ def _load(raw: dict) -> _Pipeline:
     return _Pipeline(spec, inputs)
 
 
-def validate_jobspec(raw: dict) -> dict:
-    """Normalize and validate a job spec dict; raises SchemaError."""
-    return _load(raw).spec
-
-
 class _Pipeline:
     """Lazily evaluated computation stages of one job, over inputs that
     ``_load`` has already read from its spec."""
@@ -634,17 +629,16 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         if args.example and not args.polygon:
-            result = run_example(args.example,
-                                 order=args.series_order or DEFAULT_ORDER,
-                                 digits=args.digits or DEFAULT_DIGITS,
-                                 seed=args.seed)
+            order = DEFAULT_ORDER if args.series_order is None else args.series_order
+            digits = DEFAULT_DIGITS if args.digits is None else args.digits
+            result = run_example(args.example, order=order, digits=digits, seed=args.seed)
             ok = result["passed"] and all(c["passed"] for c in result["report"]["checks"])
             text = serialize_report(result)
         elif args.spec or args.example:
             spec = _read_spec_file(args.spec) if args.spec else example_spec(args.example)
-            if args.series_order:
+            if args.series_order is not None:
                 spec["N"] = args.series_order
-            if args.digits and isinstance(spec.get("field"), dict):
+            if args.digits is not None and isinstance(spec.get("field"), dict):
                 spec["field"]["digits"] = args.digits
             spec["seed"] = args.seed
             if args.polygon:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonInvertibleTransition, NotEtale
+from .errors import DegenerateFiber, NotEtale
 from .padic import PadicScalar
 from .series import (
     TruncatedSeries,
@@ -82,10 +82,6 @@ def mat_identity(field, var, center, n, order):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_derivative(a):
-    return tuple(tuple(derivative(c) for c in row) for row in a)
-
-
 def row_reduce(rows, width, lead, invert):
     """Gauss-Jordan on the first ``width`` columns of ``rows``, in place.
 
@@ -120,14 +116,14 @@ def row_reduce(rows, width, lead, invert):
     return pivots
 
 
-def mat_inverse(a, error=NonInvertibleTransition):
+def mat_inverse(a):
     """Gauss-Jordan on [a | I] over the series ring; pivots need invertible
-    constant terms."""
+    constant terms, and a column without one raises DegenerateFiber."""
     n = len(a)
     iden = mat_identity(a[0][0].field, a[0][0].var, a[0][0].center, n,
                         min(c.order for r in a for c in r))
     rows = [list(row) + list(e) for row, e in zip(a, iden)]
-    _reduce_invertible(rows, n, error)
+    _reduce_invertible(rows, n, DegenerateFiber)
     return tuple(tuple(row[n:]) for row in rows)
 
 
@@ -143,18 +139,6 @@ def _reduce_invertible(rows, n, error):
 # ----------------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------------
-
-def change_basis(module: DiffModule, transition) -> DiffModule:
-    """Derivation matrix after e = B e': A' = d(B^{-1}) B + B^{-1} A B."""
-    b = tuple(tuple(row) for row in transition)
-    b_inv = mat_inverse(b, error=NonInvertibleTransition)
-    new_a = mat_mul(mat_derivative(b_inv), b)
-    ab = mat_mul(module.matrix, b)
-    new_a = tuple(tuple(x + y for x, y in zip(r1, r2))
-                  for r1, r2 in zip(new_a, mat_mul(b_inv, ab)))
-    return DiffModule(rank=module.rank, matrix=new_a, var=module.var,
-                      center=module.center)
-
 
 def local_solution_matrix(module: DiffModule, a: PadicScalar) -> HorizontalMatrix:
     """Fundamental matrix Y with Y(a) = I solving dY/dx = -A^T Y.

@@ -89,10 +89,6 @@ class ResidueFieldTooLarge(PadicDiscError):
 
 # -- linear algebra over series -----------------------------------------------
 
-class NonInvertibleTransition(PadicDiscError):
-    """Basis-change matrix is not invertible over the series ring."""
-
-
 class DegenerateFiber(PadicDiscError):
     """Vandermonde constant terms coincide at precision."""
 

@@ -45,14 +45,6 @@ def parse_frac(s) -> Fraction:
 DEFAULT_DIGITS = 64
 
 
-def field_to_json(fld: FieldDescriptor) -> dict:
-    if fld.kind == "base":
-        ext = "base"
-    else:
-        ext = {"poly": [frac_str(c) for c in fld.poly], "e": fld.e, "f": fld.f}
-    return {"p": fld.p, "ext": ext, "digits": fld.digits}
-
-
 def field_from_json(d: dict) -> FieldDescriptor:
     """Raises SchemaError on a poly entry that is not a rational, and
     InvalidField on arguments that describe no supported field."""

@@ -1,10 +1,10 @@
 """Finite morphisms of open p-adic discs.
 
 A degree-d morphism is carried by its coordinate representation s = f(t).
-This module computes image radii and local degrees from valuation polygons,
-fibers over a rational point (by polygon-guided Hensel lifting), the
-branching tree over the point, local inverse solutions, sections, and the
-monic relation P(s, X) annihilating t.
+This module computes image radii from valuation polygons, fibers over a
+rational point (by polygon-guided Hensel lifting), the branching tree over
+the point, local inverse solutions, and the monic relation P(s, X)
+annihilating t.
 """
 
 from __future__ import annotations
@@ -154,11 +154,11 @@ class MonicRelation:
 
 
 # ----------------------------------------------------------------------------
-# radii and degrees
+# radii
 # ----------------------------------------------------------------------------
 
 def _recentered_polygon(phi: DiscMorphism, a: PadicScalar):
-    """The valuation polygon of f recentered at a: radii and degrees near a."""
+    """The valuation polygon of f recentered at a: image radii near a."""
     return valuation_polygon(taylor_shift(phi.f, a))
 
 
@@ -167,16 +167,6 @@ def image_radius(phi: DiscMorphism, a: PadicScalar, ell) -> Fraction:
     if not a.is_zero() and a.valuation() < 0:
         raise ValueError("a must lie in the unit disc")
     return _recentered_polygon(phi, a).value_at(Fraction(ell))
-
-
-def local_degree(phi: DiscMorphism, a: PadicScalar, ell, closed: bool = False) -> int:
-    """Degree of the restriction to D(a, |p|^ell): polygon slope at ell.
-
-    Right slope for open discs, left slope for closed ones.
-    """
-    ell = Fraction(ell)
-    poly = _recentered_polygon(phi, a)
-    return poly.left_slope(ell) if closed else poly.right_slope(ell)
 
 
 # ----------------------------------------------------------------------------
@@ -384,7 +374,7 @@ def euler_count(tree: TreeOverPoint, disc) -> tuple:
 
 
 # ----------------------------------------------------------------------------
-# local solutions, sections, the monic relation
+# local solutions and the monic relation
 # ----------------------------------------------------------------------------
 
 def local_solution(phi: DiscMorphism, a: PadicScalar, b: PadicScalar) -> TruncatedSeries:
@@ -424,10 +414,3 @@ def relation_vanishes_on_identity(rel: MonicRelation, phi: DiscMorphism) -> bool
     t_series = TruncatedSeries.identity(fld, "t", fld.zero(), n)
     coeffs = [compose(c, f.truncate(n)) for c in rel.coeffs] + [fld.one()]
     return horner(coeffs, t_series).is_zero()
-
-
-def section_apply(g_coords, u: TruncatedSeries) -> TruncatedSeries:
-    """Pullback along the section: sum_m g_m(s) * u_a(s)^m by Horner."""
-    coords = list(g_coords)
-    n = min(min(c.order for c in coords), u.order)
-    return horner(coords, u.truncate(n))

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
-from .padic import INF, PadicScalar
+from .padic import INF
 from .series import RadiusEstimate, TruncatedSeries, compose, recenter
 from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
-from .diffmod import element_radius, mat_inverse, mat_vec, row_reduce
+from .diffmod import element_radius, mat_inverse, mat_vec
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def vandermonde(fib: Fiber, u_list) -> VandermondeData:
             row.append(row[-1] * u.truncate(n))
         rows.append(tuple(row))
     matrix_u = tuple(rows)
-    matrix_v = mat_inverse(matrix_u, error=DegenerateFiber)
+    matrix_v = mat_inverse(matrix_u)
     return VandermondeData(matrix_u=matrix_u, matrix_v=matrix_v, fiber=fib,
                            solutions=u_list)
 
@@ -307,15 +307,6 @@ def trivial_optimal_basis(tree: TreeOverPoint, vdata: VandermondeData,
 
 # Random combinations tried per radius class.
 OPTIMALITY_TRIALS = 50
-
-
-def constant_rank(columns) -> int:
-    """Rank of the constant-term matrix over the field (independence check)."""
-    if not columns:
-        return 0
-    rows = [[col.entries[i].coeffs[0] for col in columns]
-            for i in range(len(columns[0].entries))]
-    return len(row_reduce(rows, len(columns), lambda c: c, PadicScalar.inverse))
 
 
 def optimality_check(basis: OptimalBasis, seed: int = 0) -> dict:

@@ -727,13 +727,13 @@ def _newton_mod(g, dg, x: PadicScalar, y: PadicScalar):
 def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     """Newton-lift a simple root of g from the seed x0.
 
-    The hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front.  A seed with
-    g(x0) zero at precision gives x0 - g(x0)/g'(x0), capped at what g(x0)
-    supports.  Otherwise the tracked loop x <- x - g(x)/g'(x) runs until g(x)
-    vanishes at precision.  When g'(x0) is a unit and g and x0 are integral,
-    the loop's first step x1 fixes each coordinate's precision; unless g(x1)
-    vanishes, ``_newton_mod`` finds the root untracked, and promoted to x1's
-    precisions it takes one tracked step before the loop certifies it.
+    The hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front.  The tracked
+    loop x <- x - g(x)/g'(x) always takes its step: once g(x) vanishes at
+    precision it returns that step, so the root claims at most the digits
+    g(x)/g'(x) supports.  When g'(x0) is a unit, g and x0 are integral and
+    g(x0) is nonzero at precision, the loop's first step x1 fixes each
+    coordinate's precision; unless g(x1) vanishes, ``_newton_mod`` finds the
+    root untracked, and the loop goes on from it, promoted to x1's precisions.
     """
     g = list(g)
     dg = poly_derivative(g)
@@ -743,29 +743,21 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     if v_d == INF or not v_r > 2 * v_d:
         raise HenselHypothesisFailed(
             "v(g(x0))=%s must exceed 2*v(g'(x0))=%s" % (v_r, 2 * v_d if v_d != INF else INF))
-    if r.is_zero():
-        return x0 - r / d
     fld, x = x0.field, x0
-    if v_d == 0 and all(v >= 0 for c in g + [x0] for _, v, _ in c.coords):
+    if v_d == 0 and not r.is_zero() and all(v >= 0 for c in g + [x0] for _, v, _ in c.coords):
         inv_d = PadicScalar(fld, fld._inv(d.coords))
         x = x0 - r * inv_d
         r = poly_eval(g, x)
         root = None if r.is_zero() else _newton_mod(g, dg, x, inv_d)
         if root is not None:
             x = PadicScalar(fld, tuple(_bnorm(fld.p, a, 0, k) for a, (_, _, k) in zip(root, x.coords)))
-            x = x - poly_eval(g, x) * inv_d
             r = poly_eval(g, x)
-        if not r.is_zero():
-            d = poly_eval(dg, x)
-    for _ in range(fld.digits + 4):
+        d = poly_eval(dg, x)
+    for _ in range(fld.digits + 5):
         if r.is_zero():
-            return x
+            return x - r / d
         x = x - r / d
-        r = poly_eval(g, x)
-        if not r.is_zero():
-            d = poly_eval(dg, x)
-    if r.is_zero():
-        return x
+        r, d = poly_eval(g, x), poly_eval(dg, x)
     raise NoConvergence("residual did not vanish at the precision cap")
 
 

@@ -297,7 +297,7 @@ def lower_hull(points):
 @dataclass(frozen=True)
 class ValuationPolygon:
     """Lower hull of (i, valuation(c_i)); exposes the concave function
-    vq(f, l) = min_i (valuation(c_i) + i*l) and its slopes."""
+    vq(f, l) = min_i (valuation(c_i) + i*l) and its slope at 0+."""
 
     vertices: tuple
 
@@ -305,26 +305,14 @@ class ValuationPolygon:
         ell = Fraction(ell)
         return min(Fraction(v) + i * ell for i, v in self.vertices)
 
-    def _attaining(self, ell):
-        ell = Fraction(ell)
-        best = self.value_at(ell)
-        return [i for i, v in self.vertices if Fraction(v) + i * ell == best]
-
-    def right_slope(self, ell) -> int:
-        """Slope of vq just right of ell: the least attaining index."""
-        return min(self._attaining(ell))
-
-    def left_slope(self, ell) -> int:
-        """Slope of vq just left of ell: the greatest attaining index."""
-        return max(self._attaining(ell))
-
     def max_slope(self) -> int:
         """Slope of vq as l -> 0+: the least index among minimal valuations.
 
         This counts geometric preimages inside the open disc, so trailing
         series junk above the minimal valuation does not inflate it.
         """
-        return self.right_slope(0)
+        low = min(v for _, v in self.vertices)
+        return min(i for i, v in self.vertices if v == low)
 
 
 def valuation_polygon(f: TruncatedSeries) -> ValuationPolygon:

@@ -11,6 +11,7 @@ from padicdisc import (
     DiffModule,
     DiscMorphism,
     FieldDescriptor,
+    PadicScalar,
     TruncatedSeries,
     fiber,
     local_solution,
@@ -18,6 +19,7 @@ from padicdisc import (
     tree_over_point,
     vandermonde,
 )
+from padicdisc.diffmod import row_reduce
 from padicdisc.series import mult_inverse
 
 N = 32
@@ -32,6 +34,15 @@ def binom_rationals(alpha, n):
 
 def exp_rationals(n):
     return [Fraction(1, math.factorial(j)) for j in range(n)]
+
+
+def constant_rank(columns) -> int:
+    """Rank of the constant-term matrix over the field (independence check)."""
+    if not columns:
+        return 0
+    rows = [[col.entries[i].coeffs[0] for col in columns]
+            for i in range(len(columns[0].entries))]
+    return len(row_reduce(rows, len(columns), lambda c: c, PadicScalar.inverse))
 
 
 @dataclass

@@ -34,10 +34,10 @@ from padicdisc import (
     vandermonde,
 )
 from padicdisc.morphism import Fiber
-from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis, constant_rank
+from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis
 from padicdisc.series import mult_inverse, radius_estimate
 from padicdisc.diffmod import mat_identity, mat_mul, mat_vec
-from conftest import N, binom_rationals
+from conftest import N, binom_rationals, constant_rank
 
 R = 64
 # Radius estimates read the window [N/2, N), which is [16, 32) at order 32.

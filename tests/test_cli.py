@@ -23,7 +23,6 @@ from padicdisc.cli import (
     run,
     run_example,
     serialize_report,
-    validate_jobspec,
 )
 from padicdisc.errors import (
     InvalidField,
@@ -40,23 +39,23 @@ def test_schema_rejects_low_order():
     spec = example_spec("p2-trivial")
     spec["N"] = 4
     with pytest.raises(SchemaError):
-        validate_jobspec(spec)
+        run(spec)
 
 
 def test_schema_rejects_low_digits():
     spec = example_spec("p2-trivial")
     spec["field"]["digits"] = 4
     with pytest.raises(SchemaError):
-        validate_jobspec(spec)
+        run(spec)
 
 
 def test_schema_rejects_missing_and_unknown():
     with pytest.raises(SchemaError):
-        validate_jobspec({"field": {"p": 2}})
+        run({"field": {"p": 2}})
     spec = example_spec("p2-trivial")
     spec["outputs"] = ["tree", "nonsense"]
     with pytest.raises(SchemaError):
-        validate_jobspec(spec)
+        run(spec)
 
 
 def test_run_p2_trivial_report():
@@ -227,11 +226,9 @@ def test_series_json_roundtrip(q2):
 
 
 def test_field_json_roundtrip(q3pi):
-    data = jsonio.field_to_json(q3pi)
-    assert data == {"p": 3, "ext": {"poly": ["3", "0", "1"], "e": 2, "f": 1},
-                    "digits": 64}
-    back = jsonio.field_from_json(data)
-    assert back == q3pi
+    data = {"p": 3, "ext": {"poly": ["3", "0", "1"], "e": 2, "f": 1}, "digits": 64}
+    assert jsonio.field_from_json(data) == q3pi
+    assert jsonio.field_from_json({"p": 3}) == FieldDescriptor(3, digits=64)
 
 
 
@@ -328,6 +325,19 @@ def test_digits_override_leaves_a_malformed_field_to_validation(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(_set(example_spec("p2-trivial"), ("field",), 5)))
     assert main(["--spec", str(spec_file), "--digits", "16"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--series-order", "--digits"])
+@pytest.mark.parametrize("source", ["example", "spec"])
+def test_zero_order_or_digits_exit_2(flag, source, tmp_path, capsys):
+    # 0 is a value, not a missing flag: it reaches validation, which needs >= 8
+    args = ["--example", "p2-trivial"]
+    if source == "spec":
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(example_spec("p2-trivial")))
+        args = ["--spec", str(spec_file)]
+    assert main(args + [flag, "0"]) == 2
+    assert "must be an integer >= 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -13,10 +13,8 @@ from padicdisc import (
     euler_count,
     fiber,
     image_radius,
-    local_degree,
     local_solution,
     monic_relation,
-    section_apply,
     tree_over_point,
 )
 from padicdisc.errors import (
@@ -34,7 +32,7 @@ from padicdisc.morphism import (
     relation_vanishes_on_identity,
 )
 from padicdisc.padic import INF, poly_derivative, poly_eval
-from padicdisc.series import compose, evaluate
+from padicdisc.series import compose, evaluate, horner
 from conftest import N, binom_rationals
 
 
@@ -84,16 +82,6 @@ def test_image_radius_identity(q2):
     phi = identity_phi(q2)
     for a, ell in ((q2.zero(), Fraction(1)), (q2.from_rational(2), Fraction(5, 2))):
         assert image_radius(phi, a, ell) == ell
-
-
-def test_local_degree_examples(p2, q2):
-    zero = q2.zero()
-    assert local_degree(p2.phi, zero, Fraction(1, 2)) == 2
-    assert local_degree(p2.phi, zero, 2) == 1
-    assert local_degree(identity_phi(q2), q2.from_rational(4), 3) == 1
-    # closed-disc convention takes the left slope at the breakpoint
-    assert local_degree(p2.phi, zero, 1, closed=True) == 2
-    assert local_degree(p2.phi, zero, 1, closed=False) == 1
 
 
 # -- fibers ------------------------------------------------------------------------------
@@ -436,18 +424,6 @@ def test_cubic_carrier_degree_two_pipeline(q2):
         assert ok
 
 
-def test_local_degree_sum_over_components(p2, p3):
-    for setup in (p2, p3):
-        d = setup.phi.degree
-        top = max(bp.t_exponent for bp in setup.tree.branch_points)
-        above = top + 1
-        sigma = sum(local_degree(setup.phi, a, above) for a in setup.fib.points)
-        assert sigma == d
-        low = min(bp.t_exponent for bp in setup.tree.branch_points) / 2
-        for a in setup.fib.points:
-            assert local_degree(setup.phi, a, low) == d
-
-
 # -- local solutions -----------------------------------------------------------------------
 
 def test_local_solution_p2(p2):
@@ -525,13 +501,16 @@ def test_relation_vanishes(p2, p3):
     assert relation_vanishes_on_identity(p3.rel, p3.phi)
 
 
+# Pullback along the section s -> u_a(s): quotient coordinates g_m(s) go to
+# sum_m g_m(s) u_a(s)^m, by Horner.
+
 def test_section_apply_coordinate(p2):
     fld = p2.field
     zero = TruncatedSeries.constant(fld, "s", fld.zero(), fld.zero(), N)
     one = TruncatedSeries.constant(fld, "s", fld.zero(), fld.one(), N)
     u0 = p2.solutions[1]
-    assert (section_apply([zero, one], u0) - u0).is_zero()
-    assert (section_apply([one, zero], u0) - one).is_zero()
+    assert (horner([zero, one], u0) - u0).is_zero()
+    assert (horner([one, zero], u0) - one).is_zero()
 
 
 def test_section_apply_square_oracle(p2):
@@ -540,7 +519,7 @@ def test_section_apply_square_oracle(p2):
     s_series = TruncatedSeries.identity(fld, "s", fld.zero(), N)
     minus_two = TruncatedSeries.constant(fld, "s", fld.zero(), fld.from_rational(-2), N)
     u0 = p2.solutions[1]
-    got = section_apply([s_series, minus_two], u0)
+    got = horner([s_series, minus_two], u0)
     assert (got - u0 * u0).is_zero()
 
 
@@ -551,6 +530,6 @@ def test_section_of_reduction_is_composition(p2):
     g = TruncatedSeries.from_rationals(fld, "t", 0, [3, 0, 5, 1, 0, 7], order=N)
     coords = reduce_to_basis(g, QuotientAlgebra(p2.rel))
     for u in p2.solutions:
-        via_section = section_apply(coords, u)
+        via_section = horner(coords, u)
         direct = compose(g, u)
         assert (via_section - direct).is_zero()

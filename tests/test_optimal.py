@@ -23,9 +23,9 @@ from padicdisc import direct_image, element_radius, fiber, local_solution, \
     monic_relation, tree_over_point
 from padicdisc.errors import DegenerateFiber
 from padicdisc.morphism import Fiber
-from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis, constant_rank
+from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis
 from padicdisc.series import compose, mult_inverse
-from conftest import N, exp_rationals
+from conftest import N, constant_rank, exp_rationals
 
 
 def series(field, rats, var="s", center=0, order=N):

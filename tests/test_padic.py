@@ -160,19 +160,16 @@ LIFT_FIELDS = {
 
 
 def tracked_lift(g, x0):
-    """The lift as a tracked Newton loop alone: the reference for hensel_lift."""
+    """The lift as a tracked Newton loop alone: the reference for hensel_lift.
+    Once g(x) vanishes at precision it returns the step x - g(x)/g'(x)."""
     dg = poly_derivative(g)
     r, d = poly_eval(g, x0), poly_eval(dg, x0)
     x = x0
-    for _ in range(x0.field.digits + 4):
+    for _ in range(x0.field.digits + 5):
         if r.is_zero():
-            return x
+            return x - r / d
         x = x - r / d
-        r = poly_eval(g, x)
-        if not r.is_zero():
-            d = poly_eval(dg, x)
-    if r.is_zero():
-        return x
+        r, d = poly_eval(g, x), poly_eval(dg, x)
     raise NoConvergence("residual did not vanish at the precision cap")
 
 
@@ -223,6 +220,23 @@ def test_hensel_lift_matches_tracked_loop(data):
     r, d = poly_eval(g, x0), poly_eval(poly_derivative(g), x0)
     assume(not r.is_zero() and not d.is_zero() and r.valuation() > 2 * d.valuation())
     assert lift_outcome(hensel_lift, g, x0) == lift_outcome(tracked_lift, g, x0)
+
+
+def test_hensel_root_claims_only_what_g_supports_after_a_step():
+    # A lift of the fibers workload at digits 8 (seed 5, one of its first 120
+    # jobs) over Q_2(sqrt-2): one step from the seed 1 gives x1, where g(x1)
+    # vanishes at precision 3 only, while coordinate 1 of x1 claims p^4
+    fld = FieldDescriptor(2, digits=8, poly=[2, 0, 1], e=2, f=1)
+    g = [PadicScalar(fld, c) for c in (
+        ((0, 3, 3), (13, 0, 4)), ((45, 0, 6), (15, 0, 4)), ((15, 0, 6), (13, 0, 7)),
+        ((1, 8, 9), (113, 0, 7)), ((65, 2, 9), (105, 2, 10)), ((169, 4, 12), (19, 2, 10)),
+        ((5, 7, 13), (253, 6, 14)), ((0, 4091, 4091), (1, 6, 14)))]
+    x1 = PadicScalar(fld, ((1, 0, 3), (1, 1, 4)))
+    r = poly_eval(g, x1)
+    assert r.is_zero() and r.coords == ((0, 3, 3), (0, 3, 3))
+    root = hensel_lift(g, PadicScalar(fld, ((1, 0, 8), (0, _EXACT, _EXACT))))
+    assert root.coords == ((1, 0, 3), (1, 1, 3))
+    assert root.coords == tracked_lift(g, x1).coords
 
 
 def test_root_of_unity_cases(q2, q3pi):

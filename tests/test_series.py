@@ -452,8 +452,7 @@ def test_polygon_morphism(q2):
     poly = valuation_polygon(rational_series(q2, "t", [0, 2, 1]))
     assert poly.vertices == ((1, Fraction(1)), (2, Fraction(0)))
     assert poly.value_at(1) == 2
-    assert poly.left_slope(1) == 2
-    assert poly.right_slope(1) == 1
+    assert poly.max_slope() == 2
 
 
 def test_polygon_p3(q3pi):
@@ -465,7 +464,11 @@ def test_polygon_flat(q2):
     poly = valuation_polygon(rational_series(q2, "t", [1] * N))
     for ell in (Fraction(1, 3), Fraction(1), Fraction(5, 2)):
         assert poly.value_at(ell) == 0
-        assert poly.right_slope(ell) == 0
+    assert poly.max_slope() == 0
+    # two vertices at the minimal valuation: the slope at 0+ is the lesser index
+    poly = valuation_polygon(rational_series(q2, "t", [4, 2, 1, 2, 1, 2]))
+    assert poly.vertices == ((0, 2), (2, 0), (4, 0), (5, 1))
+    assert poly.max_slope() == 2
 
 
 def test_polygon_zero_series(q2):
