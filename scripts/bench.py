@@ -6,7 +6,11 @@ Times series ``__mul__``, ``mult_inverse``, ``reversion``, ``compose``,
 the Eisenstein field Q_3(sqrt-3), both with 64 digits, on fixed seeded
 inputs.  ``taylor_shift`` runs on two inputs: a degree-8 polynomial padded
 with exact zeros to order N (``taylor_shift_poly8``) and a dense order-N
-series (``taylor_shift_dense``), both shifted to p.  End to end, the rows
+series (``taylor_shift_dense``), both shifted to p.  ``radius_estimate``
+estimates the dense order-N series, and ``compose_poly8`` composes the
+degree-8 polynomial along the series of the ``compose`` row.  The rows
+``optimality:<example>`` time one ``optimality_check`` on the optimal basis of
+each canned example at N = 32, built untimed.  End to end, the rows
 ``run:<example>`` time ``cli.run(cli.example_spec(example, order=N))`` for
 the three canned examples at N = 32 and 64.  Below the series layer, the
 rows ``bmul``, ``badd`` and ``bnorm`` time one batch of 1000 calls of the
@@ -45,13 +49,14 @@ from pathlib import Path
 ORDERS = (32, 64, 128)
 RUN_ORDERS = (32, 64)
 EXAMPLE_FIELDS = {"p2-trivial": "Q2", "p2-exp": "Q2", "p3-trivial": "Q3(sqrt-3)"}
-OPS = ("mul", "mult_inverse", "reversion", "compose", "mat_inverse",
-       "taylor_shift_poly8", "taylor_shift_dense")
+OPS = ("mul", "mult_inverse", "reversion", "compose", "compose_poly8", "mat_inverse",
+       "taylor_shift_poly8", "taylor_shift_dense", "radius_estimate")
 DIGIT_PRIMES = {"Q2": 2, "Q3(sqrt-3)": 3}
 DIGIT_COUNTS = (64, 1024)
 DIGIT_BATCH = 1000
 FIBER_DEGREE = 8
 FIBER_ORDER = 32
+OPTIMALITY_ORDER = 32
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BUDGET_S = 0.5
 MAX_REPEATS = 7
@@ -87,9 +92,11 @@ def _calls(padicdisc, data):
             "mult_inverse": lambda: series.mult_inverse(data["unit"]),
             "reversion": lambda: series.reversion(data["zero_at_center"]),
             "compose": lambda: series.compose(data["unit"], data["inner"]),
+            "compose_poly8": lambda: series.compose(data["poly8"], data["inner"]),
             "mat_inverse": lambda: diffmod.mat_inverse(data["matrix"]),
             "taylor_shift_poly8": lambda: series.taylor_shift(data["poly8"], data["shift"]),
-            "taylor_shift_dense": lambda: series.taylor_shift(data["unit"], data["shift"])}
+            "taylor_shift_dense": lambda: series.taylor_shift(data["unit"], data["shift"]),
+            "radius_estimate": lambda: series.radius_estimate(data["unit"])}
 
 
 def _digit_calls(padic, p, digits, seed):
@@ -174,6 +181,11 @@ def measure(padicdisc) -> list:
             calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))
             rows += [_row(op, name, n, calls[op]) for op in OPS]
     cli = padicdisc.cli
+    for example, field in EXAMPLE_FIELDS.items():
+        spec = cli.example_spec(example, order=OPTIMALITY_ORDER)
+        basis = cli._load(spec).get("optimal")
+        rows.append(_row("optimality:" + example, field, OPTIMALITY_ORDER,
+                         lambda: padicdisc.optimality_check(basis, seed=spec["seed"])))
     for example, field in EXAMPLE_FIELDS.items():
         for n in RUN_ORDERS:
             spec = cli.example_spec(example, order=n)

@@ -130,22 +130,36 @@ def _bconv(p: int, xs, ys, x_live, y_live):
     Each digit is what summing ``_bmul`` over the live pairs i + j = k with
     ``_badd`` gives: the exact sum of the exact products, known modulo p^K_k
     with K_k = min(_EXACT, min over live pairs of min(v_i + k'_j, k_i + v'_j)).
-    The values come from one big-integer product (Kronecker substitution):
-    u * p^(v - e) is packed into byte slots wide enough that no slot of the
-    product overflows into the next.
+    Only the live rectangle i in [x_lo, x_hi], j in [y_lo, y_hi] can hold a
+    live pair, so K_k is taken over it alone.  The values come from one
+    big-integer product (Kronecker substitution): u * p^(v - e) is packed into
+    byte slots wide enough that no slot of the product overflows into the next.
     """
     n = len(xs)
-    # x as v_0, k_0, v_1, k_1, ... against y reversed as k'_j, v'_j, so that
-    # for each k the pairs i + j = k line up from the start of xvk; a scalar
+    # the first live index of each side, n when it has none
+    x_lo = x_live.index(True) if True in x_live else n
+    y_lo = y_live.index(True) if True in y_live else n
+    if x_lo + y_lo >= n:
+        return [_bzero(_EXACT)] * n
+    x_hi = min(n - 1 - x_live[::-1].index(True), n - 1 - y_lo)
+    y_hi = min(n - 1 - y_live[::-1].index(True), n - 1 - x_lo)
+    # x as v_i, k_i for i = x_lo .. x_hi against y reversed as k'_j, v'_j for
+    # j = y_hi .. y_lo: the pairs i + j = k line up once xvk (s > 0) or ykv
+    # (s <= 0) drops its first |s| = 2 |k - x_lo - y_hi| entries; a scalar
     # that takes no part is (INF, INF)
     xvk, ykv = [], []
-    for (_, v, k), live in zip(xs, x_live):
-        xvk += (v, k) if live else (INF, INF)
-    for (_, v, k), live in zip(reversed(ys), reversed(y_live)):
-        ykv += (k, v) if live else (INF, INF)
-    last = 2 * n - 2
+    for i in range(x_lo, x_hi + 1):
+        _, v, k = xs[i]
+        xvk += (v, k) if x_live[i] else (INF, INF)
+    for j in range(y_hi, y_lo - 1, -1):
+        _, v, k = ys[j]
+        ykv += (k, v) if y_live[j] else (INF, INF)
     # a bound at or above _EXACT (INF without live pairs) is clamped by _bnorm
-    prec = [min(map(add, xvk, ykv[last - 2 * k:])) for k in range(n)]
+    top = min(n - 1, x_hi + y_hi)
+    prec = [INF] * (x_lo + y_lo)
+    prec += [min(map(add, xvk[s:], ykv)) if s > 0 else min(map(add, xvk, ykv[-s:]))
+             for s in range(2 * (y_lo - y_hi), 2 * (top - x_lo - y_hi) + 1, 2)]
+    prec += [INF] * (n - 1 - top)
     ex = min((v for u, v, _ in xs if u), default=None)
     ey = min((v for u, v, _ in ys if u), default=None)
     if ex is None or ey is None:

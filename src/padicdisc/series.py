@@ -203,7 +203,16 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 def horner(coeffs, x: TruncatedSeries) -> TruncatedSeries:
     """sum_k c_k x^k by Horner to x's order; each c_k is a scalar or a series
-    at x's center."""
+    at x's center.
+
+    Trailing exact-zero scalars are dropped first, whatever x is: the product
+    leaves exact-zero scalars out, so the exact-zero accumulator times x is
+    the exact-zero series again.  A series coefficient is always kept, as its
+    order caps the result's.
+    """
+    coeffs = list(coeffs)
+    while coeffs and isinstance(coeffs[-1], PadicScalar) and coeffs[-1].is_exact_zero():
+        coeffs.pop()
     acc = TruncatedSeries.constant(x.field, x.var, x.center, x.field.zero(), x.order)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -343,12 +352,12 @@ def _digit_sum(j: int, p: int) -> int:
 
 
 def _dominant_edge(hull):
-    """(slope, x_left, x_right) of the widest edge of a lower hull of at least
-    two points (later edge on ties)."""
+    """The widest edge ((x1, y1), (x2, y2)) of a lower hull of at least two
+    points (later edge on ties)."""
     best = None
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if best is None or x2 - x1 >= best[2] - best[1]:
-            best = (Fraction(y2 - y1, x2 - x1), x1, x2)
+    for left, right in zip(hull, hull[1:]):
+        if best is None or right[0] - left[0] >= best[1][0] - best[0][0]:
+            best = (left, right)
     return best
 
 
@@ -363,24 +372,37 @@ def radius_estimate(f: TruncatedSeries) -> RadiusEstimate:
     covers at least half the window and reaches its right end (a short
     boundary uptick after the supporting line is tolerated).  Degenerate
     windows report the maximal radius exponent 0, flagged unstable.
+
+    Both hulls are built on the integers (p - 1) e v_j, where e v_j is the
+    least e v + i over the nonzero coordinates (i the coordinate index in an
+    Eisenstein field, else 0); v_p(j!) = (j - s_p(j)) / (p - 1) adds
+    e (j - s_p(j)), and the gauge's shift 1 / (p - 1) is e.  Only the winning
+    slope becomes a Fraction.
     """
     n = f.order
     lo = n // 2
-    pts = [(j, Fraction(f.coeffs[j].valuation()))
-           for j in range(lo, n) if not f.coeffs[j].is_zero()]
+    fld = f.field
+    p, e = fld.p, fld.e
+    weights = range(fld.n) if fld.kind == "eisenstein" else (0,) * fld.n
+    pts = []
+    for j in range(lo, n):
+        ys = [e * v + i for (u, v, _), i in zip(f.coeffs[j].coords, weights) if u]
+        if ys:
+            pts.append((j, (p - 1) * min(ys)))
     if len(pts) < 2:
         return RadiusEstimate(Fraction(0), False)
-    p = f.field.p
-    width = Fraction(n - 1 - lo)
+    scale = (p - 1) * e
     raw = lower_hull(pts)
-    for shift in (Fraction(0), Fraction(1, p - 1)):
+    for shift in (0, e):
         hull = raw if not shift else lower_hull(
-            [(j, v + Fraction(j - _digit_sum(j, p), p - 1)) for j, v in pts])
-        slope, x1, x2 = _dominant_edge(hull)
-        if 2 * (x2 - x1) >= width and x2 >= n - 3:
-            return RadiusEstimate(max(Fraction(0), shift - slope), True)
+            [(j, y + e * (j - _digit_sum(j, p))) for j, y in pts])
+        (x1, y1), (x2, y2) = _dominant_edge(hull)
+        if 2 * (x2 - x1) >= n - 1 - lo and x2 >= n - 3:
+            return RadiusEstimate(
+                max(Fraction(0), Fraction(shift * (x2 - x1) - (y2 - y1), (x2 - x1) * scale)),
+                True)
     (x1, y1), (x2, y2) = raw[-2], raw[-1]
-    return RadiusEstimate(max(Fraction(0), -Fraction(y2 - y1, x2 - x1)), False)
+    return RadiusEstimate(max(Fraction(0), Fraction(y1 - y2, (x2 - x1) * scale)), False)
 
 
 # ----------------------------------------------------------------------------

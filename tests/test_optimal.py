@@ -19,11 +19,11 @@ from padicdisc import (
     trivial_optimal_basis,
     vandermonde,
 )
-from padicdisc import direct_image, element_radius, fiber, local_solution, \
+from padicdisc import cli, direct_image, element_radius, fiber, local_solution, \
     monic_relation, tree_over_point
 from padicdisc.errors import DegenerateFiber
 from padicdisc.morphism import Fiber
-from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis
+from padicdisc.optimal import OPTIMALITY_TRIALS, BasisColumn, LinkedColumn, OptimalBasis
 from padicdisc.series import compose, mult_inverse
 from conftest import N, constant_rank, exp_rationals
 
@@ -466,3 +466,96 @@ def test_radius_multiset_invariant_under_fiber_permutation(p3):
     original = trivial_optimal_basis(p3.tree, p3.vd, p3.phi)
     assert sorted(c.estimate.exponent for c in basis.columns) == \
         sorted(c.estimate.exponent for c in original.columns)
+
+
+def full_optimality_check(basis, seed):
+    """Reference check: every trial combines whole entries, then estimates."""
+    rng = random.Random(seed)
+    classes = {}
+    for idx, col in enumerate(basis.columns):
+        classes.setdefault(col.predicted_exponent, []).append(idx)
+    report = {"classes": [], "passed": True}
+    for exponent in sorted(classes):
+        idxs = classes[exponent]
+        failures = []
+        for t in range(OPTIMALITY_TRIALS):
+            coeffs = [rng.randint(-3, 3) for _ in idxs]
+            if not any(coeffs):
+                coeffs[rng.randrange(len(coeffs))] = 1
+            combo = None
+            for c, idx in zip(coeffs, idxs):
+                scaled = tuple(e * c for e in basis.columns[idx].entries)
+                combo = scaled if combo is None else tuple(
+                    x + y for x, y in zip(combo, scaled))
+            if all(e.is_zero() for e in combo):
+                continue
+            est = element_radius(combo)
+            if est.exponent != exponent:
+                failures.append({"trial": t, "coeffs": coeffs,
+                                 "estimated": str(est.exponent)})
+        report["classes"].append({"exponent": str(exponent), "members": list(idxs),
+                                  "trials": OPTIMALITY_TRIALS, "failures": failures})
+        if failures:
+            report["passed"] = False
+    return report
+
+
+# the exponential module pushed forward by (1+t)^3 - 1 over Q_3(sqrt-3); at
+# N = 16 its optimal basis fails the optimality check
+EXP_CUBE_SPEC = {"field": {"p": 3, "ext": {"poly": ["3", "0", "1"], "e": 2, "f": 1},
+                           "digits": 48},
+                 "N": 16, "morphism": {"f": ["0", "3", "3", "1"], "d": 3},
+                 "module": {"rank": 1, "A": [[["1"]]]}}
+
+
+# seeds whose trials include both a window-only and a whole cancellation
+CANCELLING_SEEDS = (0, 3, 6)
+
+
+def _cancelling_basis(q2, n=16):
+    """Three rank-2 columns A, B, A of exponent 1 whose entries share the
+    window 2^-j, j >= N/2 (2^-j, j >= 7 in the order-14 second entries): a
+    combination with coefficient sum 0 cancels in every window, and is zero
+    as a whole only when B's coefficient is 0 too."""
+    def entry(low, order):
+        return TruncatedSeries.from_rationals(
+            q2, "s", 0, low + [Fraction(1, 2 ** j) for j in range(len(low), order)],
+            order=order)
+
+    a = (entry([1] + [0] * 7, n), entry([0] * 7, n - 2))
+    b = (entry([0, 1] + [0] * 6, n), entry([3] + [0] * 6, n - 2))
+    return OptimalBasis(columns=tuple(
+        BasisColumn(entries=e, predicted_exponent=Fraction(1),
+                    estimate=element_radius(e), provenance={}) for e in (a, b, a)))
+
+
+def test_optimality_check_matches_full_combination(q2, p2, p3):
+    cases = []
+    for name in ("p2-trivial", "p2-exp", "p3-trivial"):
+        for order in (16, 24):
+            pipe = cli._load(cli.example_spec(name, order=order, seed=order))
+            cases.append((pipe.get("optimal"), order))
+    for setup in (p2, p3):
+        cases.append((_corrupt(trivial_optimal_basis(setup.tree, setup.vd, setup.phi)), 7))
+    exp_cube = cli._load(EXP_CUBE_SPEC).get("optimal")
+    cases.append((exp_cube, 0))
+    for seed in CANCELLING_SEEDS:
+        cases.append((_cancelling_basis(q2), seed))
+    for basis, seed in cases:
+        assert optimality_check(basis, seed) == full_optimality_check(basis, seed)
+    assert any(c["failures"] for c in full_optimality_check(exp_cube, 0)["classes"])
+    # the cancelling basis: trials whose window cancels but whose whole
+    # combination does not fail at exponent 0; wholly zero ones are skipped
+    for seed in CANCELLING_SEEDS:
+        rng = random.Random(seed)
+        draws = []
+        for _ in range(OPTIMALITY_TRIALS):
+            coeffs = [rng.randint(-3, 3) for _ in range(3)]
+            if not any(coeffs):
+                coeffs[rng.randrange(3)] = 1
+            draws.append(coeffs)
+        (cls,) = optimality_check(_cancelling_basis(q2), seed)["classes"]
+        assert cls["failures"] == [{"trial": t, "coeffs": c, "estimated": "0"}
+                                   for t, c in enumerate(draws) if sum(c) == 0 and c[1]]
+        assert any(sum(c) == 0 and c[1] for c in draws)
+        assert any(c[1] == 0 and c[0] == -c[2] for c in draws)

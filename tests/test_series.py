@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicdisc import FieldDescriptor, PadicScalar, TruncatedSeries, newton_solve
 from padicdisc.errors import (
@@ -23,6 +23,7 @@ from padicdisc.series import (
     derivative,
     evaluate,
     horner,
+    lower_hull,
     mult_inverse,
     radius_estimate,
     recenter,
@@ -112,14 +113,29 @@ def coefficient_scalar(fld, kind, coords, shift, cap):
     return c.with_precision(cap) if kind == 2 else c
 
 
+# exact-zero runs around a body: the live pairs then fill a sub-rectangle of
+# the pair square, or none of it when the first live indices sum to N or more
+_zero_run = st.integers(0, 6)
+_UNIT = (1, [(1, 1)] * 3, 0, 0)
+
+
 @given(name=st.sampled_from(sorted(MUL_FIELDS)),
        xs=st.lists(_mul_coefficient, min_size=1, max_size=9),
-       ys=st.lists(_mul_coefficient, min_size=1, max_size=9))
+       ys=st.lists(_mul_coefficient, min_size=1, max_size=9),
+       runs=st.tuples(_zero_run, _zero_run, _zero_run, _zero_run))
+@example(name="Q2", xs=[_UNIT] * 2, ys=[_UNIT] * 3, runs=(1, 3, 2, 1))
+@example(name="Q3(sqrt-3)", xs=[_UNIT] * 2, ys=[_UNIT] * 3, runs=(5, 0, 4, 0))
 @settings(max_examples=200, deadline=None)
-def test_mul_matches_schoolbook(name, xs, ys):
+def test_mul_matches_schoolbook(name, xs, ys, runs):
     fld = MUL_FIELDS[name]
-    f = TruncatedSeries(fld, "t", fld.zero(), [coefficient_scalar(fld, *c) for c in xs])
-    g = TruncatedSeries(fld, "t", fld.zero(), [coefficient_scalar(fld, *c) for c in ys])
+    x_lead, x_trail, y_lead, y_trail = runs
+
+    def padded(draws, lead, trail):
+        return TruncatedSeries(fld, "t", fld.zero(), [fld.zero()] * lead
+                               + [coefficient_scalar(fld, *c) for c in draws]
+                               + [fld.zero()] * trail)
+
+    f, g = padded(xs, x_lead, x_trail), padded(ys, y_lead, y_trail)
     assert [c.coords for c in (f * g).coeffs] == schoolbook_mul(f, g)
     assert [c.coords for c in (g * f).coeffs] == schoolbook_mul(g, f)
 
@@ -446,6 +462,56 @@ def test_horner_loops_skip_exact_zero_tail(name, body, tail, shift):
     assert poly_eval(f.coeffs, a).coords == full_poly_eval(f.coeffs, a)
 
 
+def full_width_horner(coeffs, x):
+    """Reference Horner: every coefficient, the exact-zero tail included."""
+    acc = TruncatedSeries.constant(x.field, x.var, x.center, x.field.zero(), x.order)
+    for c in reversed(list(coeffs)):
+        acc = acc * x + c
+    return acc
+
+
+def full_width_compose(f, g):
+    """Reference composition: full-width Horner in g - center_f."""
+    n = min(f.order, g.order)
+    h = TruncatedSeries(g.field, g.var, g.center,
+                        [g.coeffs[0] - f.center] + list(g.coeffs[1:n]))
+    return full_width_horner(f.coeffs[:n], h)
+
+
+def order_and_coords(f):
+    return f.order, [c.coords for c in f.coeffs]
+
+
+@given(name=st.sampled_from(sorted(SHIFT_FIELDS)),
+       body=st.lists(_mul_coefficient, min_size=0, max_size=6),
+       tail=st.lists(_tail_entry, min_size=0, max_size=6),
+       xs=st.lists(_mul_coefficient, min_size=1, max_size=8),
+       top=st.one_of(st.none(), st.lists(_mul_coefficient, min_size=1, max_size=8)))
+# x has a coefficient of valuation -4
+@example(name="Q2", body=[_UNIT], tail=[None, 3, None],
+         xs=[_UNIT, (1, [(1, 4)] * 3, -2, 0), _UNIT], top=None)
+# the top coefficient is the exact-zero series of order 3 < N = 5
+@example(name="Q5", body=[_UNIT], tail=[None, None], xs=[_UNIT] * 5,
+         top=[(0, [(1, 1)] * 3, 0, 0)] * 3)
+@settings(max_examples=150, deadline=None)
+def test_horner_and_compose_skip_exact_zero_scalar_tail(name, body, tail, xs, top):
+    fld = SHIFT_FIELDS[name]
+    coeffs = [coefficient_scalar(fld, *c) for c in body]
+    coeffs += [fld.zero() if cap is None else fld.zero().with_precision(cap) for cap in tail]
+    x = TruncatedSeries(fld, "t", fld.zero(), [coefficient_scalar(fld, *c) for c in xs])
+    if top is not None:
+        coeffs.append(TruncatedSeries(fld, "t", fld.zero(),
+                                      [coefficient_scalar(fld, *c) for c in top]))
+    assert order_and_coords(horner(coeffs, x)) == \
+        order_and_coords(full_width_horner(coeffs, x))
+    if top is None:
+        f = TruncatedSeries(fld, "t", fld.zero(), coeffs or [fld.zero()])
+        x0 = x.coeffs[0]
+        g = x if x0.is_zero() or x0.valuation() > 0 else \
+            x._wrap([fld.zero()] + list(x.coeffs[1:]))
+        assert order_and_coords(compose(f, g)) == order_and_coords(full_width_compose(f, g))
+
+
 # -- polygons ---------------------------------------------------------------------------
 
 def test_polygon_morphism(q2):
@@ -569,6 +635,67 @@ def test_radius_beyond_unit_disc_is_clamped(q2):
     f = rational_series(q2, "t", [Fraction(1) * 4 ** j for j in range(N)])
     est = radius_estimate(f)
     assert est.exponent == 0 and est.stable
+
+
+def _reference_digit_sum(j, p):
+    s = 0
+    while j:
+        s += j % p
+        j //= p
+    return s
+
+
+def fraction_radius_estimate(f):
+    """Reference estimator: both hulls over Fraction valuations, each widest
+    edge's slope a Fraction; returns (exponent, stable)."""
+    n = f.order
+    lo = n // 2
+    pts = [(j, Fraction(f.coeffs[j].valuation()))
+           for j in range(lo, n) if not f.coeffs[j].is_zero()]
+    if len(pts) < 2:
+        return Fraction(0), False
+    p = f.field.p
+    width = Fraction(n - 1 - lo)
+    raw = lower_hull(pts)
+    for shift in (Fraction(0), Fraction(1, p - 1)):
+        hull = raw if not shift else lower_hull(
+            [(j, v + Fraction(j - _reference_digit_sum(j, p), p - 1)) for j, v in pts])
+        best = None
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if best is None or x2 - x1 >= best[2] - best[1]:
+                best = (Fraction(y2 - y1, x2 - x1), x1, x2)
+        slope, x1, x2 = best
+        if 2 * (x2 - x1) >= width and x2 >= n - 3:
+            return max(Fraction(0), shift - slope), True
+    (x1, y1), (x2, y2) = raw[-2], raw[-1]
+    return max(Fraction(0), -Fraction(y2 - y1, x2 - x1)), False
+
+
+# a ramp: coefficient j times pi^floor(j a / b), and divided by j! when set
+_ramp = st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(1, 4), st.booleans()))
+
+
+# unit runs under a factorial ramp are the tails that need the Legendre gauge
+@given(name=st.sampled_from(sorted(SHIFT_FIELDS)),
+       draws=st.one_of(st.lists(_mul_coefficient, min_size=1, max_size=24),
+                       st.integers(2, 24).map(lambda k: [_UNIT] * k)),
+       ramp=_ramp)
+@example(name="Q2", draws=[_UNIT] * 20, ramp=(0, 1, True))
+@example(name="Q3(sqrt-3)", draws=[_UNIT] * 24, ramp=(-1, 3, True))
+@example(name="Q2[x]/(x^3+2x+2)", draws=[_UNIT] * 20, ramp=(1, 2, True))
+@settings(max_examples=200, deadline=None)
+def test_radius_estimate_matches_fraction_hulls(name, draws, ramp):
+    fld = SHIFT_FIELDS[name]
+    coeffs = [coefficient_scalar(fld, *c) for c in draws]
+    if ramp is not None:
+        a, b, factorial = ramp
+        pi = fld.uniformizer()
+        coeffs = [c * pi ** (j * a // b)
+                  * fld.from_rational(Fraction(1, math.factorial(j)) if factorial else 1)
+                  for j, c in enumerate(coeffs)]
+    f = TruncatedSeries(fld, "t", fld.zero(), coeffs)
+    est = radius_estimate(f)
+    assert (est.exponent, est.stable) == fraction_radius_estimate(f)
 
 
 # -- newton_solve ------------------------------------------------------------------------------
