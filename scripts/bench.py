@@ -22,8 +22,23 @@ polynomial (order N = 32, 64 digits) over each field of the benchmark's
 ``hensel:<field>`` time one ``hensel_lift`` from the seed 1 of a degree-8
 polynomial with a simple unit root 1 + a_0 and roots a_1, ..., a_7, the a_i
 planted as for ``fiber:<field>``, so g'(1) is a unit (N is the digit count,
-64).  Each cell is the median time of one call over repeats that run until
-0.5 s is spent (at least one, at most 7 calls).
+64).  Each cell is the median of three rounds, and the rounds run over every
+cell in turn, so a disturbance of the host that lasts less than a round
+touches one of them.  In a round a cell times batches of calls, a batch
+repeating the call until it takes 0.02 s (once for a slower call), until
+0.2 s is spent (at least 1, at most 5 batches), and keeps their median.
+
+The rows ``mul`` of the fields ``Q2 1024 digits`` and ``Q3(sqrt-3) 1024 digits``
+time the series product at N = 32 with 1024-digit scalars.  Every coordinate
+of every coefficient is a seeded rational, so over Q_3(sqrt-3) both
+coordinate columns are dense, as in the products of the p3-trivial example.
+
+Every batch is scaled to a nominal host speed as ``perfbench/run.py`` scales
+its jobs: ``perfbench/hostspeed.reference()`` is timed just before and just
+after the batch, and the batch's time is multiplied by
+``hostspeed.scale_of`` of those two samples.  Cells timed minutes apart, or
+in two checkouts' runs, thus compare on one scale while the speed of a
+shared host drifts.
 
 Run it once per checkout on the same machine, e.g.
 
@@ -36,6 +51,7 @@ to stdout and to the JSON file only.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -54,17 +70,24 @@ OPS = ("mul", "mult_inverse", "reversion", "compose", "compose_poly8", "mat_inve
 DIGIT_PRIMES = {"Q2": 2, "Q3(sqrt-3)": 3}
 DIGIT_COUNTS = (64, 1024)
 DIGIT_BATCH = 1000
+HIPREC_DIGITS = 1024
+HIPREC_ORDER = 32
 FIBER_DEGREE = 8
 FIBER_ORDER = 32
 OPTIMALITY_ORDER = 32
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-BUDGET_S = 0.5
-MAX_REPEATS = 7
+ROUNDS = 3
+BUDGET_S = 0.2
+BATCH_S = 0.02
+MAX_BATCHES = 5
+
+sys.path.append(str(PERFBENCH))
+import hostspeed  # noqa: E402
 
 
-def _fields(padicdisc):
-    return {"Q2": padicdisc.FieldDescriptor(2, digits=64),
-            "Q3(sqrt-3)": padicdisc.FieldDescriptor(3, digits=64, poly=[3, 0, 1], e=2, f=1)}
+def _fields(padicdisc, digits=64):
+    return {"Q2": padicdisc.FieldDescriptor(2, digits=digits),
+            "Q3(sqrt-3)": padicdisc.FieldDescriptor(3, digits=digits, poly=[3, 0, 1], e=2, f=1)}
 
 
 def _inputs(padicdisc, fld, n, seed):
@@ -84,6 +107,19 @@ def _inputs(padicdisc, fld, n, seed):
     return {"unit": unit, "other": series(3), "zero_at_center": series(1, start=1),
             "inner": series(fld.p, start=1), "matrix": matrix, "poly8": poly8,
             "shift": fld.from_rational(fld.p)}
+
+
+def _dense_mul(padicdisc, fld, n, seed):
+    """The product of two seeded order-n series whose every coordinate is drawn."""
+    rng = random.Random(seed)
+
+    def series():
+        return padicdisc.TruncatedSeries(fld, "t", fld.zero(), [fld.from_coords(
+            [Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7))) for _ in range(fld.n)])
+            for _ in range(n)])
+
+    x, y = series(), series()
+    return lambda: x * y
 
 
 def _calls(padicdisc, data):
@@ -118,7 +154,6 @@ def _digit_calls(padic, p, digits, seed):
 
 def _fiber_calls(padicdisc) -> dict:
     """fiber() over b = 0 of a planted degree-8 polynomial, per benchmark field."""
-    sys.path.append(str(PERFBENCH))
     import workloads
     from fields import FIELDS
     jsonio = padicdisc.jsonio
@@ -135,7 +170,6 @@ def _fiber_calls(padicdisc) -> dict:
 
 def _hensel_calls(padicdisc) -> dict:
     """hensel_lift from the seed 1 of the planted unit root 1 + a_0, per field."""
-    sys.path.append(str(PERFBENCH))
     import workloads
     from fields import FIELDS
     calls = {}
@@ -149,53 +183,98 @@ def _hensel_calls(padicdisc) -> dict:
     return calls
 
 
-def _time(call) -> float:
+def _host_sample() -> float:
+    """Duration of one run of the host-speed reference."""
+    start = time.perf_counter()
+    hostspeed.reference()
+    return time.perf_counter() - start
+
+
+def _batch_size(call) -> int:
+    """Calls per batch, from one untimed call: enough to take BATCH_S."""
+    start = time.perf_counter()
+    call()
+    return max(1, int(BATCH_S / (time.perf_counter() - start)))
+
+
+def _time(call, calls) -> float:
+    """Median time of one call over batches of ``calls`` calls, each batch
+    scaled to the nominal host speed by the reference samples taken just
+    before and just after it.  As in ``timeit``, the cyclic garbage
+    collector is off while batches run, so a collection of what earlier
+    cells left behind is charged to no cell."""
     times = []
     spent = 0.0
-    while not times or (spent < BUDGET_S and len(times) < MAX_REPEATS):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-        spent += times[-1]
+    gc.collect()
+    gc.disable()
+    try:
+        before = _host_sample()
+        while not times or (spent < BUDGET_S and len(times) < MAX_BATCHES):
+            start = time.perf_counter()
+            for _ in range(calls):
+                call()
+            seconds = time.perf_counter() - start
+            after = _host_sample()
+            times.append(seconds / calls * hostspeed.scale_of([before, after]))
+            spent += seconds
+            before = after
+    finally:
+        gc.enable()
     return statistics.median(times)
 
 
-def _row(op, field, n, call) -> dict:
-    ms = _time(call) * 1e3
-    print("%-18s %-11s N=%-4d %10.3f ms" % (op, field, n, ms), flush=True)
-    return {"op": op, "field": field, "N": n, "ms": round(ms, 3)}
-
-
-def measure(padicdisc) -> list:
-    rows = []
+def _cells(padicdisc) -> list:
+    """(op, field, N, call) of every row; the inputs are built untimed."""
+    cells = []
     for name, p in DIGIT_PRIMES.items():
         for digits in DIGIT_COUNTS:
             calls = _digit_calls(padicdisc.padic, p, digits, seed=digits)
-            rows += [_row(op, name, digits, call) for op, call in calls.items()]
+            cells += [(op, name, digits, call) for op, call in calls.items()]
     for name, call in _fiber_calls(padicdisc).items():
-        rows.append(_row("fiber:" + name, name, FIBER_ORDER, call))
+        cells.append(("fiber:" + name, name, FIBER_ORDER, call))
     for name, call in _hensel_calls(padicdisc).items():
-        rows.append(_row("hensel:" + name, name, 64, call))
+        cells.append(("hensel:" + name, name, 64, call))
     for name, fld in _fields(padicdisc).items():
         for n in ORDERS:
             calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))
-            rows += [_row(op, name, n, calls[op]) for op in OPS]
+            cells += [(op, name, n, calls[op]) for op in OPS]
+    for name, fld in _fields(padicdisc, HIPREC_DIGITS).items():
+        cells.append(("mul", "%s %d digits" % (name, HIPREC_DIGITS), HIPREC_ORDER,
+                      _dense_mul(padicdisc, fld, HIPREC_ORDER, seed=HIPREC_ORDER)))
     cli = padicdisc.cli
     for example, field in EXAMPLE_FIELDS.items():
         spec = cli.example_spec(example, order=OPTIMALITY_ORDER)
         basis = cli._load(spec).get("optimal")
-        rows.append(_row("optimality:" + example, field, OPTIMALITY_ORDER,
-                         lambda: padicdisc.optimality_check(basis, seed=spec["seed"])))
+        cells.append(("optimality:" + example, field, OPTIMALITY_ORDER,
+                      lambda basis=basis, seed=spec["seed"]:
+                      padicdisc.optimality_check(basis, seed=seed)))
     for example, field in EXAMPLE_FIELDS.items():
         for n in RUN_ORDERS:
-            spec = cli.example_spec(example, order=n)
-            rows.append(_row("run:" + example, field, n, lambda: cli.run(spec)))
+            cells.append(("run:" + example, field, n,
+                          lambda spec=cli.example_spec(example, order=n): cli.run(spec)))
+    return cells
+
+
+def measure(padicdisc) -> list:
+    """One row per cell: the median of its ROUNDS round times, the rounds
+    running over every cell in turn."""
+    cells = _cells(padicdisc)
+    sizes = [_batch_size(call) for _, _, _, call in cells]
+    times = [[] for _ in cells]
+    for _ in range(ROUNDS):
+        for cell_times, (_, _, _, call), calls in zip(times, cells, sizes):
+            cell_times.append(_time(call, calls))
+    rows = []
+    for (op, field, n, _), cell_times in zip(cells, times):
+        ms = statistics.median(cell_times) * 1e3
+        print("%-18s %-11s N=%-4d %10.3f ms" % (op, field, n, ms), flush=True)
+        rows.append({"op": op, "field": field, "N": n, "ms": round(ms, 3)})
     return rows
 
 
 def merge(path: Path, column: str, rows) -> dict:
     doc = json.loads(path.read_text()) if path.exists() else {}
-    doc.setdefault("unit", "ms per call, median of repeats")
+    doc.setdefault("unit", "ms per call, median of three rounds, scaled to the nominal host speed")
     doc.setdefault("harness", "scripts/bench.py")
     doc.setdefault("columns", {})[column] = {
         "python": platform.python_version(), "machine": platform.machine(),

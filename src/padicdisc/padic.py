@@ -13,6 +13,8 @@ An operation that cannot certify any digit raises instead of returning noise.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from operator import add
 
@@ -123,58 +125,122 @@ def _bmul(p: int, x: tuple, y: tuple):
     return (ux * uy % _ppow(p, k - v), v, k)
 
 
-def _bconv(p: int, xs, ys, x_live, y_live):
-    """First len(xs) digits of the product of two digit series, x_live[i] and
-    y_live[j] telling whether the scalar holding xs[i] / ys[j] takes part.
+def _bconv(field, xs, ys):
+    """First N coefficients of the product of two series of N scalars over
+    ``field``, given as their coordinate tuples xs[i] and ys[j]; each output
+    coefficient is the tuple of its field.n coordinate digits.
 
-    Each digit is what summing ``_bmul`` over the live pairs i + j = k with
-    ``_badd`` gives: the exact sum of the exact products, known modulo p^K_k
-    with K_k = min(_EXACT, min over live pairs of min(v_i + k'_j, k_i + v'_j)).
+    An exact-zero scalar takes no part.  Coordinate c of the unfolded
+    product, conv_c = sum over a + b = c of x_a y_b, has at index k the exact
+    sum of the live pairs i + j = k, known modulo p^K_c with K_c the least
+    min(v_i + k'_j, k_i + v'_j) over them, as ``_bmul`` and ``_badd`` would
+    give it.  Coordinate t of the result is conv_t + sum over c >= dim of
+    q_ct conv_c, q_ct = field._pow_table[c][t] != 0, known modulo the least
+    of K_t and the K_c + v_p(q_ct), clamped to _EXACT as ``_bnorm`` clamps:
+    the digits and precisions of ``FieldDescriptor._fold`` on the coordinate
+    convolutions (an exact-zero conv_c, skipped there, has K_c >= _EXACT).
     Only the live rectangle i in [x_lo, x_hi], j in [y_lo, y_hi] can hold a
-    live pair, so K_k is taken over it alone.  The values come from one
-    big-integer product (Kronecker substitution): u * p^(v - e) is packed into
-    byte slots wide enough that no slot of the product overflows into the next.
+    live pair, so the precisions are taken over it alone.
+
+    The values come from big-integer products (Kronecker substitution): each
+    coordinate column is packed once, u * p^(v - e) at one exponent e per
+    operand, into byte slots wide enough that no slot of a conv_c or of a
+    folded sum overflows into the next.  The coordinate convolution takes
+    one product per coordinate and one per pair of coordinates, Karatsuba's
+    identity x_s y_t + x_t y_s = (x_s + x_t)(y_s + y_t) - x_s y_s - x_t y_t
+    applied to every pair (A. Weimerskirch and C. Paar, Generalizations of
+    the Karatsuba algorithm for efficient implementations, 2006): 1, 3 and 6
+    products at dim 1, 2 and 3.  A slot of (x_s + x_t)(y_s + y_t) may carry
+    into the next: the products are exact integers, so the difference has
+    the slots of x_s y_t + x_t y_s again, and only those are read.  The fold
+    multiplies by den * q_ct, den the common denominator of the table, prime
+    to p, which normalization divides out again.
     """
-    n = len(xs)
+    p, dim, n = field.p, field.n, len(xs)
+    x_live = [not all(not u and k >= _EXACT for u, _, k in c) for c in xs]
+    y_live = [not all(not u and k >= _EXACT for u, _, k in c) for c in ys]
     # the first live index of each side, n when it has none
     x_lo = x_live.index(True) if True in x_live else n
     y_lo = y_live.index(True) if True in y_live else n
     if x_lo + y_lo >= n:
-        return [_bzero(_EXACT)] * n
+        return [field.zero().coords] * n
     x_hi = min(n - 1 - x_live[::-1].index(True), n - 1 - y_lo)
     y_hi = min(n - 1 - y_live[::-1].index(True), n - 1 - x_lo)
-    # x as v_i, k_i for i = x_lo .. x_hi against y reversed as k'_j, v'_j for
-    # j = y_hi .. y_lo: the pairs i + j = k line up once xvk (s > 0) or ykv
-    # (s <= 0) drops its first |s| = 2 |k - x_lo - y_hi| entries; a scalar
-    # that takes no part is (INF, INF)
-    xvk, ykv = [], []
-    for i in range(x_lo, x_hi + 1):
-        _, v, k = xs[i]
-        xvk += (v, k) if x_live[i] else (INF, INF)
-    for j in range(y_hi, y_lo - 1, -1):
-        _, v, k = ys[j]
-        ykv += (k, v) if y_live[j] else (INF, INF)
-    # a bound at or above _EXACT (INF without live pairs) is clamped by _bnorm
+    den, bound, plans = field._conv_plan
     top = min(n - 1, x_hi + y_hi)
-    prec = [INF] * (x_lo + y_lo)
-    prec += [min(map(add, xvk[s:], ykv)) if s > 0 else min(map(add, xvk, ykv[-s:]))
-             for s in range(2 * (y_lo - y_hi), 2 * (top - x_lo - y_hi) + 1, 2)]
-    prec += [INF] * (n - 1 - top)
-    ex = min((v for u, v, _ in xs if u), default=None)
-    ey = min((v for u, v, _ in ys if u), default=None)
+    precs = []
+    for _, terms, _ in plans:
+        # each term (a, b, w) of result coordinate t puts x_a's v_i, k_i for
+        # i = x_lo .. x_hi against y_b's k'_j + w, v'_j + w for j = y_hi ..
+        # y_lo, one block of 2 len(terms) entries per scalar: the pairs
+        # i + j = k line up once xvk (s > 0) or ykv (s <= 0) drops its first
+        # |s| = B |k - x_lo - y_hi| entries; a scalar that takes no part is INF
+        xvk, ykv = [], []
+        for i in range(x_lo, x_hi + 1):
+            if x_live[i]:
+                c = xs[i]
+                for a, _, _ in terms:
+                    xvk += c[a][1:]
+            else:
+                xvk += (INF, INF) * len(terms)
+        for j in range(y_hi, y_lo - 1, -1):
+            if y_live[j]:
+                c = ys[j]
+                for _, b, w in terms:
+                    _, v, k = c[b]
+                    ykv += (k + w, v + w)
+            else:
+                ykv += (INF, INF) * len(terms)
+        step = 2 * len(terms)
+        # a bound at or above _EXACT (INF without live pairs) is clamped by _bnorm
+        prec = [INF] * (x_lo + y_lo)
+        prec += [min(map(add, xvk[s:], ykv)) if s > 0 else min(map(add, xvk, ykv[-s:]))
+                 for s in range(step * (y_lo - y_hi), step * (top - x_lo - y_hi) + 1, step)]
+        prec += [INF] * (n - 1 - top)
+        precs.append(prec)
+    ex = min((v for c in xs for u, v, _ in c if u), default=None)
+    ey = min((v for c in ys for u, v, _ in c if u), default=None)
     if ex is None or ey is None:
-        return [_bzero(k) for k in prec]
-    mx = [u * _ppow(p, v - ex) if u else 0 for u, v, _ in xs]
-    my = [u * _ppow(p, v - ey) if u else 0 for u, v, _ in ys]
-    # a product slot sums at most n terms below max(mx) * max(my)
-    width = (max(mx).bit_length() + max(my).bit_length() + n.bit_length() + 7) // 8
-    packed_x = int.from_bytes(b"".join(m.to_bytes(width, "little") for m in mx), "little")
-    packed_y = int.from_bytes(b"".join(m.to_bytes(width, "little") for m in my), "little")
-    low = (packed_x * packed_y) & ((1 << (8 * width * n)) - 1)
-    raw = low.to_bytes(width * n, "little")
+        return list(zip(*([_bzero(k) for k in prec] for prec in precs)))
+    mx = [[u * _ppow(p, v - ex) if u else 0 for u, v, _ in col] for col in zip(*xs)]
+    my = [[u * _ppow(p, v - ey) if u else 0 for u, v, _ in col] for col in zip(*ys)]
+    # every slot read is below bound * n * max(mx) * max(my) in absolute
+    # value, sign bit included
+    width = (max(max(col) for col in mx).bit_length() + max(max(col) for col in my).bit_length()
+             + (bound * n).bit_length() + 7) // 8
+    xp = [int.from_bytes(b"".join(m.to_bytes(width, "little") for m in col), "little")
+          if any(col) else 0 for col in mx]
+    yp = [int.from_bytes(b"".join(m.to_bytes(width, "little") for m in col), "little")
+          if any(col) else 0 for col in my]
+    square = [x * y for x, y in zip(xp, yp)]
+    conv = [0] * (2 * dim - 1)
+    for s in range(dim):
+        conv[2 * s] += square[s]
+        for t in range(s + 1, dim):
+            if xp[s] and xp[t] and yp[s] and yp[t]:
+                conv[s + t] += (xp[s] + xp[t]) * (yp[s] + yp[t]) - square[s] - square[t]
+            else:
+                conv[s + t] += xp[s] * yp[t] + xp[t] * yp[s]
+    mask = (1 << (8 * width * n)) - 1
+    conv = [c & mask for c in conv]
     e = ex + ey
-    return [_bnorm(p, int.from_bytes(raw[s:s + width], "little"), e, k)
-            for s, k in zip(range(0, width * n, width), prec)]
+    out = []
+    for (fold, _, signed), prec in zip(plans, precs):
+        folded = sum(q * conv[c] for c, q in fold)
+        if signed:
+            # slots s with |s| < 2^(8 width - 1): biased by 2^(8 width - 1)
+            # they carry nothing, and the xor leaves each in two's complement
+            bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
+            folded = (folded + bias) ^ bias
+        raw = folded.to_bytes(width * n, "little")
+        ms = [int.from_bytes(raw[s:s + width], "little", signed=signed)
+              for s in range(0, width * n, width)]
+        if den != 1:
+            # divide den out modulo p^(K - e), K the clamped precision
+            ms = [m * pow(den, -1, _ppow(p, K - e)) if m and K > e else m
+                  for m, K in zip(ms, (min(k, _EXACT) for k in prec))]
+        out.append([_bnorm(p, m, e, k) for m, k in zip(ms, prec)])
+    return list(zip(*out))
 
 
 def _binv(p: int, x: tuple):
@@ -428,6 +494,34 @@ class FieldDescriptor:
             table[k] = list(nxt)
             cur = nxt
         return table
+
+    @functools.cached_property
+    def _conv_plan(self):
+        """What ``_bconv`` folds with, built at a field's first series
+        product: (den, bound, plans), plans[t] =
+        (fold, terms, signed) for result coordinate t.  fold lists (c, den *
+        q_ct) for c = t (q = 1) and every c >= n with q_ct != 0; terms lists
+        (a, b, v_p(q_ct)) for each pair a + b = c of those c; signed tells
+        whether a fold entry is negative.  Every slot _bconv reads, of a
+        conv_c or of a folded sum, is below bound * N * max(x) * max(y) in
+        absolute value: conv_c sums min(c, 2n - 2 - c) + 1 pairs, and a
+        signed slot needs one more bit."""
+        n = self.n
+        table = {t: [Fraction(1) if i == t else Fraction(0) for i in range(n)]
+                 for t in range(n)}
+        table.update(self._pow_table)
+        den = math.lcm(*(q.denominator for row in table.values() for q in row))
+        bound = 1
+        plans = []
+        for t in range(n):
+            fold = [(c, int(row[t] * den)) for c, row in sorted(table.items()) if row[t]]
+            terms = [(a, c - a, _vp_int(q, self.p) if c >= n else 0)
+                     for c, q in fold for a in range(max(0, c - n + 1), min(c, n - 1) + 1)]
+            signed = any(q < 0 for _, q in fold)
+            bound = max(bound, (1 + signed) * sum(abs(q) * (min(c, 2 * n - 2 - c) + 1)
+                                                  for c, q in fold))
+            plans.append((fold, terms, signed))
+        return den, bound, plans
 
     # -- constructors ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ from .errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from .padic import PadicScalar, _badd, _bconv, poly_eval, poly_derivative
+from .padic import PadicScalar, _bconv, poly_eval, poly_derivative
 
 
 class TruncatedSeries:
@@ -122,25 +122,8 @@ class TruncatedSeries:
         self._check_compatible(other)
         n = min(self.order, other.order)
         field = self.field
-        p, dim = field.p, field.n
-        # an exact-zero scalar takes no part; a live one takes part with
-        # every coordinate, as in the scalar product field._mul
-        x_live = [not c.is_exact_zero() for c in self.coeffs[:n]]
-        y_live = [not c.is_exact_zero() for c in other.coeffs[:n]]
-        # x_coords[a][i]: coordinate a of coefficient i
-        x_coords = list(zip(*(c.coords for c in self.coeffs[:n])))
-        y_coords = list(zip(*(c.coords for c in other.coeffs[:n])))
-        # coordinate series of the product before folding by the defining
-        # polynomial: conv[c] = sum over a + b = c of x_a * y_b
-        conv = [None] * (2 * dim - 1)
-        for a in range(dim):
-            for b in range(dim):
-                prod = _bconv(p, x_coords[a], y_coords[b], x_live, y_live)
-                acc = conv[a + b]
-                conv[a + b] = prod if acc is None else [_badd(p, s, t)
-                                                        for s, t in zip(acc, prod)]
-        return self._wrap([PadicScalar(field, field._fold(digits))
-                           for digits in zip(*conv)])
+        return self._wrap([PadicScalar(field, coords) for coords in _bconv(
+            field, [c.coords for c in self.coeffs[:n]], [c.coords for c in other.coeffs[:n]])])
 
     __rmul__ = __mul__
 

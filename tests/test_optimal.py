@@ -529,6 +529,16 @@ def _cancelling_basis(q2, n=16):
                     estimate=element_radius(e), provenance={}) for e in (a, b, a)))
 
 
+def _lone_column_basis(q2, n=16):
+    """Two one-column classes: exp, of exponent 1, predicted at 0 so that
+    every trial fails, and 2^-j predicted at its exponent 1."""
+    entries = (series(q2, exp_rationals(n), order=n),
+               series(q2, [Fraction(1, 2 ** j) for j in range(n)], order=n))
+    return OptimalBasis(columns=tuple(
+        BasisColumn(entries=(e,), predicted_exponent=Fraction(q), estimate=element_radius((e,)),
+                    provenance={}) for e, q in zip(entries, (0, 1))))
+
+
 def test_optimality_check_matches_full_combination(q2, p2, p3):
     cases = []
     for name in ("p2-trivial", "p2-exp", "p3-trivial"):
@@ -541,9 +551,12 @@ def test_optimality_check_matches_full_combination(q2, p2, p3):
     cases.append((exp_cube, 0))
     for seed in CANCELLING_SEEDS:
         cases.append((_cancelling_basis(q2), seed))
+    cases.append((_lone_column_basis(q2), 5))
     for basis, seed in cases:
         assert optimality_check(basis, seed) == full_optimality_check(basis, seed)
     assert any(c["failures"] for c in full_optimality_check(exp_cube, 0)["classes"])
+    failing, passing = full_optimality_check(_lone_column_basis(q2), 5)["classes"]
+    assert len(failing["failures"]) == OPTIMALITY_TRIALS and not passing["failures"]
     # the cancelling basis: trials whose window cancels but whose whole
     # combination does not fail at exponent 0; wholly zero ones are skipped
     for seed in CANCELLING_SEEDS:

@@ -1,6 +1,7 @@
 """Truncated series: ring ops, composition, reversion, shifts, polygons, radii."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from padicdisc.errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from padicdisc.padic import _EXACT, poly_eval
+from padicdisc.padic import _EXACT, _badd, _bnorm, _bzero, poly_eval
 from padicdisc.series import (
     compose,
     derivative,
@@ -169,6 +170,140 @@ def test_mul_exact_cancellation_is_exact_zero(q2):
     assert prod.coeffs[1].coords == ((0, _EXACT, _EXACT),)
     assert prod.coeffs[2].coords == (-one).coords
     assert [c.coords for c in prod.coeffs] == schoolbook_mul(f, g)
+
+
+def reference_pair_conv(p, xs, ys, x_live, y_live):
+    """The series product's former per-coordinate-pair kernel: first len(xs)
+    digits of the product of two digit series, by one Kronecker product."""
+    n = len(xs)
+    x_lo = x_live.index(True) if True in x_live else n
+    y_lo = y_live.index(True) if True in y_live else n
+    if x_lo + y_lo >= n:
+        return [(0, _EXACT, _EXACT)] * n
+    x_hi = min(n - 1 - x_live[::-1].index(True), n - 1 - y_lo)
+    y_hi = min(n - 1 - y_live[::-1].index(True), n - 1 - x_lo)
+    xvk, ykv = [], []
+    for i in range(x_lo, x_hi + 1):
+        _, v, k = xs[i]
+        xvk += (v, k) if x_live[i] else (math.inf, math.inf)
+    for j in range(y_hi, y_lo - 1, -1):
+        _, v, k = ys[j]
+        ykv += (k, v) if y_live[j] else (math.inf, math.inf)
+    top = min(n - 1, x_hi + y_hi)
+    prec = [math.inf] * (x_lo + y_lo)
+    prec += [min(map(operator.add, xvk[s:], ykv)) if s > 0
+             else min(map(operator.add, xvk, ykv[-s:]))
+             for s in range(2 * (y_lo - y_hi), 2 * (top - x_lo - y_hi) + 1, 2)]
+    prec += [math.inf] * (n - 1 - top)
+    ex = min((v for u, v, _ in xs if u), default=None)
+    ey = min((v for u, v, _ in ys if u), default=None)
+    if ex is None or ey is None:
+        return [_bzero(k) for k in prec]
+    mx = [u * p ** (v - ex) if u else 0 for u, v, _ in xs]
+    my = [u * p ** (v - ey) if u else 0 for u, v, _ in ys]
+    width = (max(mx).bit_length() + max(my).bit_length() + n.bit_length() + 7) // 8
+    packed_x = int.from_bytes(b"".join(m.to_bytes(width, "little") for m in mx), "little")
+    packed_y = int.from_bytes(b"".join(m.to_bytes(width, "little") for m in my), "little")
+    raw = ((packed_x * packed_y) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    return [_bnorm(p, int.from_bytes(raw[s:s + width], "little"), ex + ey, k)
+            for s, k in zip(range(0, width * n, width), prec)]
+
+
+def reference_pair_mul(f, g):
+    """The series product's former path: one pair kernel per coordinate pair
+    (a, b), the pairs of a + b = c merged by _badd, each coefficient folded
+    by field._fold."""
+    n = min(f.order, g.order)
+    fld = f.field
+    x_live = [not c.is_exact_zero() for c in f.coeffs[:n]]
+    y_live = [not c.is_exact_zero() for c in g.coeffs[:n]]
+    x_coords = list(zip(*(c.coords for c in f.coeffs[:n])))
+    y_coords = list(zip(*(c.coords for c in g.coeffs[:n])))
+    conv = [None] * (2 * fld.n - 1)
+    for a in range(fld.n):
+        for b in range(fld.n):
+            prod = reference_pair_conv(fld.p, x_coords[a], y_coords[b], x_live, y_live)
+            acc = conv[a + b]
+            conv[a + b] = prod if acc is None else [_badd(fld.p, s, t)
+                                                    for s, t in zip(acc, prod)]
+    return [fld._fold(digits) for digits in zip(*conv)]
+
+
+KERNEL_FIELDS = {
+    "Q2": FieldDescriptor(2, digits=20),
+    "Q3": FieldDescriptor(3, digits=12),
+    "Q5": FieldDescriptor(5, digits=10),
+    "Q7": FieldDescriptor(7, digits=8),
+    "Q2(sqrt-2)": FieldDescriptor(2, digits=16, poly=[2, 0, 1], e=2, f=1),
+    "Q3(sqrt-3)": FieldDescriptor(3, digits=12, poly=[3, 0, 1], e=2, f=1),
+    "Q4": FieldDescriptor(2, digits=16, poly=[1, 1, 1], e=1, f=2),
+    "Q25": FieldDescriptor(5, digits=10, poly=[-2, 0, 1], e=1, f=2),
+    "Q2[x]/(x^3+2x+2)": FieldDescriptor(2, digits=16, poly=[2, 2, 0, 1], e=3, f=1),
+    # x^2 + x/2 + 2 reduces to x^2 + 2x + 2, irreducible over F_3; X^2 folds
+    # by the entry -1/2, a 3-adic unit with a denominator
+    "Q9 by x^2+x/2+2": FieldDescriptor(3, digits=12, poly=[2, Fraction(1, 2), 1], e=1, f=2),
+    "Q3(sqrt-3) 1024 digits": FieldDescriptor(3, digits=1024, poly=[3, 0, 1], e=2, f=1),
+}
+# a coefficient: kind (0 exact zero, 1 value, 2 value capped at a finite
+# precision, which for a value of higher valuation is a zero at that
+# precision), then per coordinate num / den times p^shift, the shifts wide
+# apart so that the coordinates' valuations differ widely, and the cap
+_kernel_coefficient = st.tuples(
+    st.sampled_from([0, 1, 1, 2]),
+    st.lists(st.tuples(st.one_of(st.just(0), st.integers(-40, 40)),
+                       st.sampled_from([1, 2, 3, 4, 5, 7, 9, 25]),
+                       st.sampled_from([-3, -1, 0, 0, 1, 4, 30])),
+             min_size=3, max_size=3),
+    st.integers(-3, 12))
+
+
+def kernel_series(fld, draws, lead, trail, dead):
+    """Series of the draws between exact-zero runs; coordinates in ``dead``
+    are zero in every coefficient."""
+    coeffs = [fld.zero()] * lead
+    for kind, coords, cap in draws:
+        if kind == 0:
+            coeffs.append(fld.zero())
+            continue
+        c = fld.from_coords([0 if a in dead else Fraction(num, den) * Fraction(fld.p) ** shift
+                             for a, (num, den, shift) in enumerate(coords[:fld.n])])
+        coeffs.append(c.with_precision(cap) if kind == 2 else c)
+    return TruncatedSeries(fld, "t", fld.zero(), coeffs + [fld.zero()] * trail)
+
+
+_WIDE = (1, [(1, 1, 0), (7, 1, 30), (-1, 9, -3)], 0)
+# every coordinate 2^19 - 1, a 12-digit 3-adic unit just below 2^19: with x's
+# first coordinate zero, coordinate 0 of the product at Q3(sqrt-3) is
+# -3 conv_2, 200 pairs of such units at its top slot, close to the slot's
+# bound with its sign bit
+_TOP = (1, [(2 ** 19 - 1, 1, 0)] * 3, 0)
+
+
+@given(name=st.sampled_from(sorted(KERNEL_FIELDS)),
+       xs=st.lists(_kernel_coefficient, min_size=1, max_size=8),
+       ys=st.lists(_kernel_coefficient, min_size=1, max_size=8),
+       runs=st.tuples(_zero_run, _zero_run, _zero_run, _zero_run),
+       dead=st.tuples(st.sets(st.integers(0, 2), max_size=2), st.sets(st.integers(0, 2))))
+@example(name="Q3(sqrt-3)", xs=[_WIDE] * 3, ys=[_WIDE] * 4, runs=(0, 2, 1, 0),
+         dead=(set(), set()))
+@example(name="Q2[x]/(x^3+2x+2)", xs=[_WIDE] * 3, ys=[_WIDE] * 2, runs=(4, 0, 3, 0),
+         dead=({1}, set()))
+@example(name="Q9 by x^2+x/2+2", xs=[_WIDE] * 3, ys=[_WIDE] * 3, runs=(0, 0, 0, 0),
+         dead=({0}, set()))
+@example(name="Q4", xs=[_WIDE] * 2, ys=[_WIDE] * 3, runs=(5, 0, 4, 0),
+         dead=(set(), set()))
+@example(name="Q3(sqrt-3)", xs=[_TOP] * 200, ys=[_TOP] * 200, runs=(0, 0, 0, 0),
+         dead=({0}, set()))
+@settings(max_examples=300, deadline=None)
+def test_mul_kernel_matches_pair_path(name, xs, ys, runs, dead):
+    """The one-kernel series product against the per-pair path it replaced,
+    digit triple by digit triple."""
+    fld = KERNEL_FIELDS[name]
+    x_lead, x_trail, y_lead, y_trail = runs
+    f = kernel_series(fld, xs, x_lead, x_trail, dead[0])
+    g = kernel_series(fld, ys, y_lead, y_trail, dead[1])
+    assert [c.coords for c in (f * g).coeffs] == reference_pair_mul(f, g)
+    assert [c.coords for c in (g * f).coeffs] == reference_pair_mul(g, f)
 
 
 def test_mismatch_errors(q2):
