@@ -4,11 +4,16 @@
 Times series ``__mul__``, ``mult_inverse``, ``reversion``, ``compose``,
 ``mat_inverse`` (3 x 3) and ``taylor_shift`` at N = 32, 64, 128 over Q_2 and
 the Eisenstein field Q_3(sqrt-3), both with 64 digits, on fixed seeded
-inputs.  ``taylor_shift`` runs on two inputs: a degree-8 polynomial padded
-with exact zeros to order N (``taylor_shift_poly8``) and a dense order-N
-series (``taylor_shift_dense``), both shifted to p.  ``radius_estimate``
-estimates the dense order-N series, and ``compose_poly8`` composes the
-degree-8 polynomial along the series of the ``compose`` row.  The rows
+inputs.  Past the first coefficient, every coordinate of every coefficient
+is a seeded rational, so over Q_3(sqrt-3) both coordinate columns are dense,
+as in the examples.  The Q_3(sqrt-3) rows of ``BENCH_14.json`` and earlier
+drew coordinate 0 alone, so they are not comparable with these; the Q_2
+inputs are the same.  ``taylor_shift`` runs on two inputs: a degree-8
+polynomial padded with exact zeros to order N (``taylor_shift_poly8``) and a
+dense order-N series (``taylor_shift_dense``), both shifted to p.
+``radius_estimate`` estimates the dense order-N series, and
+``compose_poly8`` composes the degree-8 polynomial along the series of the
+``compose`` row.  The rows
 ``optimality:<example>`` time one ``optimality_check`` on the optimal basis of
 each canned example at N = 32, built untimed.  End to end, the rows
 ``run:<example>`` time ``cli.run(cli.example_spec(example, order=N))`` for
@@ -18,7 +23,9 @@ digit helper on fixed seeded unit digits (p = 2 for Q_2, p = 3 for
 Q_3(sqrt-3)); their N is the digit count, 64 or 1024.  The rows
 ``fiber:<field>`` time ``fiber()`` over b = 0 of a planted degree-8
 polynomial (order N = 32, 64 digits) over each field of the benchmark's
-``fibers`` workload, roots planted by ``perfbench/workloads.py``.  The rows
+``fibers`` workload, roots planted by ``perfbench/workloads.py``; the rows
+``tree:<field>`` time ``tree_over_point`` on the fiber that ``fiber()`` returns
+there, built untimed.  The rows
 ``hensel:<field>`` time one ``hensel_lift`` from the seed 1 of a degree-8
 polynomial with a simple unit root 1 + a_0 and roots a_1, ..., a_7, the a_i
 planted as for ``fiber:<field>``, so g'(1) is a unit (N is the digit count,
@@ -96,7 +103,8 @@ def _inputs(padicdisc, fld, n, seed):
 
     def series(first, start=0):
         coeffs = [fld.zero()] * start + [fld.from_rational(first)]
-        coeffs += [fld.from_rational(Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7))))
+        coeffs += [fld.from_coords([Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7)))
+                                    for _ in range(fld.n)])
                    for _ in range(n - start - 1)]
         return padicdisc.TruncatedSeries(fld, "t", fld.zero(), coeffs)
 
@@ -152,20 +160,33 @@ def _digit_calls(padic, p, digits, seed):
             "bnorm": lambda: [padic._bnorm(p, m, e, k) for m, e, k in norms]}
 
 
-def _fiber_calls(padicdisc) -> dict:
-    """fiber() over b = 0 of a planted degree-8 polynomial, per benchmark field."""
+def _planted_morphisms(padicdisc) -> dict:
+    """A planted degree-8 polynomial morphism per benchmark field."""
     import workloads
     from fields import FIELDS
     jsonio = padicdisc.jsonio
-    calls = {}
+    phis = {}
     for name, field in sorted(FIELDS.items()):
         roots = workloads.plant_roots(random.Random(FIBER_DEGREE), field, FIBER_DEGREE)
         fld = jsonio.field_from_json(field.spec(64))
         coeffs = [field.coeff_json(c) for c in field.poly_from_roots(roots)]
-        phi = padicdisc.DiscMorphism(f=jsonio.series_from_json(coeffs, fld, order=FIBER_ORDER),
-                                     degree=FIBER_DEGREE)
-        calls[name] = lambda phi=phi, b=fld.zero(): padicdisc.fiber(phi, b)
-    return calls
+        phis[name] = padicdisc.DiscMorphism(
+            f=jsonio.series_from_json(coeffs, fld, order=FIBER_ORDER), degree=FIBER_DEGREE)
+    return phis
+
+
+def _fiber_calls(padicdisc) -> dict:
+    """fiber() over b = 0 of the planted morphism, per benchmark field."""
+    return {name: lambda phi=phi: padicdisc.fiber(phi, phi.f.field.zero())
+            for name, phi in _planted_morphisms(padicdisc).items()}
+
+
+def _tree_calls(padicdisc) -> dict:
+    """tree_over_point() on the fiber over b = 0 of the planted morphism, per
+    benchmark field; the fiber is built untimed."""
+    return {name: lambda phi=phi, fib=padicdisc.fiber(phi, phi.f.field.zero()):
+            padicdisc.tree_over_point(phi, fib)
+            for name, phi in _planted_morphisms(padicdisc).items()}
 
 
 def _hensel_calls(padicdisc) -> dict:
@@ -232,6 +253,8 @@ def _cells(padicdisc) -> list:
             cells += [(op, name, digits, call) for op, call in calls.items()]
     for name, call in _fiber_calls(padicdisc).items():
         cells.append(("fiber:" + name, name, FIBER_ORDER, call))
+    for name, call in _tree_calls(padicdisc).items():
+        cells.append(("tree:" + name, name, FIBER_ORDER, call))
     for name, call in _hensel_calls(padicdisc).items():
         cells.append(("hensel:" + name, name, 64, call))
     for name, fld in _fields(padicdisc).items():

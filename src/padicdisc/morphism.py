@@ -22,7 +22,7 @@ from .errors import (
     RootsNotInDeclaredField,
     SingularFiberPoint,
 )
-from .padic import (INF, FieldDescriptor, PadicScalar, _fp_eval, hensel_lift,
+from .padic import (INF, FieldDescriptor, PadicScalar, _fp_eval, _int_valuation, hensel_lift,
                     poly_derivative, poly_eval)
 from .series import (
     TruncatedSeries,
@@ -212,12 +212,8 @@ def _residue_roots(g, dg, fld: FieldDescriptor):
         yield r, not dv.is_zero() and dv.valuation() == 0
 
 
-def _scaled_uniformizer(fld: FieldDescriptor, ell: Fraction) -> PadicScalar:
-    """An element of valuation ell, or None when ell is not in the value group."""
-    times_e = ell * fld.e
-    if times_e.denominator != 1:
-        return None
-    k = times_e.numerator
+def _uniformizer_power(fld: FieldDescriptor, k: int) -> PadicScalar:
+    """pi^k in an Eisenstein field, p^k otherwise: an element of valuation k / e."""
     if fld.kind == "eisenstein":
         return fld.uniformizer() ** k
     return fld.from_rational(Fraction(fld.p) ** k)
@@ -228,7 +224,9 @@ def _poly_roots(coeffs, fld: FieldDescriptor, depth: int = 0):
 
     Newton-polygon slopes give the root valuations; each slope is rescaled to
     a unit problem, residue roots are enumerated and Hensel-lifted, and
-    residue clusters recurse on the recentered polynomial.
+    residue clusters recurse on the recentered polynomial.  The polygon is
+    built on the integers e * valuation, and the rescaling runs on
+    coordinate tuples.
     """
     if depth > 64:
         raise RootsNotInDeclaredField("root cluster did not separate")
@@ -248,31 +246,30 @@ def _poly_roots(coeffs, fld: FieldDescriptor, depth: int = 0):
         roots.append(fld.zero())
     if len(coeffs) <= 1:
         return roots
-    pts = [(i, c.valuation()) for i, c in enumerate(coeffs) if not c.is_zero()]
+    pts = [(i, y) for i, y in enumerate(map(_int_valuation, coeffs)) if y != INF]
     hull = lower_hull(pts)
+    mul = fld._mul
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        lam = Fraction(y1 - y2, x2 - x1)      # root valuation on this edge
-        if lam <= 0:
+        if y1 <= y2:
             # roots on or outside the boundary: not fiber points of the open disc
             continue
-        sigma = _scaled_uniformizer(fld, lam)
-        if sigma is None:
-            raise RootsNotInDeclaredField(
-                "root valuation %s not in the value group" % lam)
+        k, rest = divmod(y1 - y2, x2 - x1)    # e * the root valuation on this edge
+        if rest:
+            raise RootsNotInDeclaredField("root valuation %s not in the value group"
+                                          % Fraction(y1 - y2, (x2 - x1) * fld.e))
+        sigma = _uniformizer_power(fld, k)
         scaled = []
-        power = fld.one()
+        power = fld.one().coords
         for c in coeffs:
-            scaled.append(c * power)
-            power = power * sigma
-        floor = min(c.valuation() for c in scaled if not c.is_zero())
-        norm = _scaled_uniformizer(fld, floor)
-        if norm is None:
-            raise RootsNotInDeclaredField("normalization valuation not in value group")
-        inv_norm = PadicScalar(fld, fld._inv(norm.coords))
-        unit_poly = [c * inv_norm for c in scaled]
-        for r, simple in _residue_roots(unit_poly, poly_derivative(unit_poly), fld):
+            scaled.append(PadicScalar(fld, mul(c.coords, power)))
+            power = mul(power, sigma.coords)
+        norm = _uniformizer_power(fld, min(_int_valuation(c) for c in scaled))
+        inv_norm = fld._inv(norm.coords)
+        unit_poly = [PadicScalar(fld, mul(c.coords, inv_norm)) for c in scaled]
+        d_unit_poly = poly_derivative(unit_poly)
+        for r, simple in _residue_roots(unit_poly, d_unit_poly, fld):
             if simple:
-                roots.append(sigma * hensel_lift(unit_poly, r))
+                roots.append(sigma * hensel_lift(unit_poly, r, d_unit_poly))
             else:
                 shifted = recenter(TruncatedSeries(fld, "t", fld.zero(), unit_poly), r)
                 for sub in _poly_roots(shifted.coeffs, fld, depth + 1):

@@ -789,40 +789,78 @@ class PadicScalar:
 # ----------------------------------------------------------------------------
 
 def poly_eval(coeffs, x: PadicScalar) -> PadicScalar:
-    """sum_k c_k x^k by Horner.  Trailing exact-zero coefficients are dropped
-    first, so a polynomial padded with exact zeros costs its degree.  When
-    every coordinate of x has valuation and precision >= 0, as for each
-    caller's x in the closed unit disc, the digits are those of the full
-    loop: there an exact zero times x is the exact zero."""
+    """sum_k c_k x^k by Horner on coordinate tuples.  Trailing exact-zero
+    coefficients are dropped first, so a polynomial padded with exact zeros
+    costs its degree.  When every coordinate of x has valuation and
+    precision >= 0, as for each caller's x in the closed unit disc, the
+    digits are those of the full loop: there an exact zero times x is the
+    exact zero."""
+    fld = x.field
     coeffs = list(coeffs)
+    _check_fields(fld, coeffs)
     while coeffs and coeffs[-1].is_exact_zero():
         coeffs.pop()
-    acc = x.field.zero()
+    mul, add, xc = fld._mul, fld._add, x.coords
+    acc = fld.zero().coords
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = add(mul(acc, xc), c.coords)
+    return PadicScalar(fld, acc)
+
+
+def _check_fields(fld: FieldDescriptor, scalars):
+    """Raise ValueError unless every scalar lies in fld, as arithmetic would."""
+    for c in scalars:
+        if c.field is not fld and c.field != fld:
+            raise ValueError("field mismatch")
+
+
+def _int_valuation(c: PadicScalar):
+    """e * c.valuation() as an int: the least e v + i over the nonzero
+    coordinates, i the coordinate index in an Eisenstein field and 0
+    otherwise (where e = 1); INF when c is zero at precision."""
+    if c.field.kind == "eisenstein":
+        e = c.field.e
+        ys = [e * v + i for i, (u, v, _) in enumerate(c.coords) if u]
+    else:
+        ys = [v for u, v, _ in c.coords if u]
+    return min(ys) if ys else INF
 
 
 def poly_derivative(coeffs):
-    return [c * j for j, c in enumerate(coeffs)][1:]
+    return [c * j for j, c in enumerate(coeffs[1:], 1)]
 
 
 def _newton_mod(g, dg, x: PadicScalar, y: PadicScalar):
     """A root of g modulo p^K, K = digits + 2, as int coordinates in
     O/p^K = (Z/p^K)[X]/(poly): Newton's iteration from x, with y ~ 1/g'(x)
     refined by its own step y <- y (2 - g'(x) y).  None when g(x) = 0 mod p^K
-    takes more than ceil(log2 K) + 2 steps.  All coordinates are integral."""
+    takes more than ceil(log2 K) + 2 steps.  All coordinates are integral.
+    Over Q_p the iteration runs on plain ints modulo p^K."""
     fld = x.field
     p, K = fld.p, fld.digits + 2
     mod = _ppow(p, K)
-    ring = (0, 1) if fld.poly is None else tuple(
-        c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.poly)
+    steps = (K - 1).bit_length() + 2
 
     def ints(s):
         return [u * _ppow(p, v) % mod if u else 0 for u, v, _ in s.coords]
 
     g, dg, x, y = [ints(c) for c in g], [ints(c) for c in dg], ints(x), ints(y)
-    for _ in range((K - 1).bit_length() + 2):
+    if fld.n == 1:
+        g, dg, x, y = [c[0] for c in g], [c[0] for c in dg], x[0], y[0]
+        for _ in range(steps):
+            gx = 0
+            for c in reversed(g):
+                gx = (gx * x + c) % mod
+            if not gx:
+                return [x]
+            x = (x - gx * y) % mod
+            dy = 0
+            for c in reversed(dg):
+                dy = (dy * x + c) % mod
+            y = y * ((2 - dy * y) % mod) % mod
+        return None
+    ring = tuple(c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.poly)
+    for _ in range(steps):
         gx = _fp_eval(g, x, ring, mod)
         if not any(gx):
             return x
@@ -832,7 +870,7 @@ def _newton_mod(g, dg, x: PadicScalar, y: PadicScalar):
     return None
 
 
-def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
+def hensel_lift(g, x0: PadicScalar, dg=None) -> PadicScalar:
     """Newton-lift a simple root of g from the seed x0.
 
     The hypothesis v(g(x0)) > 2 v(g'(x0)) is checked up front.  The tracked
@@ -842,9 +880,11 @@ def hensel_lift(g, x0: PadicScalar) -> PadicScalar:
     g(x0) is nonzero at precision, the loop's first step x1 fixes each
     coordinate's precision; unless g(x1) vanishes, ``_newton_mod`` finds the
     root untracked, and the loop goes on from it, promoted to x1's precisions.
+    A caller that already holds g' passes it as dg.
     """
     g = list(g)
-    dg = poly_derivative(g)
+    if dg is None:
+        dg = poly_derivative(g)
     r = poly_eval(g, x0)
     d = poly_eval(dg, x0)
     v_r, v_d = r.valuation(), d.valuation()

@@ -23,7 +23,8 @@ from .errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from .padic import PadicScalar, _bconv, poly_eval, poly_derivative
+from .padic import (INF, PadicScalar, _bconv, _check_fields, _int_valuation, poly_derivative,
+                    poly_eval)
 
 
 class TruncatedSeries:
@@ -232,6 +233,7 @@ def recenter(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
     a - center known to valuation and precision >= 0, an exact zero times it
     is again the exact zero, and adding the exact zero leaves a digit as it
     is.  A zero at finite precision is kept, as it caps what it touches.
+    The loop runs on coordinate tuples and wraps only the result.
     """
     delta = a - f.center
     if not delta.is_zero() and delta.valuation() < 0:
@@ -240,18 +242,21 @@ def recenter(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
         raise ShiftOutsideDisc("shift target is known only to precision %s"
                                % delta.precision())
     field = f.field
+    _check_fields(field, f.coeffs + (delta,))
     top = f.order
     while top and f.coeffs[top - 1].is_exact_zero():
         top -= 1
     # Horner in (delta + x); the accumulator gains one entry per step
+    mul, add, d, zero = field._mul, field._add, delta.coords, field.zero()
     acc = []
     for c in reversed(f.coeffs[:top]):
-        nxt = [x * delta for x in acc] + [field.zero()]
+        nxt = [mul(x, d) for x in acc] + [zero.coords]
         for i in range(len(acc), 0, -1):
-            nxt[i] = nxt[i] + acc[i - 1]
-        nxt[0] = nxt[0] + c
+            nxt[i] = add(nxt[i], acc[i - 1])
+        nxt[0] = add(nxt[0], c.coords)
         acc = nxt
-    return TruncatedSeries(field, f.var, a, acc + [field.zero()] * (f.order - top))
+    return TruncatedSeries(field, f.var, a,
+                           [PadicScalar(field, x) for x in acc] + [zero] * (f.order - top))
 
 
 def taylor_shift(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
@@ -308,10 +313,13 @@ class ValuationPolygon:
 
 
 def valuation_polygon(f: TruncatedSeries) -> ValuationPolygon:
-    points = [(i, c.valuation()) for i, c in enumerate(f.coeffs) if not c.is_zero()]
+    """The hull is built on the integers e * valuation(c_i); only its
+    vertices become Fractions."""
+    points = [(i, y) for i, y in enumerate(map(_int_valuation, f.coeffs)) if y != INF]
     if not points:
         raise ZeroSeries("series vanishes at precision")
-    return ValuationPolygon(tuple(lower_hull(points)))
+    e = f.field.e
+    return ValuationPolygon(tuple((i, Fraction(y, e)) for i, y in lower_hull(points)))
 
 
 # ----------------------------------------------------------------------------
@@ -356,22 +364,16 @@ def radius_estimate(f: TruncatedSeries) -> RadiusEstimate:
     boundary uptick after the supporting line is tolerated).  Degenerate
     windows report the maximal radius exponent 0, flagged unstable.
 
-    Both hulls are built on the integers (p - 1) e v_j, where e v_j is the
-    least e v + i over the nonzero coordinates (i the coordinate index in an
-    Eisenstein field, else 0); v_p(j!) = (j - s_p(j)) / (p - 1) adds
-    e (j - s_p(j)), and the gauge's shift 1 / (p - 1) is e.  Only the winning
-    slope becomes a Fraction.
+    Both hulls are built on the integers (p - 1) e v_j (``_int_valuation``
+    gives e v_j); v_p(j!) = (j - s_p(j)) / (p - 1) adds e (j - s_p(j)), and
+    the gauge's shift 1 / (p - 1) is e.  Only the winning slope becomes a
+    Fraction.
     """
     n = f.order
     lo = n // 2
-    fld = f.field
-    p, e = fld.p, fld.e
-    weights = range(fld.n) if fld.kind == "eisenstein" else (0,) * fld.n
-    pts = []
-    for j in range(lo, n):
-        ys = [e * v + i for (u, v, _), i in zip(f.coeffs[j].coords, weights) if u]
-        if ys:
-            pts.append((j, (p - 1) * min(ys)))
+    p, e = f.field.p, f.field.e
+    pts = [(j, (p - 1) * y) for j, y in enumerate(map(_int_valuation, f.coeffs[lo:]), lo)
+           if y != INF]
     if len(pts) < 2:
         return RadiusEstimate(Fraction(0), False)
     scale = (p - 1) * e

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicdisc import (
     FieldDescriptor,
@@ -19,8 +19,9 @@ from padicdisc.errors import (
     PadicDiscError,
     UnsupportedRoot,
 )
-from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bmul, _bnorm, _is_prime,
-                             poly_derivative, poly_eval)
+from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bmul, _bnorm, _fp_eval,
+                             _fp_polymulmod, _is_prime, _newton_mod, poly_derivative,
+                             poly_eval)
 
 
 def vp_fraction(q, p):
@@ -220,6 +221,53 @@ def test_hensel_lift_matches_tracked_loop(data):
     r, d = poly_eval(g, x0), poly_eval(poly_derivative(g), x0)
     assume(not r.is_zero() and not d.is_zero() and r.valuation() > 2 * d.valuation())
     assert lift_outcome(hensel_lift, g, x0) == lift_outcome(tracked_lift, g, x0)
+
+
+def list_newton_mod(g, dg, x, y):
+    """Reference for _newton_mod over Q_p: the generic iteration on coordinate
+    lists in (Z/p^K)[X]/(X), which Q_p ran before its int path."""
+    fld = x.field
+    p, K = fld.p, fld.digits + 2
+    mod, ring = p ** K, (0, 1)
+
+    def ints(s):
+        return [u * p ** v % mod if u else 0 for u, v, _ in s.coords]
+
+    g, dg, x, y = [ints(c) for c in g], [ints(c) for c in dg], ints(x), ints(y)
+    for _ in range((K - 1).bit_length() + 2):
+        gx = _fp_eval(g, x, ring, mod)
+        if not any(gx):
+            return x
+        x = [(a - b) % mod for a, b in zip(x, _fp_polymulmod(gx, y, ring, mod))]
+        dy = _fp_polymulmod(_fp_eval(dg, x, ring, mod), y, ring, mod)
+        y = _fp_polymulmod(y, [(2 - dy[0]) % mod] + [-c % mod for c in dy[1:]], ring, mod)
+    return None
+
+
+@given(p=st.sampled_from([2, 3, 5, 7]), digits=st.sampled_from([1, 4, 8, 64]),
+       seed=st.integers(0, 10 ** 6), others=st.lists(st.integers(0, 7 ** 6), max_size=7),
+       planted=st.booleans(), inverse_digits=st.integers(0, 3))
+@example(p=2, digits=8, seed=3, others=[2, 4], planted=True, inverse_digits=1)
+@example(p=5, digits=8, seed=3, others=[2, 4], planted=False, inverse_digits=0)
+@settings(max_examples=200, deadline=None)
+def test_newton_mod_int_path_matches_list_path(p, digits, seed, others, planted,
+                                               inverse_digits):
+    # g has the roots seed and others; a planted seed is a simple root modulo
+    # p, the others lying in other residue classes.  y is 1/g'(x) modulo
+    # p^inverse_digits, or 1 for inverse_digits = 0: a seed that is no root
+    # or a poor y make the iteration miss its step bound and give None.
+    fld = FieldDescriptor(p, digits=digits)
+    if planted:
+        others = [a for a in others if (a - seed) % p]
+    g = [fld.one()]
+    for a in [seed] + others:
+        g = [hi - fld.from_rational(a) * lo for hi, lo in zip([fld.zero()] + g, g + [fld.zero()])]
+    dg = poly_derivative(g)
+    x = fld.from_rational(seed if planted else seed + 1)
+    u, v, _ = poly_eval(dg, x).coords[0]
+    y = fld.one() if inverse_digits == 0 or not u or v else \
+        fld.from_rational(pow(u, -1, p ** inverse_digits))
+    assert _newton_mod(g, dg, x, y) == list_newton_mod(g, dg, x, y)
 
 
 def test_hensel_root_claims_only_what_g_supports_after_a_step():

@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicdisc import FieldDescriptor, PadicScalar, TruncatedSeries, newton_solve
 from padicdisc.errors import (
@@ -18,7 +18,7 @@ from padicdisc.errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from padicdisc.padic import _EXACT, _badd, _bnorm, _bzero, poly_eval
+from padicdisc.padic import _EXACT, _badd, _bnorm, _bzero, _int_valuation, poly_eval
 from padicdisc.series import (
     compose,
     derivative,
@@ -595,6 +595,57 @@ def test_horner_loops_skip_exact_zero_tail(name, body, tail, shift):
         a = a.with_precision(cap)
     assert [c.coords for c in recenter(f, a).coeffs] == full_width_recenter(f, a)
     assert poly_eval(f.coeffs, a).coords == full_poly_eval(f.coeffs, a)
+
+
+@given(name=st.sampled_from(sorted(SHIFT_FIELDS)), draw=_mul_coefficient)
+@settings(max_examples=200, deadline=None)
+def test_int_valuation_is_e_times_valuation(name, draw):
+    fld = SHIFT_FIELDS[name]
+    c = coefficient_scalar(fld, *draw)
+    assume(not c.is_zero())
+    assert _int_valuation(c) == fld.e * c.valuation()
+
+
+def fraction_polygon_vertices(f):
+    """Reference polygon: the lower hull of the Fraction valuations."""
+    return tuple(lower_hull([(i, c.valuation()) for i, c in enumerate(f.coeffs)
+                             if not c.is_zero()]))
+
+
+@given(name=st.sampled_from(sorted(SHIFT_FIELDS)),
+       draws=st.lists(_mul_coefficient, min_size=1, max_size=12))
+# a zero at finite precision between values of negative valuation
+@example(name="Q3(sqrt-3)", draws=[(1, [(1, 1)] * 3, -2, 0), (2, [(1, 1)] * 3, 4, 1),
+                                   (1, [(0, 1), (5, 1), (0, 1)], -1, 0)])
+@settings(max_examples=200, deadline=None)
+def test_valuation_polygon_matches_fraction_hull(name, draws):
+    fld = SHIFT_FIELDS[name]
+    f = TruncatedSeries(fld, "t", fld.zero(), [coefficient_scalar(fld, *c) for c in draws])
+    if f.is_zero():
+        with pytest.raises(ZeroSeries):
+            valuation_polygon(f)
+        return
+    vertices = valuation_polygon(f).vertices
+    assert vertices == fraction_polygon_vertices(f)
+    assert all(type(v) is Fraction for _, v in vertices)
+
+
+def test_horner_loops_reject_a_coefficient_of_another_field():
+    q2, q3 = SHIFT_FIELDS["Q2"], SHIFT_FIELDS["Q3(sqrt-3)"]
+    x = q2.from_rational(2)
+    for stranger in (q3.one(), q3.zero()):
+        with pytest.raises(ValueError):
+            poly_eval([q2.one(), stranger], x)
+        with pytest.raises(ValueError):
+            recenter(TruncatedSeries(q2, "t", q2.zero(), [q2.one(), stranger]), x)
+    with pytest.raises(ValueError):
+        poly_eval([q2.one()], q3.one())
+    # an equal field built separately is the same field
+    twin = FieldDescriptor(2, digits=16)
+    coeffs = [q2.one(), twin.from_rational(3)]
+    assert poly_eval(coeffs, x).coords == full_poly_eval(coeffs, x)
+    f = TruncatedSeries(q2, "t", q2.zero(), coeffs)
+    assert [c.coords for c in recenter(f, x).coeffs] == full_width_recenter(f, x)
 
 
 def full_width_horner(coeffs, x):
