@@ -29,7 +29,11 @@ there, built untimed.  The rows
 ``hensel:<field>`` time one ``hensel_lift`` from the seed 1 of a degree-8
 polynomial with a simple unit root 1 + a_0 and roots a_1, ..., a_7, the a_i
 planted as for ``fiber:<field>``, so g'(1) is a unit (N is the digit count,
-64).  Each cell is the median of three rounds, and the rounds run over every
+64).  The rows ``scalar_mul:<field>`` time one batch of 1000
+``PadicScalar.__mul__`` calls on seeded pairs of scalars whose every
+coordinate is drawn, over each field of the ``fibers`` workload with 64
+digits and over Q_3(sqrt-3) with 1024 digits; their N is the digit count.
+Each cell is the median of three rounds, and the rounds run over every
 cell in turn, so a disturbance of the host that lasts less than a round
 touches one of them.  In a round a cell times batches of calls, a batch
 repeating the call until it takes 0.02 s (once for a slower call), until
@@ -77,6 +81,7 @@ OPS = ("mul", "mult_inverse", "reversion", "compose", "compose_poly8", "mat_inve
 DIGIT_PRIMES = {"Q2": 2, "Q3(sqrt-3)": 3}
 DIGIT_COUNTS = (64, 1024)
 DIGIT_BATCH = 1000
+SCALAR_BATCH = 1000
 HIPREC_DIGITS = 1024
 HIPREC_ORDER = 32
 FIBER_DEGREE = 8
@@ -158,6 +163,27 @@ def _digit_calls(padic, p, digits, seed):
     return {"bmul": lambda: [padic._bmul(p, x, y) for x, y in pairs],
             "badd": lambda: [padic._badd(p, x, y) for x, y in pairs],
             "bnorm": lambda: [padic._bnorm(p, m, e, k) for m, e, k in norms]}
+
+
+def _scalar_mul_calls(padicdisc) -> list:
+    """(field, digits, call) per benchmark field at 64 digits and for
+    Q_3(sqrt-3) at HIPREC_DIGITS: one call multiplies SCALAR_BATCH seeded
+    pairs of scalars, every coordinate a drawn rational."""
+    from fields import FIELDS
+    cases = [(name, field, 64) for name, field in sorted(FIELDS.items())]
+    cases.append(("Q3(sqrt-3)", FIELDS["Q3(sqrt-3)"], HIPREC_DIGITS))
+    calls = []
+    for name, field, digits in cases:
+        fld = padicdisc.jsonio.field_from_json(field.spec(digits))
+        rng = random.Random(digits)
+
+        def scalar():
+            return fld.from_coords([Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7)))
+                                    for _ in range(fld.n)])
+
+        pairs = [(scalar(), scalar()) for _ in range(SCALAR_BATCH)]
+        calls.append((name, digits, lambda pairs=pairs: [x * y for x, y in pairs]))
+    return calls
 
 
 def _planted_morphisms(padicdisc) -> dict:
@@ -251,6 +277,8 @@ def _cells(padicdisc) -> list:
         for digits in DIGIT_COUNTS:
             calls = _digit_calls(padicdisc.padic, p, digits, seed=digits)
             cells += [(op, name, digits, call) for op, call in calls.items()]
+    for name, digits, call in _scalar_mul_calls(padicdisc):
+        cells.append(("scalar_mul:" + name, name, digits, call))
     for name, call in _fiber_calls(padicdisc).items():
         cells.append(("fiber:" + name, name, FIBER_ORDER, call))
     for name, call in _tree_calls(padicdisc).items():

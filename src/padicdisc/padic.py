@@ -29,10 +29,14 @@ from .errors import (
 INF = float("inf")
 
 # Absolute-precision ceiling for exact (rational) values.  Far beyond any
-# tracked precision (digit caps are ~64), yet small enough that p^_EXACT is a
-# computable modulus; every produced precision is clamped here so "exact"
-# stays absorbing under arithmetic.
+# tracked precision (digit caps are at most _MAX_DIGITS), yet small enough
+# that p^_EXACT is a computable modulus; every produced precision is clamped
+# here so "exact" stays absorbing under arithmetic.
 _EXACT = 4096
+
+# Largest digit cap: a relative precision past _EXACT would read as exact, so
+# the cap stays well below it.
+_MAX_DIGITS = 2048
 
 
 # ----------------------------------------------------------------------------
@@ -135,10 +139,11 @@ def _bconv(field, xs, ys):
     sum of the live pairs i + j = k, known modulo p^K_c with K_c the least
     min(v_i + k'_j, k_i + v'_j) over them, as ``_bmul`` and ``_badd`` would
     give it.  Coordinate t of the result is conv_t + sum over c >= dim of
-    q_ct conv_c, q_ct = field._pow_table[c][t] != 0, known modulo the least
-    of K_t and the K_c + v_p(q_ct), clamped to _EXACT as ``_bnorm`` clamps:
-    the digits and precisions of ``FieldDescriptor._fold`` on the coordinate
-    convolutions (an exact-zero conv_c, skipped there, has K_c >= _EXACT).
+    q_ct conv_c over the entries (c, t) of ``field._fold_table``, known modulo
+    the least of K_t and the K_c + v_p(q_ct), clamped to _EXACT as ``_bnorm``
+    clamps: the digits and precisions of ``FieldDescriptor._mul``'s fold on
+    the coordinate convolutions (an exact-zero conv_c, skipped there, has
+    K_c >= _EXACT).
     Only the live rectangle i in [x_lo, x_hi], j in [y_lo, y_hi] can hold a
     live pair, so the precisions are taken over it alone.
 
@@ -253,24 +258,6 @@ def _binv(p: int, x: tuple):
     return _bnorm(p, ui, -v, rel - v) if rel - v > _EXACT else (ui, -v, rel - v)
 
 
-def _bscale(p: int, x: tuple, q: Fraction):
-    # exact multiplication by a nonzero rational: no precision loss
-    u, v, k = x
-    num, den = q.numerator, q.denominator
-    vn = _vp_int(num, p)
-    vd = _vp_int(den, p) if den % p == 0 else 0
-    w = vn - vd
-    if not u:
-        return _bzero(k + w)
-    rel = k - v
-    mod = _ppow(p, rel)
-    u2 = u * ((num // _ppow(p, vn)) % mod)
-    den_unit = (den // _ppow(p, vd)) % mod
-    if den_unit != 1:
-        u2 *= pow(den_unit, -1, mod)
-    return _bnorm(p, u2 % mod, v + w, k + w)
-
-
 def _bfrom_fraction(p: int, q: Fraction, rel: int):
     if q == 0:
         return _bzero(_EXACT)
@@ -321,20 +308,22 @@ def _is_prime(n: int) -> bool:
 # ----------------------------------------------------------------------------
 
 def _fp_polymulmod(a, b, g, p):
+    # the exact product, reduced modulo monic g with each leading coefficient
+    # taken modulo p once, then each kept coefficient modulo p once
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce modulo monic g
+            for k, y in enumerate(b, i):
+                out[k] += x * y
     dg = len(g) - 1
     for k in range(len(out) - 1, dg - 1, -1):
-        c = out[k]
+        c = out.pop() % p
         if c:
-            out[k] = 0
             for i in range(dg):
-                out[k - dg + i] = (out[k - dg + i] - c * g[i]) % p
-    return out[:dg]
+                out[k - dg + i] -= c * g[i]
+    for i, c in enumerate(out):
+        out[i] = c % p
+    return out
 
 
 def _fp_eval(coeffs, x, g, p):
@@ -425,15 +414,15 @@ class FieldDescriptor:
 
     ``poly`` is the monic defining polynomial (list of rationals, ascending,
     leading coefficient 1) or None for the base field.  ``digits`` is the
-    relative precision cap R: every scalar carries R significant p-adic
-    digits beyond its valuation.
+    relative precision cap R, 1 <= R <= _MAX_DIGITS: every scalar carries R
+    significant p-adic digits beyond its valuation.
     """
 
     def __init__(self, p: int, digits: int = 64, poly=None, e: int = 1, f: int = 1):
         if not _is_prime(p):
             raise InvalidField("p = %s is not prime" % p)
-        if digits < 1:
-            raise InvalidField("precision cap must be >= 1")
+        if not 1 <= digits <= _MAX_DIGITS:
+            raise InvalidField("precision cap must be in 1 .. %d" % _MAX_DIGITS)
         self.p = p
         self.digits = digits
         # the residue field is F_p[X]/(residue_poly): X for Q_p and Eisenstein
@@ -475,48 +464,51 @@ class FieldDescriptor:
             self.shifts = tuple(Fraction(i, self.e) for i in range(self.n))
         else:
             self.shifts = (Fraction(0),) * self.n
-        self._pow_table = self._build_pow_table()
+        self._fold_table = self._build_fold_table()
 
-    def _build_pow_table(self):
-        # X^k mod poly as exact rational coordinate vectors, n <= k <= 2n-2
+    def _build_fold_table(self):
+        """X^c modulo the defining polynomial for n <= c <= 2n - 2: one entry
+        (c, t, num, den, w) per nonzero coordinate q_ct = num p^w / den, num
+        and den prime to p, in ascending (c, t).  The defining polynomial's
+        coefficients are p-integral, hence so is every q_ct: w >= 0."""
         if self.poly is None:
-            return {}
-        n = self.n
-        table = {}
-        cur = [-c for c in self.poly[:-1]]  # X^n
-        table[n] = list(cur)
-        for k in range(n + 1, 2 * n - 1):
-            nxt = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(n):
-                    nxt[i] += top * table[n][i]
-            table[k] = list(nxt)
-            cur = nxt
-        return table
+            return ()
+        n, p = self.n, self.p
+        rows = [[-c for c in self.poly[:-1]]]  # X^n
+        for _ in range(n - 2):
+            # X^(c+1) = X * X^c, its top coordinate folded by X^n
+            top = rows[-1][-1]
+            rows.append([lo + top * q for lo, q in zip([Fraction(0)] + rows[-1][:-1], rows[0])])
+        table = []
+        for c, row in enumerate(rows, n):
+            for t, q in enumerate(row):
+                if q:
+                    w = _vp_int(q.numerator, p)
+                    table.append((c, t, q.numerator // _ppow(p, w), q.denominator, w))
+        return tuple(table)
 
     @functools.cached_property
     def _conv_plan(self):
         """What ``_bconv`` folds with, built at a field's first series
-        product: (den, bound, plans), plans[t] =
-        (fold, terms, signed) for result coordinate t.  fold lists (c, den *
-        q_ct) for c = t (q = 1) and every c >= n with q_ct != 0; terms lists
-        (a, b, v_p(q_ct)) for each pair a + b = c of those c; signed tells
-        whether a fold entry is negative.  Every slot _bconv reads, of a
-        conv_c or of a folded sum, is below bound * N * max(x) * max(y) in
+        product from ``_fold_table``: (den, bound, plans), plans[t] =
+        (fold, terms, signed) for result coordinate t.  den is the common
+        denominator of the table, prime to p.  fold lists (c, den * q_ct) for
+        c = t (q = 1) and every table entry (c, t); terms lists (a, b, w) for
+        each pair a + b = c of those c, w = v_p(q_ct) (0 for c = t); signed
+        tells whether a fold entry is negative.  Every slot _bconv reads, of
+        a conv_c or of a folded sum, is below bound * N * max(x) * max(y) in
         absolute value: conv_c sums min(c, 2n - 2 - c) + 1 pairs, and a
         signed slot needs one more bit."""
-        n = self.n
-        table = {t: [Fraction(1) if i == t else Fraction(0) for i in range(n)]
-                 for t in range(n)}
-        table.update(self._pow_table)
-        den = math.lcm(*(q.denominator for row in table.values() for q in row))
+        n, p = self.n, self.p
+        den = math.lcm(*(d for _, _, _, d, _ in self._fold_table))
         bound = 1
         plans = []
         for t in range(n):
-            fold = [(c, int(row[t] * den)) for c, row in sorted(table.items()) if row[t]]
-            terms = [(a, c - a, _vp_int(q, self.p) if c >= n else 0)
-                     for c, q in fold for a in range(max(0, c - n + 1), min(c, n - 1) + 1)]
+            row = [(t, den, 0)] + [(c, den // d * num * _ppow(p, w), w)
+                                   for c, s, num, d, w in self._fold_table if s == t]
+            fold = [(c, q) for c, q, _ in row]
+            terms = [(a, c - a, w) for c, _, w in row
+                     for a in range(max(0, c - n + 1), min(c, n - 1) + 1)]
             signed = any(q < 0 for _, q in fold)
             bound = max(bound, (1 + signed) * sum(abs(q) * (min(c, 2 * n - 2 - c) + 1)
                                                   for c, q in fold))
@@ -580,45 +572,28 @@ class FieldDescriptor:
         return tuple(_bneg(p, x) for x in a)
 
     def _mul(self, a, b):
+        """The coordinate convolution by ``_bmul``/``_badd``, folded through
+        ``_fold_table``.  A conv digit (u, v, k) times q_ct = num p^w / den is
+        u num / den modulo p^(k + w), at valuation v + w: multiplying by an
+        exact p-integral entry loses no precision, also when v < 0.  An exact
+        zero is skipped; a zero at finite precision still caps the precision
+        of what it folds into."""
         p, n = self.p, self.n
         if n == 1:
             return (_bmul(p, a[0], b[0]),)
-        if n == 2:
-            a0, a1 = a
-            b0, b1 = b
-            conv0 = _bmul(p, a0, b0)
-            conv1 = _badd(p, _bmul(p, a0, b1), _bmul(p, a1, b0))
-            conv2 = _bmul(p, a1, b1)
-            out0, out1 = conv0, conv1
-            if conv2[0] or conv2[2] < _EXACT:
-                # a zero at finite precision still caps the output precision
-                g0, g1 = self._pow_table[2]
-                if g0:
-                    out0 = _badd(p, out0, _bscale(p, conv2, g0))
-                if g1:
-                    out1 = _badd(p, out1, _bscale(p, conv2, g1))
-            return (out0, out1)
         conv = [None] * (2 * n - 1)
         for i, x in enumerate(a):
-            for j, y in enumerate(b):
+            for c, y in enumerate(b, i):
                 t = _bmul(p, x, y)
-                conv[i + j] = t if conv[i + j] is None else _badd(p, conv[i + j], t)
-        return self._fold(conv)
-
-    def _fold(self, conv):
-        """Coordinates of sum conv[k] X^k (k < 2n - 1) modulo the defining
-        polynomial.  The table entries are p-integral, so an exact conv[k]
-        folds to exact terms; an exact zero is skipped, a zero at finite
-        precision still caps the precision of what it folds into."""
-        p, n = self.p, self.n
-        out = list(conv[:n])
-        for k in range(2 * n - 2, n - 1, -1):
-            t = conv[k]
-            if not t[0] and t[2] >= _EXACT:
-                continue
-            for i, q in enumerate(self._pow_table[k]):
-                if q:
-                    out[i] = _badd(p, out[i], _bscale(p, t, q))
+                conv[c] = t if conv[c] is None else _badd(p, conv[c], t)
+        out = conv[:n]
+        for c, t, num, den, w in self._fold_table:
+            u, v, k = conv[c]
+            if u or k < _EXACT:
+                m = u * num
+                if u and den != 1:
+                    m *= pow(den, -1, _ppow(p, k - v))
+                out[t] = _badd(p, out[t], _bnorm(p, m, v + w, k + w))
         return tuple(out)
 
     def _solve(self, mat, rhs):

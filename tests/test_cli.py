@@ -340,14 +340,32 @@ def test_zero_order_or_digits_exit_2(flag, source, tmp_path, capsys):
     assert "must be an integer >= 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["example", "spec"])
+def test_digits_above_the_cap_exit_2(source, tmp_path, capsys):
+    # 5000 digits of 1/3 would be known modulo 2^5000, past _EXACT: its
+    # precision would read as exact and serialize as "prec": "inf"
+    if source == "spec":
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(_set(example_spec("p2-trivial"), ("field", "digits"),
+                                             5000)))
+        args = ["--spec", str(spec_file)]
+    else:
+        args = ["--example", "p2-trivial", "--digits", "5000"]
+    assert main(args) == 2
+    assert "precision cap must be in 1 .. 2048" in capsys.readouterr().err
+    assert FieldDescriptor(2, digits=2048).from_rational(Fraction(1, 3)).precision() == 2048
+
+
 @pytest.mark.parametrize("kwargs", [
     {"p": 4},
     {"p": 2 ** 127 - 1},
     {"p": 2, "digits": 0},
+    {"p": 2, "digits": 2049},
     {"p": 3, "poly": [9, 0, 1], "e": 2, "f": 1},
     {"p": 3, "poly": [3, 0, 1], "e": -1, "f": -2},
     {"p": 2, "poly": [1, 0, 1], "e": 1, "f": 2},
-], ids=["p=4", "p undecided", "digits=0", "non-Eisenstein", "e=-1,f=-2", "reducible"])
+], ids=["p=4", "p undecided", "digits=0", "digits=2049", "non-Eisenstein", "e=-1,f=-2",
+        "reducible"])
 def test_field_descriptor_errors_are_invalid_field(kwargs):
     with pytest.raises(InvalidField) as info:
         FieldDescriptor(**kwargs)

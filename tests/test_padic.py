@@ -270,6 +270,37 @@ def test_newton_mod_int_path_matches_list_path(p, digits, seed, others, planted,
     assert _newton_mod(g, dg, x, y) == list_newton_mod(g, dg, x, y)
 
 
+def reference_polymulmod(a, b, g, m):
+    """The exact integer product, long division by the monic g over Z, then
+    each remainder coefficient modulo m."""
+    out = [sum(x * b[k - i] for i, x in enumerate(a) if 0 <= k - i < len(b))
+           for k in range(len(a) + len(b) - 1)]
+    dg = len(g) - 1
+    for k in range(len(out) - 1, dg - 1, -1):
+        c = out[k]
+        for i, q in enumerate(g):
+            out[k - dg + i] -= c * q
+    return [c % m for c in out[:dg]]
+
+
+# p and the defining polynomial of each field of the benchmark's fibers
+# workload (Q_p itself reduces modulo X), as _newton_mod and the residue
+# tests read them
+_BENCH_RINGS = ((2, (0, 1)), (3, (0, 1)), (5, (0, 1)), (7, (0, 1)),
+                (2, (2, 0, 1)), (3, (3, 0, 1)), (2, (1, 1, 1)), (5, (-2, 0, 1)))
+
+
+@given(ring=st.sampled_from(_BENCH_RINGS), big=st.booleans(),
+       a=st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=1, max_size=4),
+       b=st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_fp_polymulmod_matches_exact_division(ring, big, a, b):
+    p, poly = ring
+    m = p ** 66 if big else p
+    g = tuple(c % m for c in poly)
+    assert _fp_polymulmod(a, b, g, m) == reference_polymulmod(a, b, g, m)
+
+
 def test_hensel_root_claims_only_what_g_supports_after_a_step():
     # A lift of the fibers workload at digits 8 (seed 5, one of its first 120
     # jobs) over Q_2(sqrt-2): one step from the seed 1 gives x1, where g(x1)

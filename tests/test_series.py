@@ -18,7 +18,8 @@ from padicdisc.errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from padicdisc.padic import _EXACT, _badd, _bnorm, _bzero, _int_valuation, poly_eval
+from padicdisc.padic import (_EXACT, _badd, _bmul, _bnorm, _bzero, _int_valuation, _ppow, _vp_int,
+                             poly_eval)
 from padicdisc.series import (
     compose,
     derivative,
@@ -209,10 +210,67 @@ def reference_pair_conv(p, xs, ys, x_live, y_live):
             for s, k in zip(range(0, width * n, width), prec)]
 
 
+def reference_pow_table(fld):
+    """X^k modulo the defining polynomial as exact rational coordinate
+    vectors, n <= k <= 2n - 2."""
+    n = fld.n
+    table = {}
+    cur = [-c for c in fld.poly[:-1]]  # X^n
+    table[n] = list(cur)
+    for k in range(n + 1, 2 * n - 1):
+        nxt = [Fraction(0)] + cur[:-1]
+        top = cur[-1]
+        if top:
+            for i in range(n):
+                nxt[i] += top * table[n][i]
+        table[k] = list(nxt)
+        cur = nxt
+    return table
+
+
+def reference_scale(p, x, q):
+    """Exact multiplication of a digit by a nonzero rational: no precision loss."""
+    u, v, k = x
+    num, den = q.numerator, q.denominator
+    vn = _vp_int(num, p)
+    vd = _vp_int(den, p) if den % p == 0 else 0
+    w = vn - vd
+    if not u:
+        return _bzero(k + w)
+    rel = k - v
+    mod = _ppow(p, rel)
+    u2 = u * ((num // _ppow(p, vn)) % mod)
+    den_unit = (den // _ppow(p, vd)) % mod
+    if den_unit != 1:
+        u2 *= pow(den_unit, -1, mod)
+    return _bnorm(p, u2 % mod, v + w, k + w)
+
+
+def reference_fold(fld, conv):
+    """Coordinates of sum conv[k] X^k (k < 2n - 1) modulo the defining
+    polynomial, each conv[k] scaled digit by digit by the entries of X^k.
+    The entries are p-integral, so an exact conv[k] folds to exact terms; an
+    exact zero is skipped, a zero at finite precision still caps the
+    precision of what it folds into."""
+    p, n = fld.p, fld.n
+    out = list(conv[:n])
+    if n == 1:
+        return tuple(out)
+    table = reference_pow_table(fld)
+    for k in range(2 * n - 2, n - 1, -1):
+        t = conv[k]
+        if not t[0] and t[2] >= _EXACT:
+            continue
+        for i, q in enumerate(table[k]):
+            if q:
+                out[i] = _badd(p, out[i], reference_scale(p, t, q))
+    return tuple(out)
+
+
 def reference_pair_mul(f, g):
     """The series product's former path: one pair kernel per coordinate pair
     (a, b), the pairs of a + b = c merged by _badd, each coefficient folded
-    by field._fold."""
+    by reference_fold."""
     n = min(f.order, g.order)
     fld = f.field
     x_live = [not c.is_exact_zero() for c in f.coeffs[:n]]
@@ -226,7 +284,7 @@ def reference_pair_mul(f, g):
             acc = conv[a + b]
             conv[a + b] = prod if acc is None else [_badd(fld.p, s, t)
                                                     for s, t in zip(acc, prod)]
-    return [fld._fold(digits) for digits in zip(*conv)]
+    return [reference_fold(fld, digits) for digits in zip(*conv)]
 
 
 KERNEL_FIELDS = {
@@ -248,26 +306,31 @@ KERNEL_FIELDS = {
 # precision, which for a value of higher valuation is a zero at that
 # precision), then per coordinate num / den times p^shift, the shifts wide
 # apart so that the coordinates' valuations differ widely, and the cap
-_kernel_coefficient = st.tuples(
-    st.sampled_from([0, 1, 1, 2]),
-    st.lists(st.tuples(st.one_of(st.just(0), st.integers(-40, 40)),
-                       st.sampled_from([1, 2, 3, 4, 5, 7, 9, 25]),
-                       st.sampled_from([-3, -1, 0, 0, 1, 4, 30])),
-             min_size=3, max_size=3),
-    st.integers(-3, 12))
+_kernel_coords = st.lists(st.tuples(st.one_of(st.just(0), st.integers(-40, 40)),
+                                   st.sampled_from([1, 2, 3, 4, 5, 7, 9, 25]),
+                                   st.sampled_from([-3, -1, 0, 0, 1, 4, 30])),
+                         min_size=3, max_size=3)
+_kernel_cap = st.integers(-3, 12)
+_kernel_coefficient = st.tuples(st.sampled_from([0, 1, 1, 2]), _kernel_coords, _kernel_cap)
+
+
+def kernel_scalar(fld, draw, dead=()):
+    """The scalar of one draw; coordinates in ``dead`` are zero.  Kind 3 is
+    kind 1 with every digit made exact: u * p^v known modulo p^_EXACT."""
+    kind, coords, cap = draw
+    if kind == 0:
+        return fld.zero()
+    c = fld.from_coords([0 if a in dead else Fraction(num, den) * Fraction(fld.p) ** shift
+                         for a, (num, den, shift) in enumerate(coords[:fld.n])])
+    if kind == 3:
+        return PadicScalar(fld, tuple((u, v, _EXACT) if u else (u, v, k) for u, v, k in c.coords))
+    return c.with_precision(cap) if kind == 2 else c
 
 
 def kernel_series(fld, draws, lead, trail, dead):
     """Series of the draws between exact-zero runs; coordinates in ``dead``
     are zero in every coefficient."""
-    coeffs = [fld.zero()] * lead
-    for kind, coords, cap in draws:
-        if kind == 0:
-            coeffs.append(fld.zero())
-            continue
-        c = fld.from_coords([0 if a in dead else Fraction(num, den) * Fraction(fld.p) ** shift
-                             for a, (num, den, shift) in enumerate(coords[:fld.n])])
-        coeffs.append(c.with_precision(cap) if kind == 2 else c)
+    coeffs = [fld.zero()] * lead + [kernel_scalar(fld, draw, dead) for draw in draws]
     return TruncatedSeries(fld, "t", fld.zero(), coeffs + [fld.zero()] * trail)
 
 
@@ -304,6 +367,39 @@ def test_mul_kernel_matches_pair_path(name, xs, ys, runs, dead):
     g = kernel_series(fld, ys, y_lead, y_trail, dead[1])
     assert [c.coords for c in (f * g).coeffs] == reference_pair_mul(f, g)
     assert [c.coords for c in (g * f).coeffs] == reference_pair_mul(g, f)
+
+
+def reference_scalar_mul(fld, a, b):
+    """The schoolbook coordinate convolution by _bmul and _badd, then
+    reference_fold."""
+    conv = [None] * (2 * fld.n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t = _bmul(fld.p, x, y)
+            conv[i + j] = t if conv[i + j] is None else _badd(fld.p, conv[i + j], t)
+    return reference_fold(fld, conv)
+
+
+# kinds as for _kernel_coefficient, plus 3: exact digits, which the shifts
+# -3 and -1 and the denominators 9 and 25 give negative valuations
+_scalar_draw = st.tuples(st.sampled_from([0, 1, 2, 3]), _kernel_coords, _kernel_cap)
+# the exact pi/3 times the exact pi: conv_2 = (1, -1, _EXACT - 1) folds by
+# X^2 = -3 (w = 1) to the exact -1, which _bmul by the entry as an exact
+# digit would leave known modulo p^(_EXACT - 1) only
+_EXACT_THIRD = (3, [(0, 1, 0), (1, 3, 0), (0, 1, 0)], 0)
+_EXACT_ONE = (3, [(0, 1, 0), (1, 1, 0), (0, 1, 0)], 0)
+
+
+@given(name=st.sampled_from(sorted(KERNEL_FIELDS)), a=_scalar_draw, b=_scalar_draw)
+@example(name="Q3(sqrt-3)", a=_EXACT_THIRD, b=_EXACT_ONE)
+@settings(max_examples=300, deadline=None)
+def test_scalar_mul_matches_schoolbook_fold(name, a, b):
+    """FieldDescriptor._mul against the schoolbook convolution and the
+    former digit-by-digit fold, digit triple by digit triple."""
+    fld = KERNEL_FIELDS[name]
+    x, y = kernel_scalar(fld, a).coords, kernel_scalar(fld, b).coords
+    assert fld._mul(x, y) == reference_scalar_mul(fld, x, y)
+    assert fld._mul(y, x) == reference_scalar_mul(fld, y, x)
 
 
 def test_mismatch_errors(q2):
