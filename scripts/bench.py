@@ -15,7 +15,13 @@ dense order-N series (``taylor_shift_dense``), both shifted to p.
 ``compose_poly8`` composes the degree-8 polynomial along the series of the
 ``compose`` row.  The rows
 ``optimality:<example>`` time one ``optimality_check`` on the optimal basis of
-each canned example at N = 32, built untimed.  End to end, the rows
+each canned example at N = 32, built untimed.  The rows ``upstairs:<example>``
+time ``local_solution_matrix`` at every fiber point of each canned example
+(the pipeline's upstairs bases) and the rows ``fundamental:<example>`` time
+one ``fundamental_solution_matrix`` on those bases and the example's
+Vandermonde data, both at N = 40 with 64 digits, as in the benchmark's
+``examples-n40`` workload; module, fiber, bases and Vandermonde data are
+built untimed.  End to end, the rows
 ``run:<example>`` time ``cli.run(cli.example_spec(example, order=N))`` for
 the three canned examples at N = 32 and 64.  Below the series layer, the
 rows ``bmul``, ``badd`` and ``bnorm`` time one batch of 1000 calls of the
@@ -87,6 +93,7 @@ HIPREC_ORDER = 32
 FIBER_DEGREE = 8
 FIBER_ORDER = 32
 OPTIMALITY_ORDER = 32
+STAGE_ORDER = 40
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ROUNDS = 3
 BUDGET_S = 0.2
@@ -299,6 +306,15 @@ def _cells(padicdisc) -> list:
         cells.append(("optimality:" + example, field, OPTIMALITY_ORDER,
                       lambda basis=basis, seed=spec["seed"]:
                       padicdisc.optimality_check(basis, seed=seed)))
+    for example, field in EXAMPLE_FIELDS.items():
+        pipe = cli._load(cli.example_spec(example, order=STAGE_ORDER))
+        module, points = pipe.get("module"), pipe.get("fiber").points
+        cells.append(("upstairs:" + example, field, STAGE_ORDER,
+                      lambda module=module, points=points:
+                      [padicdisc.local_solution_matrix(module, a) for a in points]))
+        cells.append(("fundamental:" + example, field, STAGE_ORDER,
+                      lambda bases=pipe.get("upstairs_bases"), vd=pipe.get("vandermonde"):
+                      padicdisc.fundamental_solution_matrix(bases, vd)))
     for example, field in EXAMPLE_FIELDS.items():
         for n in RUN_ORDERS:
             cells.append(("run:" + example, field, n,

@@ -145,7 +145,11 @@ def local_solution_matrix(module: DiffModule, a: PadicScalar) -> HorizontalMatri
 
     Built by the coefficient recursion Y_{k+1} = (sum S_i Y_{k-i}) / (k+1)
     with S = -A^T recentered at a; the division by k+1 is where p-adic digits
-    are genuinely spent.
+    are genuinely spent.  The sum runs over the indices i whose S_i is not
+    all exact zeros: an exact zero times anything is the exact zero, and
+    adding it changes no digit.  So a constant S (the exponential module)
+    costs O(N) products, and S = 0 (the trivial module) none; its Y_k for
+    k >= 1 are exact zeros.
     """
     n = module.order()
     r = module.rank
@@ -154,10 +158,14 @@ def local_solution_matrix(module: DiffModule, a: PadicScalar) -> HorizontalMatri
     s_shift = tuple(tuple(recenter(c, a) for c in row) for row in system)
     s_coeff = [[[s_shift[i][j].coeffs[k] if k < s_shift[i][j].order else fld.zero()
                  for j in range(r)] for i in range(r)] for k in range(n)]
+    live = [i_ for i_, s_i in enumerate(s_coeff)
+            if not all(c.is_exact_zero() for row in s_i for c in row)]
     y = [[[fld.one() if i == j else fld.zero() for j in range(r)] for i in range(r)]]
     for k in range(n - 1):
         acc = [[fld.zero() for _ in range(r)] for _ in range(r)]
-        for i_ in range(k + 1):
+        for i_ in live:
+            if i_ > k:
+                break
             s_k = s_coeff[i_]
             y_k = y[k - i_]
             for i in range(r):

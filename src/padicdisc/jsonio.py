@@ -67,14 +67,25 @@ def scalar_to_json(x: PadicScalar) -> dict:
             "prec": frac_str(prec if prec != INF else None)}
 
 
+def _below_exact(x: PadicScalar) -> PadicScalar:
+    """x, unless a nonzero coordinate is known modulo p^_EXACT or beyond,
+    where its precision would read as exact: then SchemaError."""
+    for u, v, k in x.coords:
+        if u and k >= _EXACT:
+            raise SchemaError("a coordinate of valuation %d with %d digits reaches past "
+                              "precision %d" % (v, x.field.digits, _EXACT))
+    return x
+
+
 def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
     """A rational string, a list of fld.n rational coordinates, or the full
     encoding {"coords": fld.n [m, e] pairs, "prec": ...}; anything else
-    raises SchemaError."""
+    raises SchemaError, as does a nonzero coordinate whose fld.digits digits
+    beyond its valuation would reach p^_EXACT."""
     if isinstance(d, str):
-        return fld.from_rational(parse_frac(d))
+        return _below_exact(fld.from_rational(parse_frac(d)))
     if isinstance(d, list) and len(d) == fld.n:
-        return fld.from_coords([parse_frac(c) for c in d])
+        return _below_exact(fld.from_coords([parse_frac(c) for c in d]))
     pairs = d.get("coords") if isinstance(d, dict) else None
     if not (isinstance(pairs, list) and len(pairs) == fld.n
             and all(isinstance(me, list) and len(me) == 2 for me in pairs)):
@@ -89,9 +100,10 @@ def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
             coords.append((0, _EXACT, _EXACT))
         else:
             # m * p^e as from_rational stores it: a unit times p^valuation,
-            # known to fld.digits digits beyond the valuation
+            # known to fld.digits digits beyond the valuation (_bnorm clamps
+            # that at _EXACT)
             coords.append(_bnorm(fld.p, m, e, e + _vp_int(m, fld.p) + fld.digits))
-    x = PadicScalar(fld, tuple(coords))
+    x = _below_exact(PadicScalar(fld, tuple(coords)))
     prec = d.get("prec", "inf")
     return x if prec == "inf" else x.with_precision(parse_frac(prec))
 

@@ -31,7 +31,8 @@ INF = float("inf")
 # Absolute-precision ceiling for exact (rational) values.  Far beyond any
 # tracked precision (digit caps are at most _MAX_DIGITS), yet small enough
 # that p^_EXACT is a computable modulus; every produced precision is clamped
-# here so "exact" stays absorbing under arithmetic.
+# here.  The exact zero (0, _EXACT, _EXACT) absorbs under multiplication: 0 * y
+# is the exact zero whatever the valuation of y, in _bmul and in _bconv alike.
 _EXACT = 4096
 
 # Largest digit cap: a relative precision past _EXACT would read as exact, so
@@ -119,11 +120,17 @@ def _bneg(p: int, x: tuple):
 
 
 def _bmul(p: int, x: tuple, y: tuple):
+    """x * y known modulo p^min(v_x + k_y, v_y + k_x).  An exact-zero factor
+    gives the exact zero, also when the other factor has negative valuation,
+    where that rule would cap it below _EXACT; a zero at finite precision
+    keeps the rule."""
     ux, vx, kx = x
     uy, vy, ky = y
     k = min(vx + ky, vy + kx, _EXACT)
     v = vx + vy
     if not ux or not uy or v >= k:
+        if (not ux and kx >= _EXACT) or (not uy and ky >= _EXACT):
+            return (0, _EXACT, _EXACT)
         return (0, k, k)
     # a product of units is a unit: there is no valuation to strip
     return (ux * uy % _ppow(p, k - v), v, k)
@@ -134,11 +141,13 @@ def _bconv(field, xs, ys):
     ``field``, given as their coordinate tuples xs[i] and ys[j]; each output
     coefficient is the tuple of its field.n coordinate digits.
 
-    An exact-zero scalar takes no part.  Coordinate c of the unfolded
-    product, conv_c = sum over a + b = c of x_a y_b, has at index k the exact
-    sum of the live pairs i + j = k, known modulo p^K_c with K_c the least
-    min(v_i + k'_j, k_i + v'_j) over them, as ``_bmul`` and ``_badd`` would
-    give it.  Coordinate t of the result is conv_t + sum over c >= dim of
+    An exact-zero coordinate takes no part, and so neither does an
+    exact-zero scalar: its products are exact zeros, as ``_bmul`` gives
+    them.  Coordinate c of the unfolded product, conv_c = sum over a + b = c
+    of x_a y_b, has at index k the exact sum of the pairs i + j = k, known
+    modulo p^K_c with K_c the least min(v_i + k'_j, k_i + v'_j) over the
+    pairs that take part, as ``_bmul`` and ``_badd`` would give it.
+    Coordinate t of the result is conv_t + sum over c >= dim of
     q_ct conv_c over the entries (c, t) of ``field._fold_table``, known modulo
     the least of K_t and the K_c + v_p(q_ct), clamped to _EXACT as ``_bnorm``
     clamps: the digits and precisions of ``FieldDescriptor._mul``'s fold on
@@ -179,23 +188,17 @@ def _bconv(field, xs, ys):
         # i = x_lo .. x_hi against y_b's k'_j + w, v'_j + w for j = y_hi ..
         # y_lo, one block of 2 len(terms) entries per scalar: the pairs
         # i + j = k line up once xvk (s > 0) or ykv (s <= 0) drops its first
-        # |s| = B |k - x_lo - y_hi| entries; a scalar that takes no part is INF
+        # |s| = B |k - x_lo - y_hi| entries; an exact-zero coordinate, which
+        # takes no part, is INF
         xvk, ykv = [], []
-        for i in range(x_lo, x_hi + 1):
-            if x_live[i]:
-                c = xs[i]
-                for a, _, _ in terms:
-                    xvk += c[a][1:]
-            else:
-                xvk += (INF, INF) * len(terms)
-        for j in range(y_hi, y_lo - 1, -1):
-            if y_live[j]:
-                c = ys[j]
-                for _, b, w in terms:
-                    _, v, k = c[b]
-                    ykv += (k + w, v + w)
-            else:
-                ykv += (INF, INF) * len(terms)
+        for c in xs[x_lo:x_hi + 1]:
+            for a, _, _ in terms:
+                u, v, k = c[a]
+                xvk += (v, k) if u or k < _EXACT else (INF, INF)
+        for c in reversed(ys[y_lo:y_hi + 1]):
+            for _, b, w in terms:
+                u, v, k = c[b]
+                ykv += (k + w, v + w) if u or k < _EXACT else (INF, INF)
         step = 2 * len(terms)
         # a bound at or above _EXACT (INF without live pairs) is clamped by _bnorm
         prec = [INF] * (x_lo + y_lo)
@@ -766,10 +769,8 @@ class PadicScalar:
 def poly_eval(coeffs, x: PadicScalar) -> PadicScalar:
     """sum_k c_k x^k by Horner on coordinate tuples.  Trailing exact-zero
     coefficients are dropped first, so a polynomial padded with exact zeros
-    costs its degree.  When every coordinate of x has valuation and
-    precision >= 0, as for each caller's x in the closed unit disc, the
-    digits are those of the full loop: there an exact zero times x is the
-    exact zero."""
+    costs its degree; the digits are those of the full loop, as an exact zero
+    times x is the exact zero."""
     fld = x.field
     coeffs = list(coeffs)
     _check_fields(fld, coeffs)

@@ -229,10 +229,10 @@ def recenter(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
 
     The constant term is the same Horner sum as ``evaluate(f, a)``.  The
     trailing exact-zero coefficients are skipped, so a degree-d polynomial
-    padded to order N costs O(d^2), not O(N^2): with every coordinate of
-    a - center known to valuation and precision >= 0, an exact zero times it
-    is again the exact zero, and adding the exact zero leaves a digit as it
-    is.  A zero at finite precision is kept, as it caps what it touches.
+    padded to order N costs O(d^2), not O(N^2): an exact zero times
+    a - center is again the exact zero, and adding the exact zero leaves a
+    digit as it is.  A zero at finite precision is kept, as it caps what it
+    touches.
     The loop runs on coordinate tuples and wraps only the result.
     """
     delta = a - f.center

@@ -356,6 +356,34 @@ def test_digits_above_the_cap_exit_2(source, tmp_path, capsys):
     assert FieldDescriptor(2, digits=2048).from_rational(Fraction(1, 3)).precision() == 2048
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("p2-trivial", ("center",), str(2 ** 4090) + "/3"),
+    ("p3-trivial", ("center",), ["0", str(3 ** 4032)]),
+    ("p2-exp", ("module", "A"), [[[{"coords": [["-1", "4090"]]}]]]),
+], ids=["rational", "coordinate list", "coords pairs"])
+def test_spec_scalar_past_exact_precision_exit_2(name, path, value, tmp_path):
+    # each value has 64 digits beyond a valuation of 4032 or more: they would
+    # be known modulo p^4096 or beyond, where a precision reads as exact
+    spec = _set(example_spec(name, order=16), path, value)
+    with pytest.raises(SchemaError, match="reaches past precision"):
+        run(spec)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+
+
+def test_scalar_reader_keeps_precision_below_exact():
+    q2 = FieldDescriptor(2, digits=1024)
+    for value in (str(2 ** 3100) + "/3", [str(2 ** 3100)], {"coords": [["1", "3072"]]}):
+        with pytest.raises(SchemaError):
+            jsonio.scalar_from_json(value, q2)
+    # 1024 digits beyond valuation 3000 end at 4024, below _EXACT = 4096
+    x = jsonio.scalar_from_json(str(2 ** 3000) + "/3", q2)
+    assert x.precision() == 4024
+    assert jsonio.scalar_to_json(x)["prec"] == "4024"
+    assert jsonio.scalar_from_json({"coords": [["1", "3071"]]}, q2).precision() == 4095
+
+
 @pytest.mark.parametrize("kwargs", [
     {"p": 4},
     {"p": 2 ** 127 - 1},

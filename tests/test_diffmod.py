@@ -17,8 +17,9 @@ from padicdisc import (
     local_solution_matrix,
     reduce_to_basis,
 )
+from padicdisc import series as series_module
 from padicdisc.errors import DegenerateFiber, NotEtale
-from padicdisc.series import compose, mult_inverse
+from padicdisc.series import compose, mult_inverse, recenter
 from padicdisc.diffmod import (
     inverse_derivative_coordinates,
     mat_identity,
@@ -86,6 +87,77 @@ def test_local_solution_matrix_nilpotent(q3pi):
     assert (y11 - series(q3pi, [1])).is_zero()
     for est in out.radii:
         assert est.exponent == 0
+
+
+@pytest.mark.parametrize("setup", ["p2", "p3"])
+def test_trivial_column_is_exact_zero_past_its_constant(setup, request, monkeypatch):
+    # A = [[0]]: S = 0, so every Y_k with k >= 1 is 0 / k, the exact zero,
+    # also where k is divisible by p and 1/k has negative valuation
+    job = request.getfixturevalue(setup)
+    products = []
+    real = series_module._bconv
+    monkeypatch.setattr(series_module, "_bconv",
+                        lambda *args: products.append(1) or real(*args))
+    for a, u in zip(job.fib.points, job.solutions):
+        col = local_solution_matrix(job.trivial, a).columns[0][0]
+        assert (col.coeffs[0] - 1).is_zero()
+        assert all(c.is_exact_zero() for c in col.coeffs[1:])
+        del products[:]
+        composed = compose(col, u)
+        assert len(products) <= 1
+        assert (composed - 1).is_zero()
+
+
+def reference_local_solution_matrix(module, a):
+    """The recursion Y_{k+1} = (sum S_i Y_{k-i}) / (k+1) over every index i,
+    exact-zero S_i included: the matrices Y_0 .. Y_{N-1}."""
+    n, r, fld = module.order(), module.rank, module.field
+    s_shift = [[recenter(c, a) for c in row] for row in module.system_matrix()]
+    s_coeff = [[[s_shift[i][j].coeffs[k] for j in range(r)] for i in range(r)]
+               for k in range(n)]
+    y = [[[fld.one() if i == j else fld.zero() for j in range(r)] for i in range(r)]]
+    for k in range(n - 1):
+        acc = [[fld.zero() for _ in range(r)] for _ in range(r)]
+        for i_ in range(k + 1):
+            for i in range(r):
+                for j in range(r):
+                    t = fld.zero()
+                    for m in range(r):
+                        t = t + s_coeff[i_][i][m] * y[k - i_][m][j]
+                    acc[i][j] = acc[i][j] + t
+        y.append([[acc[i][j] / (k + 1) for j in range(r)] for i in range(r)])
+    return y
+
+
+RECURSION_FIELDS = {"q2": FieldDescriptor(2, digits=16),
+                    "q3pi": FieldDescriptor(3, digits=12, poly=[3, 0, 1], e=2, f=1)}
+# an entry of A: a polynomial in t whose coefficients are often 0, so that S
+# has exact-zero coefficients inside its support; the halves and thirds have
+# negative valuation over Q_2 and Q_3(sqrt-3)
+_entry = st.lists(st.one_of(st.just(0), st.just(0), st.integers(-9, 9),
+                            st.integers(-9, 9).map(lambda m: Fraction(m, 2)),
+                            st.integers(-9, 9).map(lambda m: Fraction(m, 3))),
+                  min_size=1, max_size=6)
+
+
+@given(field=st.sampled_from(["q2", "q3pi"]), rank=st.sampled_from([1, 2]),
+       entries=st.lists(_entry, min_size=4, max_size=4), at_center=st.booleans())
+@example(field="q2", rank=1, entries=[[-1], [0], [0], [0]], at_center=True)
+@example(field="q3pi", rank=2, entries=[[1, 0, 0, 2], [0], [0, 0, Fraction(1, 3)],
+                                        [Fraction(1, 2), 0, 0, 0, 3]], at_center=False)
+@settings(max_examples=25, deadline=None)
+def test_local_solution_matrix_matches_full_recursion(field, rank, entries, at_center):
+    """Skipping the exact-zero S_i keeps every digit of the full recursion,
+    at the center 0 (interior exact zeros) and off it (exact-zero tails)."""
+    fld = RECURSION_FIELDS[field]
+    rows = [[entries[rank * i + j] for j in range(rank)] for i in range(rank)]
+    mod = module_of(fld, rows, order=12)
+    a = fld.zero() if at_center else fld.uniformizer() * 3
+    out = local_solution_matrix(mod, a)
+    ref = reference_local_solution_matrix(mod, a)
+    for j, col in enumerate(out.columns):
+        for i, entry in enumerate(col):
+            assert [c.coords for c in entry.coeffs] == [y[i][j].coords for y in ref]
 
 
 def test_horizontal_check_passes_on_solutions(q2, p2_exp_module):

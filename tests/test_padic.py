@@ -486,6 +486,9 @@ def reference_badd(p, x, y):
 
 def reference_bmul(p, x, y):
     (ux, vx, kx), (uy, vy, ky) = x, y
+    if (not ux and kx >= _EXACT) or (not uy and ky >= _EXACT):
+        # 0 * y = 0: the exact zero absorbs, whatever the valuation of y
+        return (0, _EXACT, _EXACT)
     k = min(vx + ky, vy + kx)
     if not ux or not uy:
         return (0, min(k, _EXACT), min(k, _EXACT))

@@ -156,10 +156,11 @@ def test_mul_keeps_finite_precision_zero_in_gap(q2):
 
 def test_mul_exact_zero_coordinate_meets_negative_valuation(q3pi):
     # 1/3 has coordinates (3^-1 unit, exact 0); the pi-coordinate of its
-    # square sums products 3^-1 * 0 each known to _EXACT - 1 only
+    # square sums products 3^-1 * 0, each the exact zero: the exact zero
+    # absorbs, though 3^-1 has valuation -1
     third = TruncatedSeries(q3pi, "t", q3pi.zero(), [q3pi.from_rational(Fraction(1, 3))])
     prod = third * third
-    assert prod.coeffs[0].coords[1] == (0, _EXACT - 1, _EXACT - 1)
+    assert prod.coeffs[0].coords[1] == (0, _EXACT, _EXACT)
     assert [c.coords for c in prod.coeffs] == schoolbook_mul(third, third)
 
 
@@ -175,7 +176,9 @@ def test_mul_exact_cancellation_is_exact_zero(q2):
 
 def reference_pair_conv(p, xs, ys, x_live, y_live):
     """The series product's former per-coordinate-pair kernel: first len(xs)
-    digits of the product of two digit series, by one Kronecker product."""
+    digits of the product of two digit series, by one Kronecker product.  An
+    exact-zero digit contributes (inf, inf) to the precision profile: its
+    products are exact zeros."""
     n = len(xs)
     x_lo = x_live.index(True) if True in x_live else n
     y_lo = y_live.index(True) if True in y_live else n
@@ -185,11 +188,11 @@ def reference_pair_conv(p, xs, ys, x_live, y_live):
     y_hi = min(n - 1 - y_live[::-1].index(True), n - 1 - x_lo)
     xvk, ykv = [], []
     for i in range(x_lo, x_hi + 1):
-        _, v, k = xs[i]
-        xvk += (v, k) if x_live[i] else (math.inf, math.inf)
+        u, v, k = xs[i]
+        xvk += (v, k) if x_live[i] and (u or k < _EXACT) else (math.inf, math.inf)
     for j in range(y_hi, y_lo - 1, -1):
-        _, v, k = ys[j]
-        ykv += (k, v) if y_live[j] else (math.inf, math.inf)
+        u, v, k = ys[j]
+        ykv += (k, v) if y_live[j] and (u or k < _EXACT) else (math.inf, math.inf)
     top = min(n - 1, x_hi + y_hi)
     prec = [math.inf] * (x_lo + y_lo)
     prec += [min(map(operator.add, xvk[s:], ykv)) if s > 0
@@ -400,6 +403,35 @@ def test_scalar_mul_matches_schoolbook_fold(name, a, b):
     x, y = kernel_scalar(fld, a).coords, kernel_scalar(fld, b).coords
     assert fld._mul(x, y) == reference_scalar_mul(fld, x, y)
     assert fld._mul(y, x) == reference_scalar_mul(fld, y, x)
+
+
+@given(name=st.sampled_from(sorted(KERNEL_FIELDS)),
+       xs=st.lists(_scalar_draw, min_size=1, max_size=6),
+       ys=st.lists(_scalar_draw, min_size=1, max_size=6))
+@example(name="Q3(sqrt-3)", xs=[(3, [(1, 1, -1)] * 3, 0)], ys=[(3, [(1, 1, -1)] * 3, 0)])
+@settings(max_examples=200, deadline=None)
+def test_exact_zero_absorbs(name, xs, ys):
+    """0 * x is the exact zero whatever the valuation of x, through
+    PadicScalar.__mul__ and through the series product.  So Q_p stays closed:
+    scalars whose coordinates past the first are exact zeros multiply to
+    such scalars, also when the first coordinates have negative valuation."""
+    fld = KERNEL_FIELDS[name]
+    zero = fld.zero()
+    for draw in xs + ys:
+        x = kernel_scalar(fld, draw)
+        assert (zero * x).is_exact_zero() and (x * zero).is_exact_zero()
+    # a cap (kind 2) would make the zero coordinates zeros at finite
+    # precision, so kind 2 draws go uncapped here
+    upper = set(range(1, fld.n))
+    xs, ys = ([(1 if kind == 2 else kind, c, cap) for kind, c, cap in draws] for draws in (xs, ys))
+    f, g = kernel_series(fld, xs, 0, 0, upper), kernel_series(fld, ys, 0, 0, upper)
+    zeros = kernel_series(fld, [], f.order, 0, ())
+    assert all(c.is_exact_zero() for c in (zeros * f).coeffs + (f * zeros).coeffs)
+    for prod in (f * g, g * f):
+        for c in prod.coeffs:
+            assert all(not u and k >= _EXACT for u, _, k in c.coords[1:])
+    for x, y in zip(f.coeffs, g.coeffs):
+        assert all(not u and k >= _EXACT for u, _, k in (x * y).coords[1:])
 
 
 def test_mismatch_errors(q2):
