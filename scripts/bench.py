@@ -35,7 +35,11 @@ there, built untimed.  The rows
 ``hensel:<field>`` time one ``hensel_lift`` from the seed 1 of a degree-8
 polynomial with a simple unit root 1 + a_0 and roots a_1, ..., a_7, the a_i
 planted as for ``fiber:<field>``, so g'(1) is a unit (N is the digit count,
-64).  The rows ``scalar_mul:<field>`` time one batch of 1000
+64).  The rows ``poly_eval:<field>`` time one ``poly_eval`` of the
+coefficients of the ``fiber:<field>`` polynomial at its first planted root,
+and the rows ``recenter:<field>`` one ``recenter`` of that polynomial (order
+N = 32, 64 digits) to the same root: the Horner loops of fiber search and
+tree building.  The rows ``scalar_mul:<field>`` time one batch of 1000
 ``PadicScalar.__mul__`` calls on seeded pairs of scalars whose every
 coordinate is drawn, over each field of the ``fibers`` workload with 64
 digits and over Q_3(sqrt-3) with 1024 digits; their N is the digit count.
@@ -208,6 +212,22 @@ def _planted_morphisms(padicdisc) -> dict:
     return phis
 
 
+def _horner_calls(padicdisc) -> dict:
+    """poly_eval of the planted polynomial's coefficients at its first
+    planted root, and recenter of the polynomial there, per benchmark field."""
+    import workloads
+    from fields import FIELDS
+    calls = {}
+    for name, phi in _planted_morphisms(padicdisc).items():
+        field, f = FIELDS[name], phi.f
+        root = workloads.plant_roots(random.Random(FIBER_DEGREE), field, FIBER_DEGREE)[0]
+        a = padicdisc.jsonio.scalar_from_json(field.coeff_json(root), f.field)
+        calls["poly_eval:" + name] = lambda coeffs=f.coeffs[:FIBER_DEGREE + 1], a=a: \
+            padicdisc.padic.poly_eval(coeffs, a)
+        calls["recenter:" + name] = lambda f=f, a=a: padicdisc.series.recenter(f, a)
+    return calls
+
+
 def _fiber_calls(padicdisc) -> dict:
     """fiber() over b = 0 of the planted morphism, per benchmark field."""
     return {name: lambda phi=phi: padicdisc.fiber(phi, phi.f.field.zero())
@@ -292,6 +312,8 @@ def _cells(padicdisc) -> list:
         cells.append(("tree:" + name, name, FIBER_ORDER, call))
     for name, call in _hensel_calls(padicdisc).items():
         cells.append(("hensel:" + name, name, 64, call))
+    for op, call in _horner_calls(padicdisc).items():
+        cells.append((op, op.split(":", 1)[1], FIBER_ORDER, call))
     for name, fld in _fields(padicdisc).items():
         for n in ORDERS:
             calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))

@@ -31,6 +31,11 @@ class UnsupportedRoot(PadicDiscError):
     """Requested root of unity does not exist in the declared field."""
 
 
+class PrecisionPastExact(PadicDiscError, ValueError):
+    """A nonzero value would be known modulo p^_EXACT or beyond, where its
+    precision reads as exact."""
+
+
 # -- truncated series ---------------------------------------------------------
 
 class CenterMismatch(PadicDiscError):

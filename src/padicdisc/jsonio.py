@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import PrecisionPastExact, SchemaError
 from .padic import INF, FieldDescriptor, PadicScalar, _EXACT, _bnorm, _vp_int
 from .series import TruncatedSeries, ValuationPolygon
 
@@ -82,10 +82,13 @@ def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
     encoding {"coords": fld.n [m, e] pairs, "prec": ...}; anything else
     raises SchemaError, as does a nonzero coordinate whose fld.digits digits
     beyond its valuation would reach p^_EXACT."""
-    if isinstance(d, str):
-        return _below_exact(fld.from_rational(parse_frac(d)))
-    if isinstance(d, list) and len(d) == fld.n:
-        return _below_exact(fld.from_coords([parse_frac(c) for c in d]))
+    try:
+        if isinstance(d, str):
+            return fld.from_rational(parse_frac(d))
+        if isinstance(d, list) and len(d) == fld.n:
+            return fld.from_coords([parse_frac(c) for c in d])
+    except PrecisionPastExact as err:
+        raise SchemaError(str(err)) from None
     pairs = d.get("coords") if isinstance(d, dict) else None
     if not (isinstance(pairs, list) and len(pairs) == fld.n
             and all(isinstance(me, list) and len(me) == 2 for me in pairs)):

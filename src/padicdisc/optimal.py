@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
-from .padic import INF
+from .padic import INF, PadicScalar
 from .series import RadiusEstimate, TruncatedSeries, compose, recenter
 from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
 from .diffmod import element_radius, mat_inverse, mat_vec
@@ -311,9 +311,15 @@ OPTIMALITY_TRIALS = 50
 
 def _combine(entries, scalars, js):
     """Coefficients js of sum_m scalars[m] * entries[m], added up in the order
-    series addition adds them."""
-    return [sum((e.coeffs[j] * s for e, s in zip(entries[1:], scalars[1:])),
-                entries[0].coeffs[j] * scalars[0]) for j in js]
+    series addition adds them, one ``FieldDescriptor._muladd`` per term."""
+    fld = entries[0].field
+    out = []
+    for j in js:
+        acc = fld._mul(entries[0].coeffs[j].coords, scalars[0].coords)
+        for e, s in zip(entries[1:], scalars[1:]):
+            acc = fld._muladd(e.coeffs[j].coords, s.coords, acc)
+        out.append(PadicScalar(fld, acc))
+    return out
 
 
 def _trial_estimate(fld, rows, scalars):

@@ -23,6 +23,7 @@ from .errors import (
     HenselHypothesisFailed,
     InvalidField,
     NoConvergence,
+    PrecisionPastExact,
     UnsupportedRoot,
 )
 
@@ -150,9 +151,9 @@ def _bconv(field, xs, ys):
     Coordinate t of the result is conv_t + sum over c >= dim of
     q_ct conv_c over the entries (c, t) of ``field._fold_table``, known modulo
     the least of K_t and the K_c + v_p(q_ct), clamped to _EXACT as ``_bnorm``
-    clamps: the digits and precisions of ``FieldDescriptor._mul``'s fold on
-    the coordinate convolutions (an exact-zero conv_c, skipped there, has
-    K_c >= _EXACT).
+    clamps: the digits and precisions that ``FieldDescriptor._muladd`` gives
+    each scalar product, the fold of the ``_bmul``/``_badd`` convolution (an
+    exact-zero conv_c, which that fold skips, has K_c >= _EXACT).
     Only the live rectangle i in [x_lo, x_hi], j in [y_lo, y_hi] can hold a
     live pair, so the precisions are taken over it alone.
 
@@ -234,7 +235,7 @@ def _bconv(field, xs, ys):
     e = ex + ey
     out = []
     for (fold, _, signed), prec in zip(plans, precs):
-        folded = sum(q * conv[c] for c, q in fold)
+        folded = sum(q * conv[c] for c, q, _ in fold)
         if signed:
             # slots s with |s| < 2^(8 width - 1): biased by 2^(8 width - 1)
             # they carry nothing, and the xor leaves each in two's complement
@@ -262,12 +263,17 @@ def _binv(p: int, x: tuple):
 
 
 def _bfrom_fraction(p: int, q: Fraction, rel: int):
+    """q known to rel digits beyond its valuation; PrecisionPastExact when
+    that reaches p^_EXACT, where the precision would read as exact."""
     if q == 0:
         return _bzero(_EXACT)
     num, den = q.numerator, q.denominator
     vn = _vp_int(num, p)
     vd = _vp_int(den, p)
     v = vn - vd
+    if v + rel >= _EXACT:
+        raise PrecisionPastExact("a coordinate of valuation %d with %d digits reaches past "
+                                 "precision %d" % (v, rel, _EXACT))
     mod = _ppow(p, rel)
     u = ((num // _ppow(p, vn)) % mod) * pow((den // _ppow(p, vd)) % mod, -1, mod) % mod
     return (u, v, v + rel)
@@ -492,12 +498,12 @@ class FieldDescriptor:
 
     @functools.cached_property
     def _conv_plan(self):
-        """What ``_bconv`` folds with, built at a field's first series
-        product from ``_fold_table``: (den, bound, plans), plans[t] =
+        """What ``_bconv`` and ``_muladd`` fold with, built at a field's
+        first product from ``_fold_table``: (den, bound, plans), plans[t] =
         (fold, terms, signed) for result coordinate t.  den is the common
-        denominator of the table, prime to p.  fold lists (c, den * q_ct) for
-        c = t (q = 1) and every table entry (c, t); terms lists (a, b, w) for
-        each pair a + b = c of those c, w = v_p(q_ct) (0 for c = t); signed
+        denominator of the table, prime to p.  fold lists (c, den * q_ct, w)
+        for c = t (q = 1, w = 0) and every table entry (c, t), w = v_p(q_ct);
+        terms lists (a, b, w) for each pair a + b = c of those c; signed
         tells whether a fold entry is negative.  Every slot _bconv reads, of
         a conv_c or of a folded sum, is below bound * N * max(x) * max(y) in
         absolute value: conv_c sums min(c, 2n - 2 - c) + 1 pairs, and a
@@ -507,14 +513,13 @@ class FieldDescriptor:
         bound = 1
         plans = []
         for t in range(n):
-            row = [(t, den, 0)] + [(c, den // d * num * _ppow(p, w), w)
-                                   for c, s, num, d, w in self._fold_table if s == t]
-            fold = [(c, q) for c, q, _ in row]
-            terms = [(a, c - a, w) for c, _, w in row
+            fold = [(t, den, 0)] + [(c, den // d * num * _ppow(p, w), w)
+                                    for c, s, num, d, w in self._fold_table if s == t]
+            terms = [(a, c - a, w) for c, _, w in fold
                      for a in range(max(0, c - n + 1), min(c, n - 1) + 1)]
-            signed = any(q < 0 for _, q in fold)
+            signed = any(q < 0 for _, q, _ in fold)
             bound = max(bound, (1 + signed) * sum(abs(q) * (min(c, 2 * n - 2 - c) + 1)
-                                                  for c, q in fold))
+                                                  for c, q, _ in fold))
             plans.append((fold, terms, signed))
         return den, bound, plans
 
@@ -574,30 +579,82 @@ class FieldDescriptor:
         p = self.p
         return tuple(_bneg(p, x) for x in a)
 
-    def _mul(self, a, b):
-        """The coordinate convolution by ``_bmul``/``_badd``, folded through
-        ``_fold_table``.  A conv digit (u, v, k) times q_ct = num p^w / den is
-        u num / den modulo p^(k + w), at valuation v + w: multiplying by an
-        exact p-integral entry loses no precision, also when v < 0.  An exact
-        zero is skipped; a zero at finite precision still caps the precision
-        of what it folds into."""
-        p, n = self.p, self.n
-        if n == 1:
-            return (_bmul(p, a[0], b[0]),)
-        conv = [None] * (2 * n - 1)
-        for i, x in enumerate(a):
-            for c, y in enumerate(b, i):
-                t = _bmul(p, x, y)
-                conv[c] = t if conv[c] is None else _badd(p, conv[c], t)
-        out = conv[:n]
-        for c, t, num, den, w in self._fold_table:
-            u, v, k = conv[c]
-            if u or k < _EXACT:
-                m = u * num
-                if u and den != 1:
-                    m *= pow(den, -1, _ppow(p, k - v))
-                out[t] = _badd(p, out[t], _bnorm(p, m, v + w, k + w))
+    def _muladd(self, a, b, c=None):
+        """a * b + c on coordinate tuples, c None for the plain product.
+
+        The digits are those of the chain that spells it out: the coordinate
+        convolution conv_s = sum over i + j = s of _bmul(a_i, b_j) merged by
+        ``_badd``, each conv_s (s >= n) scaled exactly by the entry
+        q_st = num p^w / den of ``_fold_table`` (precision k + w, also when
+        v < 0) and added into coordinate t, then ``_badd`` of c_t.  Every
+        step of that chain is the canonical form of an exact sum modulo
+        p^(least precision so far).  So conv_s is taken here as an exact int
+        at one exponent e, known modulo p^K_s with K_s the least
+        min(v_i + k_j, k_i + v_j) over the pairs i + j = s, starting from
+        _EXACT: a pair with an exact-zero digit takes no part, as _bmul makes
+        its product the exact zero.  Coordinate t is
+            (den conv_t + sum den q_st conv_s + den c_t) / den
+        modulo p^(least of K_t, the K_s + w and c_t's precision), den divided
+        out once modulo p^(K - e) as ``_bconv`` does, and each coordinate is
+        normalized by one ``_bnorm``.  An exact-zero conv_s, which the chain
+        skips, has K_s = _EXACT and so caps nothing.  Over Q_p the chain is
+        run as it stands.
+        """
+        p = self.p
+        if self.n == 1:
+            t = _bmul(p, a[0], b[0])
+            return (t,) if c is None else (_badd(p, t, c[0]),)
+        den, _, plans = self._conv_plan
+        # the products are exact ints at e = ea + eb, the least valuations of
+        # the units of a and of b
+        ea = eb = _EXACT
+        for u, v, _ in a:
+            if u and v < ea:
+                ea = v
+        for u, v, _ in b:
+            if u and v < eb:
+                eb = v
+        e = ea + eb
+        # b's live digits as (index, int at eb, v, k)
+        ys = [(j, 0 if not u else u if v == eb else u * _ppow(p, v - eb), v, k)
+              for j, (u, v, k) in enumerate(b) if u or k < _EXACT]
+        size = 2 * len(a) - 1
+        prec, conv = [_EXACT] * size, [0] * size
+        for i, (ux, vx, kx) in enumerate(a):
+            if not ux and kx >= _EXACT:
+                continue
+            x = 0 if not ux else ux if vx == ea else ux * _ppow(p, vx - ea)
+            for j, y, vy, ky in ys:
+                k = vx + ky if vx + ky < kx + vy else kx + vy
+                if k < prec[i + j]:
+                    prec[i + j] = k
+                if x and y:
+                    conv[i + j] += x * y
+        out = []
+        for t, (fold, _, _) in enumerate(plans):
+            k, m, et = _EXACT, 0, e
+            for s, q, w in fold:
+                if prec[s] + w < k:
+                    k = prec[s] + w
+                if conv[s]:
+                    m += q * conv[s]
+            if c is not None:
+                uc, vc, kc = c[t]
+                if kc < k:
+                    k = kc
+                if uc:
+                    if vc < et:
+                        if m:
+                            m *= _ppow(p, et - vc)
+                        et = vc
+                    m += den * uc if vc == et else den * uc * _ppow(p, vc - et)
+            if den != 1 and m and k > et:
+                m *= pow(den, -1, _ppow(p, k - et))
+            out.append(_bnorm(p, m, et, k))
         return tuple(out)
+
+    # the plain product is the kernel without an addend
+    _mul = _muladd
 
     def _solve(self, mat, rhs):
         """Solve an n x n system over base digits by valuation-pivoted elimination."""
@@ -767,19 +824,23 @@ class PadicScalar:
 # ----------------------------------------------------------------------------
 
 def poly_eval(coeffs, x: PadicScalar) -> PadicScalar:
-    """sum_k c_k x^k by Horner on coordinate tuples.  Trailing exact-zero
+    """sum_k c_k x^k by Horner on coordinate tuples, one
+    ``FieldDescriptor._muladd`` acc * x + c_k per step.  Trailing exact-zero
     coefficients are dropped first, so a polynomial padded with exact zeros
-    costs its degree; the digits are those of the full loop, as an exact zero
-    times x is the exact zero."""
+    costs its degree; the digits are those of the full loop from the exact
+    zero, as an exact zero times x is the exact zero and the exact zero plus
+    the top coefficient is that coefficient."""
     fld = x.field
     coeffs = list(coeffs)
     _check_fields(fld, coeffs)
     while coeffs and coeffs[-1].is_exact_zero():
         coeffs.pop()
-    mul, add, xc = fld._mul, fld._add, x.coords
-    acc = fld.zero().coords
-    for c in reversed(coeffs):
-        acc = add(mul(acc, xc), c.coords)
+    if not coeffs:
+        return fld.zero()
+    muladd, xc = fld._muladd, x.coords
+    acc = coeffs[-1].coords
+    for c in reversed(coeffs[:-1]):
+        acc = muladd(acc, xc, c.coords)
     return PadicScalar(fld, acc)
 
 

@@ -147,20 +147,25 @@ class TruncatedSeries:
 # ----------------------------------------------------------------------------
 
 def mult_inverse(f: TruncatedSeries) -> TruncatedSeries:
-    """Series g with f*g = 1 + O(x^N); needs an invertible constant term."""
+    """Series g with f*g = 1 + O(x^N); needs an invertible constant term.
+    g_k = -(sum over 1 <= i <= k of f_i g_(k-i)) / f_0, the sum taken on
+    coordinate tuples by one ``FieldDescriptor._muladd`` per term."""
     c0 = f.coeffs[0]
     if c0.is_zero():
         raise NonUnitConstantTerm("constant term vanishes at precision")
-    n = f.order
-    inv0 = c0.inverse()
-    out = [inv0] + [f.field.zero()] * (n - 1)
-    for k in range(1, n):
-        acc = f.field.zero()
-        for i in range(1, k + 1):
-            if not f.coeffs[i].is_exact_zero():
-                acc = acc + f.coeffs[i] * out[k - i]
-        out[k] = -(acc * inv0)
-    return f._wrap(out)
+    fld = f.field
+    muladd, zero, inv0 = fld._muladd, fld.zero().coords, c0.inverse().coords
+    # the terms of the inner sums: the coefficients past c_0 that are not exact zeros
+    live = [(i, c.coords) for i, c in enumerate(f.coeffs) if i and not c.is_exact_zero()]
+    out = [inv0]
+    for k in range(1, f.order):
+        acc = zero
+        for i, c in live:
+            if i > k:
+                break
+            acc = muladd(c, out[k - i], acc)
+        out.append(fld._neg(muladd(acc, inv0)))
+    return f._wrap([PadicScalar(fld, c) for c in out])
 
 
 def derivative(f: TruncatedSeries) -> TruncatedSeries:
@@ -233,7 +238,10 @@ def recenter(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
     a - center is again the exact zero, and adding the exact zero leaves a
     digit as it is.  A zero at finite precision is kept, as it caps what it
     touches.
-    The loop runs on coordinate tuples and wraps only the result.
+    The loop runs on coordinate tuples and wraps only the result: each step
+    maps the accumulator acc (coefficients of the sum so far in x) to
+    acc[i] * delta + acc[i - 1] by one ``FieldDescriptor._muladd``, c for
+    i = 0, and keeps acc[-1] as the new top coefficient.
     """
     delta = a - f.center
     if not delta.is_zero() and delta.valuation() < 0:
@@ -247,14 +255,12 @@ def recenter(f: TruncatedSeries, a: PadicScalar) -> TruncatedSeries:
     while top and f.coeffs[top - 1].is_exact_zero():
         top -= 1
     # Horner in (delta + x); the accumulator gains one entry per step
-    mul, add, d, zero = field._mul, field._add, delta.coords, field.zero()
-    acc = []
-    for c in reversed(f.coeffs[:top]):
-        nxt = [mul(x, d) for x in acc] + [zero.coords]
-        for i in range(len(acc), 0, -1):
-            nxt[i] = add(nxt[i], acc[i - 1])
-        nxt[0] = add(nxt[0], c.coords)
-        acc = nxt
+    muladd, d, zero = field._muladd, delta.coords, field.zero()
+    coeffs = [c.coords for c in f.coeffs[:top]]
+    acc = coeffs[-1:]
+    for c in reversed(coeffs[:-1]):
+        acc = ([muladd(acc[0], d, c)]
+               + [muladd(x, d, y) for x, y in zip(acc[1:], acc)] + acc[-1:])
     return TruncatedSeries(field, f.var, a,
                            [PadicScalar(field, x) for x in acc] + [zero] * (f.order - top))
 

@@ -17,6 +17,7 @@ from padicdisc.errors import (
     HenselHypothesisFailed,
     NoConvergence,
     PadicDiscError,
+    PrecisionPastExact,
     UnsupportedRoot,
 )
 from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bmul, _bnorm, _fp_eval,
@@ -46,6 +47,24 @@ def test_from_rational_valuations(q2):
     assert q2.from_rational(Fraction(1, 2)).valuation() == -1
     assert q2.from_rational(Fraction(-1, 8)).valuation() == \
         vp_fraction(Fraction(-1, 8), 2) == -3
+
+
+def test_constructors_reject_precision_past_exact():
+    # 1024 digits beyond valuation 3100 would end at 4124, past _EXACT: the
+    # value would read as exact
+    q2 = FieldDescriptor(2, digits=1024)
+    big = Fraction(2 ** 3100, 3)
+    with pytest.raises(PrecisionPastExact, match="reaches past precision"):
+        q2.from_rational(big)
+    with pytest.raises(PrecisionPastExact):
+        q2.from_coords([big])
+    q2pi = FieldDescriptor(2, digits=1024, poly=[2, 0, 1], e=2, f=1)
+    with pytest.raises(PadicDiscError):
+        q2pi.from_coords([1, big])
+    # 1024 digits beyond valuation 3000 end at 4024, below _EXACT
+    x = q2.from_rational(Fraction(2 ** 3000, 3))
+    assert x.coords[0][1:] == (3000, 4024) and x.precision() == 4024
+    assert q2pi.from_coords([1, 2 ** 3000]).coords[1] == (1, 3000, 4024)
 
 
 def test_add_and_valuation(q2):

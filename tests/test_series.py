@@ -405,6 +405,77 @@ def test_scalar_mul_matches_schoolbook_fold(name, a, b):
     assert fld._mul(y, x) == reference_scalar_mul(fld, y, x)
 
 
+def reference_muladd(fld, a, b, c):
+    """reference_scalar_mul(a, b), then _badd of c coordinate by coordinate."""
+    return tuple(_badd(fld.p, s, t) for s, t in zip(reference_scalar_mul(fld, a, b), c))
+
+
+# an exact addend of valuation -3 (times p^-2 at the denominators 9 and 25),
+# below the product's valuation
+_EXACT_LOW = (3, [(1, 1, -3), (2, 1, -3), (1, 9, -1)], 0)
+
+
+@given(name=st.sampled_from(sorted(KERNEL_FIELDS)), a=_scalar_draw, b=_scalar_draw,
+       c=_scalar_draw)
+@example(name="Q3(sqrt-3)", a=_EXACT_THIRD, b=_EXACT_ONE, c=_EXACT_LOW)
+@example(name="Q9 by x^2+x/2+2", a=_WIDE, b=_WIDE, c=_EXACT_LOW)
+@example(name="Q2[x]/(x^3+2x+2)", a=_WIDE, b=(2, [(1, 1, 0)] * 3, 2), c=(2, _WIDE[1], -1))
+@settings(max_examples=300, deadline=None)
+def test_muladd_matches_product_then_add(name, a, b, c):
+    """FieldDescriptor._muladd(a, b, c) against the schoolbook product and
+    fold followed by _badd of c, digit triple by digit triple; c may be the
+    exact zero, a zero at finite precision or an exact digit of negative
+    valuation."""
+    fld = KERNEL_FIELDS[name]
+    x, y, z = (kernel_scalar(fld, draw).coords for draw in (a, b, c))
+    assert fld._muladd(x, y, z) == reference_muladd(fld, x, y, z)
+    assert fld._muladd(y, x, z) == reference_muladd(fld, y, x, z)
+    assert fld._muladd(x, y) == reference_scalar_mul(fld, x, y)
+
+
+def reference_poly_eval(fld, coeffs, x):
+    """sum c_k x^k by Horner on reference_muladd from the exact zero, every
+    coefficient included."""
+    acc = fld.zero().coords
+    for c in reversed(coeffs):
+        acc = reference_muladd(fld, acc, x, c)
+    return acc
+
+
+def reference_recenter(fld, coeffs, d):
+    """Coefficients of sum c_k (d + x)^k by the Horner shift on
+    reference_scalar_mul and _badd, every coefficient included."""
+    acc = []
+    for c in reversed(coeffs):
+        nxt = [reference_scalar_mul(fld, x, d) for x in acc] + [fld.zero().coords]
+        for i in range(len(acc), 0, -1):
+            nxt[i] = tuple(_badd(fld.p, s, t) for s, t in zip(nxt[i], acc[i - 1]))
+        nxt[0] = tuple(_badd(fld.p, s, t) for s, t in zip(nxt[0], c))
+        acc = nxt
+    return acc
+
+
+@given(name=st.sampled_from(sorted(KERNEL_FIELDS)),
+       draws=st.lists(_scalar_draw, min_size=0, max_size=8), point=_scalar_draw)
+@example(name="Q9 by x^2+x/2+2", draws=[_WIDE, _EXACT_LOW, (0, _WIDE[1], 0), _WIDE],
+         point=(2, _WIDE[1], 4))
+@settings(max_examples=200, deadline=None)
+def test_poly_eval_and_recenter_match_reference_horner(name, draws, point):
+    """poly_eval and recenter, one _muladd per Horner step, against the
+    Horner loops on the schoolbook product and _badd."""
+    fld = KERNEL_FIELDS[name]
+    coeffs = [kernel_scalar(fld, draw) for draw in draws]
+    x = kernel_scalar(fld, point)
+    assert poly_eval(coeffs, x).coords == \
+        reference_poly_eval(fld, [c.coords for c in coeffs], x.coords)
+    # recenter shifts inside the disc, to a point known to precision >= 0
+    while (not x.is_zero() and x.valuation() < 0) or x.precision() < 0:
+        x = x * fld.p
+    f = TruncatedSeries(fld, "t", fld.zero(), coeffs or [fld.zero()])
+    assert [c.coords for c in recenter(f, x).coeffs] == \
+        reference_recenter(fld, [c.coords for c in f.coeffs], x.coords)
+
+
 @given(name=st.sampled_from(sorted(KERNEL_FIELDS)),
        xs=st.lists(_scalar_draw, min_size=1, max_size=6),
        ys=st.lists(_scalar_draw, min_size=1, max_size=6))
