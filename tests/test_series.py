@@ -410,8 +410,8 @@ def reference_muladd(fld, a, b, c):
     return tuple(_badd(fld.p, s, t) for s, t in zip(reference_scalar_mul(fld, a, b), c))
 
 
-# an exact addend of valuation -3 (times p^-2 at the denominators 9 and 25),
-# below the product's valuation
+# an exact addend with a coordinate of valuation -3: with the exact units
+# of _EXACT_THIRD and _EXACT_ONE it lies below the product's valuation
 _EXACT_LOW = (3, [(1, 1, -3), (2, 1, -3), (1, 9, -1)], 0)
 
 
