@@ -43,6 +43,10 @@ tree building.  The rows ``scalar_mul:<field>`` time one batch of 1000
 ``PadicScalar.__mul__`` calls on seeded pairs of scalars whose every
 coordinate is drawn, over each field of the ``fibers`` workload with 64
 digits and over Q_3(sqrt-3) with 1024 digits; their N is the digit count.
+The rows ``scalar_to_json:<field>`` time one batch of
+``jsonio.scalar_to_json`` calls over the coefficients of a seeded dense
+order-40 series (every coordinate drawn, 64 digits), per field of the
+``fibers`` workload: the report writer's per-scalar cost.
 Each cell is the median of three rounds, and the rounds run over every
 cell in turn, so a disturbance of the host that lasts less than a round
 touches one of them.  In a round a cell times batches of calls, a batch
@@ -98,6 +102,7 @@ FIBER_DEGREE = 8
 FIBER_ORDER = 32
 OPTIMALITY_ORDER = 32
 STAGE_ORDER = 40
+SERIES_JSON_ORDER = 40
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ROUNDS = 3
 BUDGET_S = 0.2
@@ -133,17 +138,31 @@ def _inputs(padicdisc, fld, n, seed):
             "shift": fld.from_rational(fld.p)}
 
 
+def _dense_series(padicdisc, fld, n, rng):
+    """A seeded order-n series whose every coordinate is drawn."""
+    return padicdisc.TruncatedSeries(fld, "t", fld.zero(), [fld.from_coords(
+        [Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7))) for _ in range(fld.n)])
+        for _ in range(n)])
+
+
 def _dense_mul(padicdisc, fld, n, seed):
     """The product of two seeded order-n series whose every coordinate is drawn."""
     rng = random.Random(seed)
-
-    def series():
-        return padicdisc.TruncatedSeries(fld, "t", fld.zero(), [fld.from_coords(
-            [Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7))) for _ in range(fld.n)])
-            for _ in range(n)])
-
-    x, y = series(), series()
+    x, y = _dense_series(padicdisc, fld, n, rng), _dense_series(padicdisc, fld, n, rng)
     return lambda: x * y
+
+
+def _scalar_json_calls(padicdisc) -> dict:
+    """scalar_to_json of every coefficient of a seeded dense series of order
+    SERIES_JSON_ORDER, per benchmark field at 64 digits."""
+    from fields import FIELDS
+    calls = {}
+    for name, field in sorted(FIELDS.items()):
+        fld = padicdisc.jsonio.field_from_json(field.spec(64))
+        coeffs = _dense_series(padicdisc, fld, SERIES_JSON_ORDER,
+                               random.Random(SERIES_JSON_ORDER)).coeffs
+        calls[name] = lambda coeffs=coeffs: [padicdisc.jsonio.scalar_to_json(c) for c in coeffs]
+    return calls
 
 
 def _calls(padicdisc, data):
@@ -306,6 +325,8 @@ def _cells(padicdisc) -> list:
             cells += [(op, name, digits, call) for op, call in calls.items()]
     for name, digits, call in _scalar_mul_calls(padicdisc):
         cells.append(("scalar_mul:" + name, name, digits, call))
+    for name, call in _scalar_json_calls(padicdisc).items():
+        cells.append(("scalar_to_json:" + name, name, SERIES_JSON_ORDER, call))
     for name, call in _fiber_calls(padicdisc).items():
         cells.append(("fiber:" + name, name, FIBER_ORDER, call))
     for name, call in _tree_calls(padicdisc).items():

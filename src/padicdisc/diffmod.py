@@ -90,6 +90,12 @@ def row_reduce(rows, width, lead, invert):
     is swapped into place and scaled by ``invert(entry)``, and every other
     row whose entry is nonzero at precision is eliminated.  A column without
     a nonzero entry is skipped.  Returns the pivot columns in order.
+
+    Scaling and elimination touch only the columns right of the pivot: the
+    pivot search reads only columns not yet reached, and no caller reads a
+    column at or left of a pivot again.  So after the call only the pivot
+    list and the columns right of the last pivot (the right-hand block) are
+    results; the entries at and left of each pivot are left as they were.
     """
     pivots = []
     for col in range(width):
@@ -105,13 +111,14 @@ def row_reduce(rows, width, lead, invert):
             continue
         rows[row], rows[piv] = rows[piv], rows[row]
         pivot_inv = invert(rows[row][col])
-        rows[row] = [x * pivot_inv for x in rows[row]]
+        right = [x * pivot_inv for x in rows[row][col + 1:]]
+        rows[row][col + 1:] = right
         for r in range(len(rows)):
             if r != row:
                 c = rows[r][col]
                 if c.is_zero():
                     continue
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[row])]
+                rows[r][col + 1:] = [x - c * y for x, y in zip(rows[r][col + 1:], right)]
         pivots.append(col)
     return pivots
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import PrecisionPastExact, SchemaError
-from .padic import INF, FieldDescriptor, PadicScalar, _EXACT, _bnorm, _vp_int
+from .padic import (INF, FieldDescriptor, PadicScalar, _EXACT, _bnorm, _int_precision,
+                    _int_valuation, _vp_int)
 from .series import TruncatedSeries, ValuationPolygon
 
 
@@ -57,14 +59,22 @@ def field_from_json(d: dict) -> FieldDescriptor:
                            e=int(ext["e"]), f=int(ext["f"]))
 
 
+def _gauge_str(m, e: int) -> str:
+    """frac_str(m / e) for an int m, or INF."""
+    if m == INF:
+        return "inf"
+    g = math.gcd(m, e)
+    return str(m // g) if g == e else "%d/%d" % (m // g, e // g)
+
+
 def scalar_to_json(x: PadicScalar) -> dict:
-    coords = []
-    for u, v, k in x.coords:
-        coords.append([str(u), str(v if u else 0)])
-    prec = x.precision()
-    return {"val": frac_str(x.valuation()),
-            "coords": coords,
-            "prec": frac_str(prec if prec != INF else None)}
+    # val and prec on the integer gauge e * v + i (i the coordinate index in
+    # an Eisenstein field, 0 otherwise), divided by e only when written: the
+    # strings of valuation() and precision(), without their Fractions
+    e = x.field.e
+    return {"val": _gauge_str(_int_valuation(x), e),
+            "coords": [[str(u), str(v if u else 0)] for u, v, _ in x.coords],
+            "prec": _gauge_str(_int_precision(x), e)}
 
 
 def _below_exact(x: PadicScalar) -> PadicScalar:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import (
     DivisionByZeroAtPrecision,
@@ -155,7 +155,12 @@ def _bconv(field, xs, ys):
     each scalar product, the fold of the ``_bmul``/``_badd`` convolution (an
     exact-zero conv_c, which that fold skips, has K_c >= _EXACT).
     Only the live rectangle i in [x_lo, x_hi], j in [y_lo, y_hi] can hold a
-    live pair, so the precisions are taken over it alone.
+    live pair, so the precisions are taken over it alone.  A coefficient
+    counts as live unless its tuple equals ``field.zero().coords``: one
+    tuple comparison.  That is byte-safe whatever form an exact zero takes,
+    since the flags only bound the rectangle: a coefficient wrongly flagged
+    live widens it, and inside it every exact-zero digit enters the profile
+    as INF and packs as 0, as it would outside.
 
     The values come from big-integer products (Kronecker substitution): each
     coordinate column is packed once, u * p^(v - e) at one exponent e per
@@ -172,8 +177,9 @@ def _bconv(field, xs, ys):
     to p, which normalization divides out again.
     """
     p, dim, n = field.p, field.n, len(xs)
-    x_live = [not all(not u and k >= _EXACT for u, _, k in c) for c in xs]
-    y_live = [not all(not u and k >= _EXACT for u, _, k in c) for c in ys]
+    zero = field.zero().coords
+    x_live = [c != zero for c in xs]
+    y_live = [c != zero for c in ys]
     # the first live index of each side, n when it has none
     x_lo = x_live.index(True) if True in x_live else n
     y_lo = y_live.index(True) if True in y_live else n
@@ -336,10 +342,20 @@ def _fp_polymulmod(a, b, g, p):
 
 
 def _fp_eval(coeffs, x, g, p):
-    # sum c_k x^k in F_p[X]/(g) by Horner; elements are deg(g) coefficients
-    acc = [0] * (len(g) - 1)
+    # sum c_k x^k in (Z/p)[X]/(g) by Horner; x and each c_k have deg(g)
+    # coefficients.  acc -> acc * x is linear, and column j of its matrix is
+    # x X^j mod g, built once; a step is one matrix-vector product plus c_k,
+    # with one % per coefficient
+    n = len(g) - 1
+    cols = [[a % p for a in x]]
+    for _ in range(n - 1):
+        prev = cols[-1]
+        top = prev[-1]
+        cols.append([(lo - top * q) % p for lo, q in zip([0] + prev[:-1], g)])
+    rows = list(zip(*cols))
+    acc = [0] * n
     for c in reversed(coeffs):
-        acc = [(a + b) % p for a, b in zip(_fp_polymulmod(acc, x, g, p), c)]
+        acc = [(sum(map(mul, row, acc)) + b) % p for row, b in zip(rows, c)]
     return acc
 
 
@@ -474,6 +490,7 @@ class FieldDescriptor:
         else:
             self.shifts = (Fraction(0),) * self.n
         self._fold_table = self._build_fold_table()
+        self._integers = []
 
     def _build_fold_table(self):
         """X^c modulo the defining polynomial for n <= c <= 2n - 2: one entry
@@ -533,7 +550,15 @@ class FieldDescriptor:
         return cached
 
     def one(self) -> "PadicScalar":
-        return self.from_rational(1)
+        return self._integer(1)
+
+    def _integer(self, j: int) -> "PadicScalar":
+        """The scalar j >= 0 as ``from_rational(j)`` builds it, from a table
+        that grows only to the largest j asked for."""
+        table = self._integers
+        while len(table) <= j:
+            table.append(self.from_rational(len(table)))
+        return table[j]
 
     def from_rational(self, q) -> "PadicScalar":
         q = Fraction(q)
@@ -863,8 +888,22 @@ def _int_valuation(c: PadicScalar):
     return min(ys) if ys else INF
 
 
+def _int_precision(c: PadicScalar):
+    """e * c.precision() as an int, the twin of ``_int_valuation``: the least
+    e k + i over the coordinates known modulo p^k with k < _EXACT; INF when
+    c is exact."""
+    if c.field.kind == "eisenstein":
+        e = c.field.e
+        ys = [e * k + i for i, (_, _, k) in enumerate(c.coords) if k < _EXACT]
+    else:
+        ys = [k for _, _, k in c.coords if k < _EXACT]
+    return min(ys) if ys else INF
+
+
 def poly_derivative(coeffs):
-    return [c * j for j, c in enumerate(coeffs[1:], 1)]
+    """The coefficients j c_j, j >= 1: each c_j times the scalar j of its
+    field's integer table."""
+    return [c * c.field._integer(j) for j, c in enumerate(coeffs[1:], 1)]
 
 
 def _newton_mod(g, dg, x: PadicScalar, y: PadicScalar):

@@ -9,6 +9,7 @@ from padicdisc import (
     DiffModule,
     DiscMorphism,
     FieldDescriptor,
+    PadicScalar,
     QuotientAlgebra,
     TruncatedSeries,
     direct_image,
@@ -25,9 +26,11 @@ from padicdisc.diffmod import (
     mat_identity,
     mat_inverse,
     mat_mul,
+    row_reduce,
 )
-from padicdisc.morphism import fiber, monic_relation
-from conftest import N, exp_rationals
+from padicdisc.morphism import MonicRelation, fiber, monic_relation
+from padicdisc.optimal import BasisColumn
+from conftest import N, constant_rank, exp_rationals
 
 
 def series(field, rats, var="t", center=0, order=N):
@@ -51,6 +54,135 @@ def test_mat_inverse_swaps_in_least_valuation_pivot(q2):
     for prod in (mat_mul(a, inv), mat_mul(inv, a)):
         assert all((prod[i][j] - iden[i][j]).is_zero() for i in range(2) for j in range(2))
     assert all(c.min_precision() == q2.digits for row in inv for c in row)
+
+
+def reference_row_reduce(rows, width, lead, invert):
+    """row_reduce as it was: the pivot row scaled and every other row
+    eliminated across its full width."""
+    pivots = []
+    for col in range(width):
+        row = len(pivots)
+        piv, best = None, None
+        for r in range(row, len(rows)):
+            c0 = lead(rows[r][col])
+            if not c0.is_zero():
+                v = c0.valuation()
+                if best is None or v < best:
+                    piv, best = r, v
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        pivot_inv = invert(rows[row][col])
+        rows[row] = [x * pivot_inv for x in rows[row]]
+        for r in range(len(rows)):
+            if r != row:
+                c = rows[r][col]
+                if c.is_zero():
+                    continue
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
+def reference_solve(rows, n, error):
+    """The right-hand block of rows after reference_row_reduce, or the
+    error _reduce_invertible raises, as comparable values."""
+    pivots = reference_row_reduce(rows, n, lambda c: c.coeffs[0], mult_inverse)
+    if len(pivots) < n:
+        return error, "no invertible pivot in column %d" % min(set(range(n)) - set(pivots))
+    return [[[c.coords for c in x.coeffs] for x in row[n:]] for row in rows]
+
+
+def outcome(call, error):
+    try:
+        result = call()
+    except error as err:
+        return error, str(err)
+    return [[[c.coords for c in x.coeffs] for x in row] for row in result]
+
+
+_ROW_FIELDS = {"Q2": FieldDescriptor(2, digits=16),
+               "Q3(sqrt-3)": FieldDescriptor(3, digits=12, poly=[3, 0, 1], e=2, f=1)}
+# a series entry: per coefficient and coordinate num / den times p^shift
+_series_draw = st.lists(st.lists(st.tuples(st.integers(-9, 9), st.sampled_from([1, 2, 3]),
+                                     st.sampled_from([0, 0, 1])), min_size=2, max_size=2),
+                  min_size=1, max_size=6)
+
+
+def drawn_series(fld, draw, order=6):
+    coeffs = [fld.from_coords([Fraction(num, den) * Fraction(fld.p) ** shift
+                               for num, den, shift in coords[:fld.n]]) for coords in draw]
+    return TruncatedSeries(fld, "t", fld.zero(), coeffs + [fld.zero()] * (order - len(coeffs)))
+
+
+# constant terms p, 1 in column 0: the unit below is swapped in
+_SWAP = [[[[(1, 1, 1)] * 2, [(1, 1, 0)] * 2], [[(3, 1, 0)] * 2]],
+         [[[(1, 1, 0)] * 2], [[(0, 1, 0)] * 2, [(1, 1, 0)] * 2]]]
+
+
+@given(name=st.sampled_from(sorted(_ROW_FIELDS)), data=st.data())
+@example(name="Q2", data=None)
+@example(name="Q3(sqrt-3)", data=None)
+@settings(max_examples=60, deadline=None)
+def test_mat_inverse_matches_full_width_reduction(name, data):
+    """mat_inverse, which scales and eliminates only right of each pivot,
+    against the full-width Gauss-Jordan it replaced, digit for digit; the
+    examples swap a unit pivot in."""
+    fld = _ROW_FIELDS[name]
+    if data is None:
+        draws = _SWAP
+    else:
+        n = data.draw(st.sampled_from([2, 3]))
+        draws = data.draw(st.lists(st.lists(_series_draw, min_size=n, max_size=n),
+                                   min_size=n, max_size=n))
+    a = tuple(tuple(drawn_series(fld, entry) for entry in row) for row in draws)
+    n = len(a)
+    if data is None:
+        assert a[0][0].coeffs[0].valuation() > a[1][0].coeffs[0].valuation()
+    iden = mat_identity(fld, "t", fld.zero(), n, 6)
+    want = reference_solve([list(row) + list(e) for row, e in zip(a, iden)], n, DegenerateFiber)
+    assert outcome(lambda: mat_inverse(a), DegenerateFiber) == want
+
+
+@given(name=st.sampled_from(sorted(_ROW_FIELDS)), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_quotient_invert_matches_full_width_reduction(name, data):
+    """QuotientAlgebra.invert against the full-width Gauss-Jordan on the same
+    d x d system, digit for digit."""
+    fld = _ROW_FIELDS[name]
+    d = data.draw(st.sampled_from([2, 3]))
+    rel = MonicRelation(coeffs=tuple(drawn_series(fld, data.draw(_series_draw)) for _ in range(d)),
+                        center=fld.zero())
+    x = tuple(drawn_series(fld, data.draw(_series_draw)) for _ in range(d))
+    quot = QuotientAlgebra(rel)
+    cols = [quot.mul(x, quot.power(j)) for j in range(d)]
+    rows = [[cols[j][i] for j in range(d)] + [quot.power(0)[i]] for i in range(d)]
+    assert outcome(lambda: [[c] for c in QuotientAlgebra(rel).invert(x)], NotEtale) == \
+        reference_solve(rows, d, NotEtale)
+
+
+def test_row_reduce_skipped_column_keeps_pivots_and_right_block(q2):
+    """A column skipped between two pivots: row_reduce leaves it as it was,
+    but the pivot list and the block right of the last pivot are those of
+    the full-width reduction, and constant_rank counts the rank."""
+    def scalars(*rows):
+        return [[q2.from_rational(x) for x in row] for row in rows]
+
+    # column 1 is twice column 0, so it vanishes after the first pivot
+    rows = scalars([1, 2, 0, 1, 0], [2, 4, 1, 0, 1], [3, 6, 5, 0, 0])
+    want = scalars([1, 2, 0, 1, 0], [2, 4, 1, 0, 1], [3, 6, 5, 0, 0])
+    pivots = row_reduce(rows, 3, lambda c: c, PadicScalar.inverse)
+    assert pivots == reference_row_reduce(want, 3, lambda c: c, PadicScalar.inverse) == [0, 2]
+    assert [[c.coords for c in row[3:]] for row in rows] == \
+        [[c.coords for c in row[3:]] for row in want]
+
+    def column(*consts):
+        return BasisColumn(entries=tuple(TruncatedSeries.constant(q2, "s", q2.zero(),
+                                                                  q2.from_rational(c), N)
+                                         for c in consts),
+                           predicted_exponent=Fraction(0), estimate=None, provenance={})
+
+    assert constant_rank([column(1, 2, 3), column(2, 4, 6), column(0, 1, 5)]) == 2
 
 
 def test_mat_inverse_without_invertible_pivot(q2):

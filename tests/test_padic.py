@@ -320,6 +320,74 @@ def test_fp_polymulmod_matches_exact_division(ring, big, a, b):
     assert _fp_polymulmod(a, b, g, m) == reference_polymulmod(a, b, g, m)
 
 
+def reference_fp_eval(coeffs, x, g, m):
+    """_fp_eval as it was: Horner with one _fp_polymulmod per step, then a
+    % per coordinate."""
+    acc = [0] * (len(g) - 1)
+    for c in reversed(coeffs):
+        acc = [(a + b) % m for a, b in zip(_fp_polymulmod(acc, x, g, m), c)]
+    return acc
+
+
+@given(ring=st.sampled_from(_BENCH_RINGS), big=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fp_eval_matches_horner_on_polymulmod(ring, big, data):
+    """_fp_eval, one matrix-vector product per Horner step, against Horner on
+    _fp_polymulmod in the residue ring of each fibers field, modulo p (the
+    residue tests) and p^66 (the Newton iteration of hensel_lift)."""
+    p, poly = ring
+    m = p ** 66 if big else p
+    g = tuple(c % m for c in poly)
+    element = st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=len(g) - 1,
+                       max_size=len(g) - 1)
+    x = data.draw(element)
+    coeffs = data.draw(st.lists(element, max_size=9))
+    assert _fp_eval(coeffs, x, g, m) == reference_fp_eval(coeffs, x, g, m)
+
+
+_DERIVATIVE_FIELDS = {
+    "Q2": FieldDescriptor(2, digits=20),
+    "Q3(sqrt-3)": FieldDescriptor(3, digits=12, poly=[3, 0, 1], e=2, f=1),
+    "Q4": FieldDescriptor(2, digits=16, poly=[1, 1, 1], e=1, f=2),
+}
+# a coefficient: exact or not, then per coordinate num / den times p^shift
+_derivative_coefficient = st.tuples(
+    st.booleans(), st.lists(st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 9]),
+                                      st.integers(-2, 3)), min_size=2, max_size=2))
+
+
+@given(name=st.sampled_from(sorted(_DERIVATIVE_FIELDS)),
+       draws=st.lists(_derivative_coefficient, max_size=10))
+@example(name="Q3(sqrt-3)", draws=[(True, [(1, 1, 0)] * 2)] * 5)
+@settings(max_examples=200, deadline=None)
+def test_poly_derivative_matches_rational_multiplier(name, draws):
+    """poly_derivative takes j from the field's integer table: the digits of
+    c * fld.from_rational(j), exact coefficients included.  The product of
+    an exact nonzero c with j is known to the field's digits only."""
+    fld = _DERIVATIVE_FIELDS[name]
+    coeffs = []
+    for exact, coords in draws:
+        c = fld.from_coords([Fraction(num, den) * Fraction(fld.p) ** shift
+                             for num, den, shift in coords[:fld.n]])
+        if exact:
+            c = PadicScalar(fld, tuple((u, v, _EXACT) if u else (u, v, k) for u, v, k in c.coords))
+        coeffs.append(c)
+    got = poly_derivative(coeffs)
+    assert [c.coords for c in got] == \
+        [(c * fld.from_rational(j)).coords for j, c in enumerate(coeffs[1:], 1)]
+    for c, d in zip(coeffs[1:], got):
+        assert d.precision() < INF or c.is_exact_zero()
+
+
+def test_integer_table_grows_to_the_largest_degree():
+    fld = FieldDescriptor(3, digits=12, poly=[3, 0, 1], e=2, f=1)
+    assert fld.one() is fld.one()
+    assert fld.one().coords == fld.from_rational(1).coords
+    poly_derivative([fld.from_rational(k) for k in range(6)])
+    assert len(fld._integers) == 6
+    assert [c.coords for c in fld._integers] == [fld.from_rational(j).coords for j in range(6)]
+
+
 def test_hensel_root_claims_only_what_g_supports_after_a_step():
     # A lift of the fibers workload at digits 8 (seed 5, one of its first 120
     # jobs) over Q_2(sqrt-2): one step from the seed 1 gives x1, where g(x1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from padicdisc import FieldDescriptor, PadicScalar, TruncatedSeries, newton_solve
+from padicdisc import FieldDescriptor, PadicScalar, TruncatedSeries, jsonio, newton_solve
 from padicdisc.errors import (
     CenterMismatch,
     NonUnitConstantTerm,
@@ -18,8 +18,8 @@ from padicdisc.errors import (
     VariableMismatch,
     ZeroSeries,
 )
-from padicdisc.padic import (_EXACT, _badd, _bmul, _bnorm, _bzero, _int_valuation, _ppow, _vp_int,
-                             poly_eval)
+from padicdisc.padic import (INF, _EXACT, _badd, _bconv, _bmul, _bnorm, _bzero, _int_valuation,
+                             _ppow, _vp_int, poly_eval)
 from padicdisc.series import (
     compose,
     derivative,
@@ -271,15 +271,22 @@ def reference_fold(fld, conv):
 
 
 def reference_pair_mul(f, g):
-    """The series product's former path: one pair kernel per coordinate pair
-    (a, b), the pairs of a + b = c merged by _badd, each coefficient folded
-    by reference_fold."""
+    """The series product's former path on the first min(f.order, g.order)
+    coefficients: reference_kernel of their coordinate tuples."""
     n = min(f.order, g.order)
-    fld = f.field
-    x_live = [not c.is_exact_zero() for c in f.coeffs[:n]]
-    y_live = [not c.is_exact_zero() for c in g.coeffs[:n]]
-    x_coords = list(zip(*(c.coords for c in f.coeffs[:n])))
-    y_coords = list(zip(*(c.coords for c in g.coeffs[:n])))
+    return reference_kernel(f.field, [c.coords for c in f.coeffs[:n]],
+                            [c.coords for c in g.coeffs[:n]])
+
+
+def reference_kernel(fld, xs, ys):
+    """The former path on coordinate tuples: one pair kernel per coordinate
+    pair (a, b), the pairs of a + b = c merged by _badd, each coefficient
+    folded by reference_fold.  A coefficient is live unless every digit is
+    an exact zero, the former per-digit test of _bconv."""
+    x_live = [not all(not u and k >= _EXACT for u, _, k in c) for c in xs]
+    y_live = [not all(not u and k >= _EXACT for u, _, k in c) for c in ys]
+    x_coords = list(zip(*xs))
+    y_coords = list(zip(*ys))
     conv = [None] * (2 * fld.n - 1)
     for a in range(fld.n):
         for b in range(fld.n):
@@ -370,6 +377,57 @@ def test_mul_kernel_matches_pair_path(name, xs, ys, runs, dead):
     g = kernel_series(fld, ys, y_lead, y_trail, dead[1])
     assert [c.coords for c in (f * g).coeffs] == reference_pair_mul(f, g)
     assert [c.coords for c in (g * f).coeffs] == reference_pair_mul(g, f)
+
+
+# an exact zero in another form than fld.zero().coords: zero digits known
+# modulo p^_EXACT whose valuation bound lies below _EXACT.  No constructor
+# builds it, but _bconv's one-compare live test must stay byte-safe on it
+def odd_exact_zero(fld, v):
+    return ((0, v, _EXACT),) * fld.n
+
+
+# kinds as for _kernel_coefficient, plus 3 (exact digits) and 4 (an exact
+# zero in the odd form, its valuation bound the cap)
+_bconv_coefficient = st.tuples(st.sampled_from([0, 0, 1, 2, 3, 4]), _kernel_coords, _kernel_cap)
+
+
+def bconv_coords(fld, draws, lead, trail):
+    """Coordinate tuples of the draws between runs of exact zeros; the draws
+    themselves may be exact zeros, so the runs can also be interior."""
+    body = [odd_exact_zero(fld, draw[2]) if draw[0] == 4 else kernel_scalar(fld, draw).coords
+            for draw in draws]
+    return [fld.zero().coords] * lead + body + [fld.zero().coords] * trail
+
+
+_ZERO = (0, _WIDE[1], 0)
+_ODD = (4, _WIDE[1], 2)
+
+
+@given(name=st.sampled_from(sorted(KERNEL_FIELDS)),
+       xs=st.lists(_bconv_coefficient, max_size=8), ys=st.lists(_bconv_coefficient, max_size=8),
+       runs=st.tuples(_zero_run, _zero_run, _zero_run, _zero_run))
+@example(name="Q3(sqrt-3)", xs=[_ZERO] * 4, ys=[_WIDE] * 4, runs=(0, 0, 0, 0))
+@example(name="Q2", xs=[_ODD] * 3, ys=[_WIDE] * 3, runs=(0, 0, 0, 0))
+@example(name="Q4", xs=[_ODD, _WIDE, _ZERO, _ODD, _WIDE], ys=[_ODD, _ODD, _WIDE],
+         runs=(1, 0, 2, 3))
+@example(name="Q2[x]/(x^3+2x+2)", xs=[_WIDE, _ZERO, _ZERO, _WIDE], ys=[_ODD] * 2 + [_WIDE],
+         runs=(3, 2, 0, 4))
+@settings(max_examples=300, deadline=None)
+def test_bconv_live_test_matches_pair_path(name, xs, ys, runs):
+    """_bconv, whose live flags are one comparison with fld.zero().coords,
+    against the pair path with the former per-digit flags, digit triple by
+    digit triple: on leading, trailing and interior runs of exact zeros, on
+    all-exact-zero operands and on exact zeros in the odd form, which the
+    comparison flags live and the per-digit test does not."""
+    fld = KERNEL_FIELDS[name]
+    x_lead, x_trail, y_lead, y_trail = runs
+    x = bconv_coords(fld, xs, x_lead, x_trail)
+    y = bconv_coords(fld, ys, y_lead, y_trail)
+    n = max(1, min(len(x), len(y)))
+    x = (x + [fld.zero().coords] * n)[:n]
+    y = (y + [fld.zero().coords] * n)[:n]
+    assert _bconv(fld, x, y) == reference_kernel(fld, x, y)
+    assert _bconv(fld, y, x) == reference_kernel(fld, y, x)
 
 
 def reference_scalar_mul(fld, a, b):
@@ -503,6 +561,43 @@ def test_exact_zero_absorbs(name, xs, ys):
             assert all(not u and k >= _EXACT for u, _, k in c.coords[1:])
     for x, y in zip(f.coeffs, g.coeffs):
         assert all(not u and k >= _EXACT for u, _, k in (x * y).coords[1:])
+
+
+def reference_scalar_to_json(x):
+    """jsonio.scalar_to_json as it was: val and prec through the Fractions of
+    valuation(), precision() and frac_str."""
+    prec = x.precision()
+    return {"val": jsonio.frac_str(x.valuation()),
+            "coords": [[str(u), str(v if u else 0)] for u, v, _ in x.coords],
+            "prec": jsonio.frac_str(prec if prec != INF else None)}
+
+
+# shift 30 capped at 2: a zero at finite precision in every coordinate
+_ZERO_AT_PREC = (2, [(1, 1, 30)] * 3, 2)
+
+
+@given(name=st.sampled_from(sorted(KERNEL_FIELDS)), draw=_scalar_draw,
+       dead=st.sets(st.integers(0, 2), max_size=2))
+@example(name="Q3(sqrt-3)", draw=_EXACT_LOW, dead=set())
+@example(name="Q2[x]/(x^3+2x+2)", draw=_ZERO_AT_PREC, dead=set())
+@example(name="Q2[x]/(x^3+2x+2)", draw=(2, _WIDE[1], -3), dead={0})
+@example(name="Q5", draw=(0, _WIDE[1], 0), dead=set())
+@settings(max_examples=300, deadline=None)
+def test_scalar_to_json_matches_fraction_reference(name, draw, dead):
+    """scalar_to_json on the integer gauge against the Fraction reference,
+    over exact zeros, zeros at finite precision, negative valuations and
+    Eisenstein coordinates."""
+    fld = KERNEL_FIELDS[name]
+    x = kernel_scalar(fld, draw, dead)
+    assert jsonio.scalar_to_json(x) == reference_scalar_to_json(x)
+
+
+def test_gauge_str_writes_m_over_e_as_frac_str():
+    # e = 4 and 6 reach the gcd that prime e never needs
+    for e in range(1, 7):
+        for m in range(-30, 31):
+            assert jsonio._gauge_str(m, e) == jsonio.frac_str(Fraction(m, e))
+    assert jsonio._gauge_str(INF, 4) == jsonio.frac_str(None) == "inf"
 
 
 def test_mismatch_errors(q2):
