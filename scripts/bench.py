@@ -46,7 +46,10 @@ digits and over Q_3(sqrt-3) with 1024 digits; their N is the digit count.
 The rows ``scalar_to_json:<field>`` time one batch of
 ``jsonio.scalar_to_json`` calls over the coefficients of a seeded dense
 order-40 series (every coordinate drawn, 64 digits), per field of the
-``fibers`` workload: the report writer's per-scalar cost.
+``fibers`` workload: the report writer's per-scalar cost.  The rows
+``valuation:<field>`` time one batch of ``valuation()`` and ``precision()``
+calls on 1000 seeded scalars whose every coordinate is drawn (64 digits),
+per field of the ``fibers`` workload: the valuation gauge.
 Each cell is the median of three rounds, and the rounds run over every
 cell in turn, so a disturbance of the host that lasts less than a round
 touches one of them.  In a round a cell times batches of calls, a batch
@@ -162,6 +165,18 @@ def _scalar_json_calls(padicdisc) -> dict:
         coeffs = _dense_series(padicdisc, fld, SERIES_JSON_ORDER,
                                random.Random(SERIES_JSON_ORDER)).coeffs
         calls[name] = lambda coeffs=coeffs: [padicdisc.jsonio.scalar_to_json(c) for c in coeffs]
+    return calls
+
+
+def _valuation_calls(padicdisc) -> dict:
+    """valuation() and precision() of SCALAR_BATCH seeded scalars, every
+    coordinate drawn, per benchmark field at 64 digits."""
+    from fields import FIELDS
+    calls = {}
+    for name, field in sorted(FIELDS.items()):
+        fld = padicdisc.jsonio.field_from_json(field.spec(64))
+        scalars = _dense_series(padicdisc, fld, SCALAR_BATCH, random.Random(SCALAR_BATCH)).coeffs
+        calls[name] = lambda scalars=scalars: [(c.valuation(), c.precision()) for c in scalars]
     return calls
 
 
@@ -327,6 +342,8 @@ def _cells(padicdisc) -> list:
         cells.append(("scalar_mul:" + name, name, digits, call))
     for name, call in _scalar_json_calls(padicdisc).items():
         cells.append(("scalar_to_json:" + name, name, SERIES_JSON_ORDER, call))
+    for name, call in _valuation_calls(padicdisc).items():
+        cells.append(("valuation:" + name, name, 64, call))
     for name, call in _fiber_calls(padicdisc).items():
         cells.append(("fiber:" + name, name, FIBER_ORDER, call))
     for name, call in _tree_calls(padicdisc).items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateFiber, NotEtale
-from .padic import PadicScalar
+from .padic import INF, PadicScalar, _int_valuation
 from .series import (
     TruncatedSeries,
     derivative,
@@ -86,10 +86,11 @@ def row_reduce(rows, width, lead, invert):
     """Gauss-Jordan on the first ``width`` columns of ``rows``, in place.
 
     Column by column, the pivot is the row at or below the current one whose
-    ``lead(entry)`` has the least valuation (the first such row on ties); it
-    is swapped into place and scaled by ``invert(entry)``, and every other
-    row whose entry is nonzero at precision is eliminated.  A column without
-    a nonzero entry is skipped.  Returns the pivot columns in order.
+    ``lead(entry)`` has the least valuation, compared on the integer gauge
+    ``_int_valuation`` (the first such row on ties); it is swapped into place
+    and scaled by ``invert(entry)``, and every other row whose entry is
+    nonzero at precision is eliminated.  A column without a nonzero entry is
+    skipped.  Returns the pivot columns in order.
 
     Scaling and elimination touch only the columns right of the pivot: the
     pivot search reads only columns not yet reached, and no caller reads a
@@ -102,11 +103,9 @@ def row_reduce(rows, width, lead, invert):
         row = len(pivots)
         piv, best = None, None
         for r in range(row, len(rows)):
-            c0 = lead(rows[r][col])
-            if not c0.is_zero():
-                v = c0.valuation()
-                if best is None or v < best:
-                    piv, best = r, v
+            v = _int_valuation(lead(rows[r][col]))
+            if v != INF and (best is None or v < best):
+                piv, best = r, v
         if piv is None:
             continue
         rows[row], rows[piv] = rows[piv], rows[row]

@@ -7,8 +7,8 @@ import re
 from fractions import Fraction
 
 from .errors import PrecisionPastExact, SchemaError
-from .padic import (INF, FieldDescriptor, PadicScalar, _EXACT, _bnorm, _int_precision,
-                    _int_valuation, _vp_int)
+from .padic import (INF, FieldDescriptor, PadicScalar, _bfrom_power, _int_precision,
+                    _int_valuation)
 from .series import TruncatedSeries, ValuationPolygon
 
 
@@ -77,16 +77,6 @@ def scalar_to_json(x: PadicScalar) -> dict:
             "prec": _gauge_str(_int_precision(x), e)}
 
 
-def _below_exact(x: PadicScalar) -> PadicScalar:
-    """x, unless a nonzero coordinate is known modulo p^_EXACT or beyond,
-    where its precision would read as exact: then SchemaError."""
-    for u, v, k in x.coords:
-        if u and k >= _EXACT:
-            raise SchemaError("a coordinate of valuation %d with %d digits reaches past "
-                              "precision %d" % (v, x.field.digits, _EXACT))
-    return x
-
-
 def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
     """A rational string, a list of fld.n rational coordinates, or the full
     encoding {"coords": fld.n [m, e] pairs, "prec": ...}; anything else
@@ -97,26 +87,21 @@ def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
             return fld.from_rational(parse_frac(d))
         if isinstance(d, list) and len(d) == fld.n:
             return fld.from_coords([parse_frac(c) for c in d])
+        pairs = d.get("coords") if isinstance(d, dict) else None
+        if not (isinstance(pairs, list) and len(pairs) == fld.n
+                and all(isinstance(me, list) and len(me) == 2 for me in pairs)):
+            raise SchemaError("not a scalar with %d coordinates: %r" % (fld.n, d))
+        coords = []
+        for m, e in pairs:
+            try:
+                m, e = int(m), int(e)
+            except (TypeError, ValueError, ArithmeticError):
+                raise SchemaError("coordinate [m, e] needs integers: %r" % ([m, e],))
+            # m * p^e as from_rational stores it
+            coords.append(_bfrom_power(fld.p, m, e, fld.digits))
     except PrecisionPastExact as err:
         raise SchemaError(str(err)) from None
-    pairs = d.get("coords") if isinstance(d, dict) else None
-    if not (isinstance(pairs, list) and len(pairs) == fld.n
-            and all(isinstance(me, list) and len(me) == 2 for me in pairs)):
-        raise SchemaError("not a scalar with %d coordinates: %r" % (fld.n, d))
-    coords = []
-    for m, e in pairs:
-        try:
-            m, e = int(m), int(e)
-        except (TypeError, ValueError, ArithmeticError):
-            raise SchemaError("coordinate [m, e] needs integers: %r" % ([m, e],))
-        if m == 0:
-            coords.append((0, _EXACT, _EXACT))
-        else:
-            # m * p^e as from_rational stores it: a unit times p^valuation,
-            # known to fld.digits digits beyond the valuation (_bnorm clamps
-            # that at _EXACT)
-            coords.append(_bnorm(fld.p, m, e, e + _vp_int(m, fld.p) + fld.digits))
-    x = _below_exact(PadicScalar(fld, tuple(coords)))
+    x = PadicScalar(fld, tuple(coords))
     prec = d.get("prec", "inf")
     return x if prec == "inf" else x.with_precision(parse_frac(prec))
 

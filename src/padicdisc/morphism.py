@@ -212,13 +212,6 @@ def _residue_roots(g, dg, fld: FieldDescriptor):
         yield r, not dv.is_zero() and dv.valuation() == 0
 
 
-def _uniformizer_power(fld: FieldDescriptor, k: int) -> PadicScalar:
-    """pi^k in an Eisenstein field, p^k otherwise: an element of valuation k / e."""
-    if fld.kind == "eisenstein":
-        return fld.uniformizer() ** k
-    return fld.from_rational(Fraction(fld.p) ** k)
-
-
 def _poly_roots(coeffs, fld: FieldDescriptor, depth: int = 0):
     """Roots with valuation > 0 of a scalar polynomial, assumed simple.
 
@@ -257,13 +250,13 @@ def _poly_roots(coeffs, fld: FieldDescriptor, depth: int = 0):
         if rest:
             raise RootsNotInDeclaredField("root valuation %s not in the value group"
                                           % Fraction(y1 - y2, (x2 - x1) * fld.e))
-        sigma = _uniformizer_power(fld, k)
+        sigma = fld.uniformizer() ** k
         scaled = []
         power = fld.one().coords
         for c in coeffs:
             scaled.append(PadicScalar(fld, mul(c.coords, power)))
             power = mul(power, sigma.coords)
-        norm = _uniformizer_power(fld, min(_int_valuation(c) for c in scaled))
+        norm = fld.uniformizer() ** min(_int_valuation(c) for c in scaled)
         inv_norm = fld._inv(norm.coords)
         unit_poly = [PadicScalar(fld, mul(c.coords, inv_norm)) for c in scaled]
         d_unit_poly = poly_derivative(unit_poly)
@@ -278,8 +271,8 @@ def _poly_roots(coeffs, fld: FieldDescriptor, depth: int = 0):
 
 
 def _sort_key(a: PadicScalar):
-    v = a.valuation()
-    key_v = (1, Fraction(0)) if v == INF else (0, Fraction(v))
+    v = _int_valuation(a)
+    key_v = (1, 0) if v == INF else (0, v)
     mantissas = tuple(u for u, _, _ in a.coords)
     return (key_v, mantissas)
 

@@ -268,21 +268,32 @@ def _binv(p: int, x: tuple):
     return _bnorm(p, ui, -v, rel - v) if rel - v > _EXACT else (ui, -v, rel - v)
 
 
-def _bfrom_fraction(p: int, q: Fraction, rel: int):
-    """q known to rel digits beyond its valuation; PrecisionPastExact when
-    that reaches p^_EXACT, where the precision would read as exact."""
-    if q == 0:
+def _bfrom_power(p: int, m: int, e: int, rel: int):
+    """m * p^e known to rel digits beyond its valuation, the exact zero for
+    m = 0; PrecisionPastExact when that reaches p^_EXACT, where the precision
+    would read as exact."""
+    if m == 0:
         return _bzero(_EXACT)
-    num, den = q.numerator, q.denominator
-    vn = _vp_int(num, p)
-    vd = _vp_int(den, p)
-    v = vn - vd
+    w = _vp_int(m, p)
+    v = e + w
     if v + rel >= _EXACT:
         raise PrecisionPastExact("a coordinate of valuation %d with %d digits reaches past "
                                  "precision %d" % (v, rel, _EXACT))
-    mod = _ppow(p, rel)
-    u = ((num // _ppow(p, vn)) % mod) * pow((den // _ppow(p, vd)) % mod, -1, mod) % mod
-    return (u, v, v + rel)
+    return (m // _ppow(p, w) % _ppow(p, rel), v, v + rel)
+
+
+def _bfrom_fraction(p: int, q: Fraction, rel: int):
+    """q known to rel digits beyond its valuation: ``_bfrom_power`` of
+    q = m p^e, m the unit of the numerator over the part of the denominator
+    prime to p, taken modulo p^rel."""
+    num, den = q.numerator, q.denominator
+    e = -_vp_int(den, p)
+    den //= _ppow(p, -e)
+    if den != 1:
+        w = _vp_int(num, p)
+        mod = _ppow(p, rel)
+        num, e = num // _ppow(p, w) * pow(den, -1, mod) % mod, e + w
+    return _bfrom_power(p, num, e, rel)
 
 
 # Miller-Rabin with the first 13 primes as bases decides every n below this
@@ -485,10 +496,6 @@ class FieldDescriptor:
                 self.residue_poly = g
             else:
                 raise InvalidField("only Eisenstein or unramified extensions; towers out of scope")
-        if self.kind == "eisenstein":
-            self.shifts = tuple(Fraction(i, self.e) for i in range(self.n))
-        else:
-            self.shifts = (Fraction(0),) * self.n
         self._fold_table = self._build_fold_table()
         self._integers = []
 
@@ -576,7 +583,7 @@ class FieldDescriptor:
     def uniformizer(self) -> "PadicScalar":
         if self.kind == "eisenstein":
             coords = [_bzero(_EXACT)] * self.n
-            coords[1] = _bfrom_fraction(self.p, Fraction(1), self.digits)
+            coords[1] = _bfrom_power(self.p, 1, 0, self.digits)
             return PadicScalar(self, tuple(coords))
         return self.from_rational(self.p)
 
@@ -731,26 +738,19 @@ class PadicScalar:
         return all(u == 0 for u, _, _ in self.coords)
 
     def valuation(self):
-        """Exact valuation, or +inf when zero at precision.
+        """Exact valuation, or +inf when zero at precision: ``_int_valuation``
+        divided by e.
 
         When every nonzero coordinate sits above some zero coordinate's
         precision floor this is still a certified lower bound.
         """
-        if len(self.coords) == 1:
-            u, v, _ = self.coords[0]
-            return Fraction(v) if u else INF
-        best = INF
-        for (u, v, k), s in zip(self.coords, self.field.shifts):
-            if u:
-                best = min(best, Fraction(v) + s)
-        return best
+        v = _int_valuation(self)
+        return v if v == INF else Fraction(v, self.field.e)
 
     def precision(self):
-        best = INF
-        for (u, v, k), s in zip(self.coords, self.field.shifts):
-            if k < _EXACT:
-                best = min(best, Fraction(k) + s)
-        return best
+        """Absolute precision, or +inf when exact: ``_int_precision`` divided by e."""
+        k = _int_precision(self)
+        return k if k == INF else Fraction(k, self.field.e)
 
     def is_exact_zero(self) -> bool:
         return all(u == 0 and k >= _EXACT for u, v, k in self.coords)
@@ -820,26 +820,26 @@ class PadicScalar:
     __hash__ = None
 
     def with_precision(self, prec) -> "PadicScalar":
-        """Artificially cap the absolute precision (used to model rough inputs)."""
+        """Artificially cap the absolute precision (used to model rough inputs).
+
+        Coordinate i is cut to the least integer k with e k + g_i >= e prec
+        (g_i = i in an Eisenstein field, 0 otherwise): the exact ceiling of
+        prec - g_i / e, negative caps included.  A coordinate already known
+        to fewer digits keeps them.
+        """
         prec = Fraction(prec)
-        p = self.field.p
+        fld = self.field
+        num, den, e = prec.numerator, prec.denominator, fld.e
+        eisenstein = fld.kind == "eisenstein"
         out = []
-        for (u, v, k), s in zip(self.coords, self.field.shifts):
-            cap = prec - s
-            cap_i = int(cap) if cap == int(cap) else int(cap) + 1
-            if k <= cap_i:
-                out.append((u, v, k))
-            elif u:
-                out.append(_bnorm(p, u, v, cap_i))
-            else:
-                out.append(_bzero(cap_i))
-        return PadicScalar(self.field, tuple(out))
+        for i, (u, v, k) in enumerate(self.coords):
+            cap = -(((i if eisenstein else 0) * den - e * num) // (e * den))
+            out.append((u, v, k) if k <= cap else _bnorm(fld.p, u, v, cap))
+        return PadicScalar(fld, tuple(out))
 
     def __repr__(self):
         v = self.valuation()
-        ps = []
-        for (u, vv, k), s in zip(self.coords, self.field.shifts):
-            ps.append("0" if not u else "%d*p^%d" % (u % 10 ** 6, vv))
+        ps = ["0" if not u else "%d*p^%d" % (u % 10 ** 6, vv) for u, vv, _ in self.coords]
         body = " + pi*".join(ps) if self.field.kind == "eisenstein" else ", ".join(ps)
         return "<%s | v=%s prec=%s>" % (body, v, self.precision())
 

@@ -169,10 +169,8 @@ def mult_inverse(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def derivative(f: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise j*c_j shift; order drops to N-1."""
-    if f.order == 1:
-        return f._wrap([f.field.zero()])
-    return f._wrap([f.coeffs[j] * j for j in range(1, f.order)])
+    """Coefficientwise j*c_j shift; order drops to N-1, order 1 keeps a zero."""
+    return f._wrap(poly_derivative(f.coeffs) or [f.field.zero()])
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -360,10 +360,13 @@ def test_digits_above_the_cap_exit_2(source, tmp_path, capsys):
     ("p2-trivial", ("center",), str(2 ** 4090) + "/3"),
     ("p3-trivial", ("center",), ["0", str(3 ** 4032)]),
     ("p2-exp", ("module", "A"), [[[{"coords": [["-1", "4090"]]}]]]),
-], ids=["rational", "coordinate list", "coords pairs"])
+    ("p2-trivial", ("center",), {"coords": [["1", "100000"]]}),
+    ("p2-trivial", ("center",), {"coords": [["3", "5000"]]}),
+], ids=["rational", "coordinate list", "coords pairs", "coords 2^100000", "coords 3*2^5000"])
 def test_spec_scalar_past_exact_precision_exit_2(name, path, value, tmp_path):
     # each value has 64 digits beyond a valuation of 4032 or more: they would
-    # be known modulo p^4096 or beyond, where a precision reads as exact
+    # be known modulo p^4096 or beyond, where a precision reads as exact (a
+    # valuation of 4096 or more is no exact zero either)
     spec = _set(example_spec(name, order=16), path, value)
     with pytest.raises(SchemaError, match="reaches past precision"):
         run(spec)
@@ -374,9 +377,11 @@ def test_spec_scalar_past_exact_precision_exit_2(name, path, value, tmp_path):
 
 def test_scalar_reader_keeps_precision_below_exact():
     q2 = FieldDescriptor(2, digits=1024)
-    for value in (str(2 ** 3100) + "/3", [str(2 ** 3100)], {"coords": [["1", "3072"]]}):
+    for value in (str(2 ** 3100) + "/3", [str(2 ** 3100)], {"coords": [["1", "3072"]]},
+                  {"coords": [["1", "100000"]]}, {"coords": [["3", "5000"]]}):
         with pytest.raises(SchemaError):
             jsonio.scalar_from_json(value, q2)
+    assert jsonio.scalar_from_json({"coords": [["0", "5000"]]}, q2).is_exact_zero()
     # 1024 digits beyond valuation 3000 end at 4024, below _EXACT = 4096
     x = jsonio.scalar_from_json(str(2 ** 3000) + "/3", q2)
     assert x.precision() == 4024

@@ -13,7 +13,9 @@ recentering the morphism at each branch point.  Two more digests pin the
 benchmark's ``fibers`` jobs (``perfbench/workloads.py``, only imported): the
 336 jobs of seed 301, and 120 jobs of seed 5 at digits = 8, where the fiber
 search meets coefficients known only below their residue and some jobs end
-in a stage error.  A refactor that changes any digit, radius, check or key order of a report
+in a stage error.  Two more pin a series morphism, f of degree 3 above its
+d = 2, whose relation P(s, X) comes from the local solutions, not from f,
+with the trivial and with the exponential module.  A refactor that changes any digit, radius, check or key order of a report
 fails here.  Neither the files nor the digests are ever regenerated to make
 a change pass.
 """
@@ -26,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from padicdisc import FieldDescriptor, hensel_lift
 from padicdisc.cli import example_spec, run, run_example, serialize_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -168,3 +171,34 @@ def test_fibers_workload_digest():
 def test_fibers_low_digit_digest():
     specs = [dict(spec, field=dict(spec["field"], digits=8)) for spec in _fiber_specs(5)[:120]]
     assert _jobs_digest(specs) == SHA256_FIBERS_DIGITS8
+
+
+# f = 2t + t^2 + 2t^3 over Q_2 with d = 2: the fiber over 0 is 0 and the root
+# near -2 of 2 + t + 2t^2 (its third root lies outside the disc), given as
+# hints; module A = [[a]] with a = 0 (trivial) or 1 (exponential).
+SERIES_MODULES = {"trivial": "0", "exp": "1"}
+
+SHA256_SERIES_MORPHISM = {
+    "trivial": "115816a897a04b16b78b6ee0ba91e6681151d3558e841807aa89b8f70e1889c4",
+    "exp": "9a3ee56bbce69b5d969055a9135fbf352f1549e772f64114aa84e7fe089edcc8",
+}
+
+
+def series_morphism_spec(module):
+    """The N = 24 job of the series morphism, its second hint the root near
+    -2 lifted by hensel_lift and written as the integer u * 2^v."""
+    q2 = FieldDescriptor(2, digits=64)
+    root = hensel_lift([q2.from_rational(2), q2.one(), q2.from_rational(2)],
+                       q2.from_rational(-2))
+    (u, v, _), = root.coords
+    return {"field": {"p": 2, "digits": 64}, "N": 24,
+            "morphism": {"f": ["0", "2", "1", "2"], "d": 2, "hints": ["0", str(u * 2 ** v)]},
+            "module": {"rank": 1, "A": [[[SERIES_MODULES[module]]]]}}
+
+
+@pytest.mark.parametrize("module", sorted(SERIES_MODULES))
+def test_series_morphism_report_digest(module):
+    report = run(series_morphism_spec(module))
+    assert len(report["checks"]) == 10 and all(c["passed"] for c in report["checks"])
+    text = serialize_report(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == SHA256_SERIES_MORPHISM[module]

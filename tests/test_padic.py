@@ -1,5 +1,6 @@
 """Scalar arithmetic, Hensel lifting, and roots of unity."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from padicdisc import (
     FieldDescriptor,
     INF,
     hensel_lift,
+    jsonio,
     root_of_unity,
 )
 from padicdisc.errors import (
@@ -20,9 +22,9 @@ from padicdisc.errors import (
     PrecisionPastExact,
     UnsupportedRoot,
 )
-from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bmul, _bnorm, _fp_eval,
-                             _fp_polymulmod, _is_prime, _newton_mod, poly_derivative,
-                             poly_eval)
+from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bfrom_fraction, _bfrom_power, _bmul,
+                             _bnorm, _fp_eval, _fp_polymulmod, _is_prime, _newton_mod, _ppow,
+                             _vp_int, poly_derivative, poly_eval)
 
 
 def vp_fraction(q, p):
@@ -114,6 +116,169 @@ def test_with_precision_truncates(q3pi):
     rough = z.with_precision(1)
     assert rough.precision() <= Fraction(3, 2)
     assert (rough - z).valuation() >= 1 or (rough - z).is_zero()
+
+
+# -- one valuation gauge: the Fraction forms it replaced, as references -----------
+
+_GAUGE_FIELDS = {
+    "Q3": FieldDescriptor(3, digits=12),
+    "Q2(sqrt-2)": FieldDescriptor(2, digits=12, poly=[2, 0, 1], e=2, f=1),
+    "Q3(sqrt-3)": FieldDescriptor(3, digits=12, poly=[3, 0, 1], e=2, f=1),
+    "Q3(cbrt-3)": FieldDescriptor(3, digits=12, poly=[3, 0, 0, 1], e=3, f=1),
+    "Q4": FieldDescriptor(2, digits=12, poly=[1, 1, 1], e=1, f=2),
+}
+
+
+def reference_shifts(fld):
+    """The valuation i / e that coordinate i adds in an Eisenstein field, 0 otherwise."""
+    if fld.kind == "eisenstein":
+        return tuple(Fraction(i, fld.e) for i in range(fld.n))
+    return (Fraction(0),) * fld.n
+
+
+def reference_valuation(x):
+    if len(x.coords) == 1:
+        u, v, _ = x.coords[0]
+        return Fraction(v) if u else INF
+    best = INF
+    for (u, v, k), s in zip(x.coords, reference_shifts(x.field)):
+        if u:
+            best = min(best, Fraction(v) + s)
+    return best
+
+
+def reference_precision(x):
+    best = INF
+    for (u, v, k), s in zip(x.coords, reference_shifts(x.field)):
+        if k < _EXACT:
+            best = min(best, Fraction(k) + s)
+    return best
+
+
+@given(name=st.sampled_from(sorted(_GAUGE_FIELDS)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_valuation_and_precision_match_the_fraction_forms(name, data):
+    fld = _GAUGE_FIELDS[name]
+    x = PadicScalar(fld, tuple(data.draw(digits(fld.p)) for _ in range(fld.n)))
+    assert x.valuation() == reference_valuation(x)
+    assert x.precision() == reference_precision(x)
+    assert type(x.valuation()) is type(reference_valuation(x))
+
+
+_CAPS = [Fraction(c) for c in ("-5/2", "-2", "-3/2", "-1", "-1/2", "0", "1/2", "7/3")]
+
+
+@pytest.mark.parametrize("cap", _CAPS, ids=str)
+@pytest.mark.parametrize("name", sorted(_GAUGE_FIELDS))
+def test_with_precision_cuts_at_a_ceiling(name, cap):
+    """Coordinate i keeps the least k with k + i/e >= cap in an Eisenstein
+    field (k >= cap otherwise), also where cap - i/e is negative and not an
+    integer; a coordinate known to fewer digits keeps them."""
+    fld = _GAUGE_FIELDS[name]
+    p, n = fld.p, fld.n
+    scalars = [[Fraction(1, 27)] * n,
+               [Fraction(5 + i, 7) * Fraction(p) ** (i - 4) for i in range(n)],
+               [Fraction(1 + p, p ** 2)] + [0] * (n - 1),
+               [Fraction(p ** 3)] * n]
+    for coords in scalars:
+        x = fld.from_coords(coords)
+        rough = [c if c[2] >= _EXACT else _bnorm(p, c[0], c[1], c[1] + 1) for c in x.coords]
+        for y in (x, PadicScalar(fld, tuple(rough))):
+            want = []
+            for (u, v, k), s in zip(y.coords, reference_shifts(fld)):
+                ceiling = math.ceil(cap - s)
+                want.append((u, v, k) if k <= ceiling else reference_bnorm(p, u, v, ceiling))
+            capped = y.with_precision(cap)
+            assert capped.coords == tuple(want)
+            assert capped.precision() >= min(cap, y.precision())
+
+
+def test_with_precision_rounds_a_negative_cap_up(q3pi):
+    q3 = FieldDescriptor(3, digits=12)
+    assert q3.from_rational(Fraction(1, 27)).with_precision(Fraction(-3, 2)).coords == \
+        ((1, -3, -1),)
+    # coordinate 1 counts k + 1/2: at "prec" -1 it keeps k = -1, the least
+    # k with k + 1/2 >= -1
+    x = jsonio.scalar_from_json({"coords": [["1", "-3"], ["1", "-3"]], "prec": "-1"}, q3pi)
+    assert x.coords == ((1, -3, -1), (1, -3, -1))
+
+
+def reference_uniformizer_power(fld, k):
+    """pi^k in an Eisenstein field, p^k otherwise, as fiber search built it."""
+    if fld.kind == "eisenstein":
+        return fld.uniformizer() ** k
+    return fld.from_rational(Fraction(fld.p) ** k)
+
+
+@pytest.mark.parametrize("fld", [
+    FieldDescriptor(2, digits=8), FieldDescriptor(3, digits=8), FieldDescriptor(5, digits=8),
+    FieldDescriptor(2, digits=64, poly=[1, 1, 1], e=1, f=2),
+    FieldDescriptor(5, digits=64, poly=[-2, 0, 1], e=1, f=2),
+    FieldDescriptor(2, digits=1024, poly=[1, 1, 1], e=1, f=2),
+    FieldDescriptor(3, digits=64, poly=[3, 0, 1], e=2, f=1),
+], ids=repr)
+def test_uniformizer_powers_match_rational_powers(fld):
+    for k in range(-6, 61):
+        assert (fld.uniformizer() ** k).coords == reference_uniformizer_power(fld, k).coords
+
+
+def reference_bfrom_fraction(p, q, rel):
+    """q known to rel digits beyond its valuation, unit of the numerator
+    times the inverse of the unit of the denominator."""
+    if q == 0:
+        return (0, _EXACT, _EXACT)
+    num, den = q.numerator, q.denominator
+    vn, vd = _vp_int(num, p), _vp_int(den, p)
+    v = vn - vd
+    if v + rel >= _EXACT:
+        raise PrecisionPastExact("past exact")
+    mod = p ** rel
+    return ((num // p ** vn) % mod * pow((den // p ** vd) % mod, -1, mod) % mod, v, v + rel)
+
+
+def reference_power_digit(p, m, e, rel):
+    """m * p^e as the spec reader built it before _bfrom_power: one _bnorm,
+    which clamps the precision at _EXACT, then PrecisionPastExact for a
+    nonzero digit known modulo p^_EXACT."""
+    if m == 0:
+        return (0, _EXACT, _EXACT)
+    x = _bnorm(p, m, e, e + _vp_int(m, p) + rel)
+    if x[0] and x[2] >= _EXACT:
+        raise PrecisionPastExact("past exact")
+    return x
+
+
+def _digit_or_error(make, *args):
+    try:
+        return make(*args)
+    except PrecisionPastExact:
+        return PrecisionPastExact
+
+
+@given(p=st.sampled_from([2, 3, 5, 7]), rel=st.sampled_from([1, 8, 64, 1024]),
+       m=st.integers(-10 ** 30, 10 ** 30), w=st.integers(0, 12),
+       e=st.one_of(st.integers(-40, 40), st.integers(_EXACT - 1100, _EXACT + 40),
+                   st.sampled_from([-10 ** 5, 10 ** 5])),
+       den=st.integers(1, 10 ** 6), vd=st.integers(0, 12))
+@settings(max_examples=400, deadline=None)
+def test_bfrom_power_matches_the_rational_routes(p, rel, m, w, e, den, vd):
+    """_bfrom_power and _bfrom_fraction against the routes they replaced:
+    the spec reader's _bnorm route on (m, e), and the unit-by-unit rational
+    route, also on rationals whose denominators p divides."""
+    m *= _ppow(p, w)
+    got = _digit_or_error(_bfrom_power, p, m, e, rel)
+    want = _digit_or_error(reference_power_digit, p, m, e, rel)
+    if m and e + _vp_int(m, p) >= _EXACT:
+        # the _bnorm route clamped these to the exact zero
+        assert got is PrecisionPastExact and want == (0, _EXACT, _EXACT)
+    else:
+        assert got == want
+    if abs(e) < 2 * _EXACT:
+        assert got == _digit_or_error(reference_bfrom_fraction, p,
+                                      Fraction(m) * Fraction(p) ** e, rel)
+    q = Fraction(m, den * p ** vd)
+    assert _digit_or_error(_bfrom_fraction, p, q, rel) == \
+        _digit_or_error(reference_bfrom_fraction, p, q, rel)
 
 
 # -- hensel ---------------------------------------------------------------------
