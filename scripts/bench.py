@@ -49,7 +49,12 @@ order-40 series (every coordinate drawn, 64 digits), per field of the
 ``fibers`` workload: the report writer's per-scalar cost.  The rows
 ``valuation:<field>`` time one batch of ``valuation()`` and ``precision()``
 calls on 1000 seeded scalars whose every coordinate is drawn (64 digits),
-per field of the ``fibers`` workload: the valuation gauge.
+per field of the ``fibers`` workload: the valuation gauge.  The row
+``cold_import`` times ``import padicdisc.cli`` in a fresh ``python -B``
+interpreter, with ``perf_counter`` inside the child: ``perfbench/setup_probe.py``
+with no field to build, the median over COLD_IMPORTS interpreters, each
+scaled by reference samples taken in that child just before and just after
+its import.
 Each cell is the median of three rounds, and the rounds run over every
 cell in turn, so a disturbance of the host that lasts less than a round
 touches one of them.  In a round a cell times batches of calls, a batch
@@ -79,12 +84,14 @@ to stdout and to the JSON file only.
 """
 
 import argparse
+import functools
 import gc
 import json
 import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -111,6 +118,7 @@ ROUNDS = 3
 BUDGET_S = 0.2
 BATCH_S = 0.02
 MAX_BATCHES = 5
+COLD_IMPORTS = 5
 
 sys.path.append(str(PERFBENCH))
 import hostspeed  # noqa: E402
@@ -331,6 +339,19 @@ def _time(call, calls) -> float:
     return statistics.median(times)
 
 
+def _cold_import(src: str) -> float:
+    """Median scaled time of ``import padicdisc.cli`` from ``src`` over
+    COLD_IMPORTS fresh ``-B`` interpreters: ``perfbench/setup_probe.py``
+    with no field to build."""
+    times = []
+    for _ in range(COLD_IMPORTS):
+        out = subprocess.run([sys.executable, "-B", str(PERFBENCH / "setup_probe.py"),
+                              str(Path(src).resolve()), "[]"],
+                             capture_output=True, text=True, timeout=120, check=True)
+        times.append(float(out.stdout.split()[-1]))
+    return statistics.median(times)
+
+
 def _cells(padicdisc) -> list:
     """(op, field, N, call) of every row; the inputs are built untimed."""
     cells = []
@@ -382,15 +403,17 @@ def _cells(padicdisc) -> list:
     return cells
 
 
-def measure(padicdisc) -> list:
+def measure(padicdisc, src: str) -> list:
     """One row per cell: the median of its ROUNDS round times, the rounds
     running over every cell in turn."""
     cells = _cells(padicdisc)
-    sizes = [_batch_size(call) for _, _, _, call in cells]
+    timers = [functools.partial(_time, call, _batch_size(call)) for _, _, _, call in cells]
+    cells.append(("cold_import", "-", 0, None))
+    timers.append(functools.partial(_cold_import, src))
     times = [[] for _ in cells]
     for _ in range(ROUNDS):
-        for cell_times, (_, _, _, call), calls in zip(times, cells, sizes):
-            cell_times.append(_time(call, calls))
+        for cell_times, timer in zip(times, timers):
+            cell_times.append(timer())
     rows = []
     for (op, field, n, _), cell_times in zip(cells, times):
         ms = statistics.median(cell_times) * 1e3
@@ -427,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import padicdisc.cli
-    rows = measure(padicdisc)
+    rows = measure(padicdisc, args.src)
     merge(Path(args.out), args.column, rows)
     return 0
 

@@ -22,6 +22,7 @@ from .errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
 from .padic import root_of_unity
 from .series import TruncatedSeries, compose, mult_inverse, radius_estimate, valuation_polygon
 from .morphism import (
+    MAX_ORDER,
     MAX_RESIDUE_FIELD,
     DiscMorphism,
     euler_count,
@@ -90,8 +91,8 @@ def _load(raw: dict) -> _Pipeline:
     spec.setdefault("seed", 0)
     spec.setdefault("module", {"rank": 1, "A": [[["0"]]]})
     n = spec["N"]
-    if not isinstance(n, int) or n < 8:
-        raise SchemaError("N must be an integer >= 8")
+    if not isinstance(n, int) or not 8 <= n <= MAX_ORDER:
+        raise SchemaError("N must be an integer >= 8 and <= %d" % MAX_ORDER)
     field = spec["field"]
     if not isinstance(field, dict) or "p" not in field:
         raise SchemaError("field must be an object with a prime p")

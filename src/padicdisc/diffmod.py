@@ -10,8 +10,6 @@ rank-d quotient algebra O_s[X]/P(s, X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateFiber, NotEtale
 from .padic import INF, PadicScalar, _int_valuation
 from .series import (
@@ -24,14 +22,16 @@ from .series import (
 from .morphism import DiscMorphism, MonicRelation
 
 
-@dataclass(frozen=True)
 class DiffModule:
     """rank, derivation matrix (rows = images of basis vectors), variable tag."""
 
-    rank: int
-    matrix: tuple          # rank x rank of TruncatedSeries
-    var: str
-    center: PadicScalar
+    __slots__ = ("rank", "matrix", "var", "center")
+
+    def __init__(self, rank: int, matrix: tuple, var: str, center: PadicScalar):
+        self.rank = rank
+        self.matrix = matrix    # rank x rank of TruncatedSeries
+        self.var = var
+        self.center = center
 
     def system_matrix(self):
         """The associated system is dY = -A^T Y; returns -A^T."""
@@ -46,12 +46,14 @@ class DiffModule:
         return self.matrix[0][0].field
 
 
-@dataclass(frozen=True)
 class HorizontalMatrix:
     """Columns of candidate horizontal elements at a base point, with radii."""
 
-    columns: tuple         # tuple of columns; each column a tuple of TruncatedSeries
-    radii: tuple           # per-column RadiusEstimate
+    __slots__ = ("columns", "radii")
+
+    def __init__(self, columns: tuple, radii: tuple):
+        self.columns = columns  # tuple of columns; each column a tuple of TruncatedSeries
+        self.radii = radii      # per-column RadiusEstimate
 
 
 # ----------------------------------------------------------------------------
@@ -180,7 +182,7 @@ def local_solution_matrix(module: DiffModule, a: PadicScalar) -> HorizontalMatri
                     for m in range(r):
                         t = t + s_k[i][m] * y_k[m][j]
                     acc[i][j] = acc[i][j] + t
-        y.append([[acc[i][j] / (k + 1) for j in range(r)] for i in range(r)])
+        y.append([[fld._int_quotient(acc[i][j], k + 1) for j in range(r)] for i in range(r)])
     columns = []
     radii = []
     for j in range(r):

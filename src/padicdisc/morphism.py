@@ -9,7 +9,6 @@ annihilating t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
@@ -41,8 +40,12 @@ from .series import (
 # specs with a larger one are rejected before any primality test of p.
 MAX_RESIDUE_FIELD = 2 ** 16
 
+# Largest series order N a job spec may ask for, and the largest N a series
+# object read without an order may carry: the pipeline's cost is cubic in N,
+# and a larger N is rejected before any series is built.
+MAX_ORDER = 2048
 
-@dataclass(frozen=True)
+
 class DiscMorphism:
     """s = f(t) on the open unit disc, of declared degree d.
 
@@ -52,10 +55,11 @@ class DiscMorphism:
     constant one (no zero of f' inside the disc).
     """
 
-    f: TruncatedSeries
-    degree: int
+    __slots__ = ("f", "degree")
 
-    def __post_init__(self):
+    def __init__(self, f: TruncatedSeries, degree: int):
+        self.f = f
+        self.degree = degree
         if not self.f.center.is_zero():
             raise InvalidMorphism(
                 "morphisms are written in the unit-disc coordinate (center 0)")
@@ -84,12 +88,14 @@ class DiscMorphism:
             raise NotEtale("f'(t) has a zero inside the open unit disc")
 
 
-@dataclass(frozen=True)
 class Fiber:
-    """The d preimages of the target point b, in a deterministic order."""
+    """The d preimages of the target point b, in a deterministic order.
 
-    target: PadicScalar
-    points: tuple
+    No ``__slots__``: ``gaps`` is cached in the instance ``__dict__``."""
+
+    def __init__(self, target: PadicScalar, points: tuple):
+        self.target = target
+        self.points = points
 
     def __len__(self):
         return len(self.points)
@@ -111,7 +117,6 @@ class Fiber:
         return tuple(j for j, gap in enumerate(self.gaps[i]) if gap > q)
 
 
-@dataclass(frozen=True)
 class BranchPoint:
     """One branching point of the tree over b.
 
@@ -120,20 +125,26 @@ class BranchPoint:
     ordered by least index; rep, the least index of all, lies in parts[0].
     """
 
-    rep: int
-    t_exponent: Fraction
-    branch_exponent: Fraction
-    parts: tuple
+    __slots__ = ("rep", "t_exponent", "branch_exponent", "parts")
+
+    def __init__(self, rep: int, t_exponent: Fraction, branch_exponent: Fraction,
+                 parts: tuple):
+        self.rep = rep
+        self.t_exponent = t_exponent
+        self.branch_exponent = branch_exponent
+        self.parts = parts
 
     @property
     def delta(self) -> int:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
 class TreeOverPoint:
-    fiber: Fiber
-    branch_points: tuple
+    __slots__ = ("fiber", "branch_points")
+
+    def __init__(self, fiber: Fiber, branch_points: tuple):
+        self.fiber = fiber
+        self.branch_points = branch_points
 
     def inside(self, i: int, q) -> tuple:
         """Indices of the branching points inside the open disc D(a_i, |p|^q)."""
@@ -141,12 +152,14 @@ class TreeOverPoint:
                      if bp.t_exponent > q and self.fiber.gaps[i][bp.rep] > q)
 
 
-@dataclass(frozen=True)
 class MonicRelation:
     """P(s, X) = a_0(s) + ... + a_{d-1}(s) X^{d-1} + X^d with P(s, t) = 0."""
 
-    coeffs: tuple          # a_0 .. a_{d-1}, TruncatedSeries at the target center
-    center: PadicScalar
+    __slots__ = ("coeffs", "center")
+
+    def __init__(self, coeffs: tuple, center: PadicScalar):
+        self.coeffs = coeffs    # a_0 .. a_{d-1}, TruncatedSeries at the target center
+        self.center = center
 
     @property
     def degree(self) -> int:

@@ -13,7 +13,6 @@ trusted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
@@ -23,21 +22,22 @@ from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
 from .diffmod import element_radius, mat_inverse, mat_vec
 
 
-@dataclass(frozen=True)
 class VandermondeData:
     """U(s), V(s) = U(s)^{-1}, and the fiber order they are tied to."""
 
-    matrix_u: tuple
-    matrix_v: tuple
-    fiber: Fiber
-    solutions: tuple
+    __slots__ = ("matrix_u", "matrix_v", "fiber", "solutions")
+
+    def __init__(self, matrix_u: tuple, matrix_v: tuple, fiber: Fiber, solutions: tuple):
+        self.matrix_u = matrix_u
+        self.matrix_v = matrix_v
+        self.fiber = fiber
+        self.solutions = solutions
 
     @property
     def degree(self) -> int:
         return len(self.matrix_u)
 
 
-@dataclass(frozen=True)
 class LinkedColumn:
     """One upstairs horizontal column with its convergence-disc exponent.
 
@@ -45,33 +45,44 @@ class LinkedColumn:
     copy of; a column that was never copied is its own origin.
     """
 
-    entries: tuple
-    exponent: Fraction
-    origin: tuple
+    __slots__ = ("entries", "exponent", "origin")
+
+    def __init__(self, entries: tuple, exponent: Fraction, origin: tuple):
+        self.entries = entries
+        self.exponent = exponent
+        self.origin = origin
 
 
-@dataclass(frozen=True)
 class FundamentalPair:
     """A shared horizontal column together with its exact disc of convergence."""
 
-    pair_id: int
-    anchor: int
-    exponent: Fraction
-    members: tuple
-    columns_at: dict       # preimage index -> tuple of entries at that center
+    __slots__ = ("pair_id", "anchor", "exponent", "members", "columns_at")
+
+    def __init__(self, pair_id: int, anchor: int, exponent: Fraction, members: tuple,
+                 columns_at: dict):
+        self.pair_id = pair_id
+        self.anchor = anchor
+        self.exponent = exponent
+        self.members = members
+        self.columns_at = columns_at    # preimage index -> tuple of entries at that center
 
 
-@dataclass(frozen=True)
 class BasisColumn:
-    entries: tuple
-    predicted_exponent: Fraction
-    estimate: RadiusEstimate
-    provenance: dict
+    __slots__ = ("entries", "predicted_exponent", "estimate", "provenance")
+
+    def __init__(self, entries: tuple, predicted_exponent: Fraction,
+                 estimate: RadiusEstimate, provenance: dict):
+        self.entries = entries
+        self.predicted_exponent = predicted_exponent
+        self.estimate = estimate
+        self.provenance = provenance
 
 
-@dataclass(frozen=True)
 class OptimalBasis:
-    columns: tuple
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple):
+        self.columns = columns
 
     def __len__(self):
         return len(self.columns)

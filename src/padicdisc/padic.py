@@ -498,6 +498,7 @@ class FieldDescriptor:
                 raise InvalidField("only Eisenstein or unramified extensions; towers out of scope")
         self._fold_table = self._build_fold_table()
         self._integers = []
+        self._int_inverses = [None]     # 1/0 has no entry
 
     def _build_fold_table(self):
         """X^c modulo the defining polynomial for n <= c <= 2n - 2: one entry
@@ -566,6 +567,17 @@ class FieldDescriptor:
         while len(table) <= j:
             table.append(self.from_rational(len(table)))
         return table[j]
+
+    def _int_quotient(self, x: "PadicScalar", j: int) -> "PadicScalar":
+        """x / j for an int j >= 1, with the digits of ``x / j``: the
+        coordinates of 1/j, as ``__truediv__`` inverts ``from_rational(j)``,
+        come from a table that grows only to the largest j asked for.  It
+        holds coordinate tuples, not scalars, so it puts the field in no
+        reference cycle."""
+        table = self._int_inverses
+        while len(table) <= j:
+            table.append(self._inv(self.from_rational(len(table)).coords))
+        return PadicScalar(self, self._mul(x.coords, table[j]))
 
     def from_rational(self, q) -> "PadicScalar":
         q = Fraction(q)

@@ -9,7 +9,6 @@ coefficient of a series equals its evaluation at the center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -223,7 +222,7 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     power = h
     for k in range(2, n):
         power = power * h
-        out.append(power.coeffs[k - 1] / k)
+        out.append(f.field._int_quotient(power.coeffs[k - 1], k))
     return f._wrap(out)
 
 
@@ -295,12 +294,14 @@ def lower_hull(points):
     return hull
 
 
-@dataclass(frozen=True)
 class ValuationPolygon:
     """Lower hull of (i, valuation(c_i)); exposes the concave function
     vq(f, l) = min_i (valuation(c_i) + i*l) and its slope at 0+."""
 
-    vertices: tuple
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple):
+        self.vertices = vertices
 
     def value_at(self, ell) -> Fraction:
         ell = Fraction(ell)
@@ -330,12 +331,14 @@ def valuation_polygon(f: TruncatedSeries) -> ValuationPolygon:
 # radius estimation
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RadiusEstimate:
     """Radius of convergence as an exponent q (radius |p|^q), capped at q >= 0."""
 
-    exponent: Fraction
-    stable: bool
+    __slots__ = ("exponent", "stable")
+
+    def __init__(self, exponent: Fraction, stable: bool):
+        self.exponent = exponent
+        self.stable = stable
 
 
 def _digit_sum(j: int, p: int) -> int:

@@ -4,7 +4,10 @@ import ast
 import copy
 import json
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from operator import getitem
@@ -33,6 +36,7 @@ from padicdisc.errors import (
 )
 from padicdisc import FieldDescriptor, TruncatedSeries
 from padicdisc import jsonio
+from padicdisc.morphism import MAX_ORDER
 
 
 def test_schema_rejects_low_order():
@@ -430,11 +434,38 @@ def test_literal_bound_keeps_short_literals():
     ({"center": "0", "coeffs": 5}, None), ({"center": 5, "coeffs": ["1"]}, None),
     ({"center": "0", "coeffs": ["1"], "N": "8"}, None),
     ({"center": "0", "coeffs": ["1"], "var": 5}, None),
+    ({"center": "0", "coeffs": ["1"], "N": MAX_ORDER + 1}, None),
     ([], None), (["1", None], 8), ({"center": "0", "coeffs": ["1"], "N": 7}, 8),
 ], ids=repr)
 def test_series_reader_is_total(q2, value, order):
     with pytest.raises(SchemaError):
         jsonio.series_from_json(value, q2, order)
+
+
+def test_series_object_is_padded_to_the_job_order_only():
+    # a module entry known to N = 10^7 is cut to the job's N = 16 without
+    # first building its 10^7 zeros
+    spec = example_spec("p2-trivial", order=16)
+    spec["module"] = {"rank": 1, "A": [[{"center": "0", "coeffs": ["1"], "N": 10 ** 7}]]}
+    tracemalloc.start()
+    try:
+        pipe = cli._load(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pipe.inputs["A"][0][0].order == 16
+    assert peak < 2 ** 20
+
+
+def test_order_above_the_cap_is_a_schema_error(tmp_path):
+    assert cli._load(example_spec("p2-trivial", order=MAX_ORDER)).spec["N"] == MAX_ORDER
+    with pytest.raises(SchemaError, match="<= %d" % MAX_ORDER):
+        cli._load(example_spec("p2-trivial", order=MAX_ORDER + 1))
+    # a polygon of f is cheap at any order, so only the cap makes these exit 2
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(example_spec("p2-trivial")))
+    for source in (["--example", "p2-trivial"], ["--spec", str(spec_file)]):
+        assert main(source + ["--series-order", str(MAX_ORDER + 1), "--polygon", "f"]) == 2
 
 
 def test_run_example_runs_its_job_once(monkeypatch):
@@ -496,6 +527,18 @@ def test_readme_quickstart_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert len(namespace["basis"]) == 2
     assert [c.predicted_exponent for c in namespace["exp_basis"].columns] == [2, 2]
+
+
+def test_cold_import_generates_no_code():
+    """A fresh interpreter importing the package and its CLI loads neither
+    dataclasses nor the modules it pulls in to generate record methods."""
+    src = str(Path(padicdisc.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import padicdisc, padicdisc.cli; "
+            "print(padicdisc.__file__); print(' '.join(sorted(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True).stdout.splitlines()
+    assert Path(out[0]).resolve() == Path(padicdisc.__file__).resolve()
+    assert set(out[1].split()).isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
 
 
 def test_package_has_no_unused_imports():

@@ -553,6 +553,21 @@ def test_integer_table_grows_to_the_largest_degree():
     assert [c.coords for c in fld._integers] == [fld.from_rational(j).coords for j in range(6)]
 
 
+@pytest.mark.parametrize("name", sorted(_GAUGE_FIELDS))
+def test_int_quotient_has_the_digits_of_division(name):
+    """_int_quotient multiplies by the table's 1/j, the tuple __truediv__
+    inverts from from_rational(j), so x / j keeps its digits, exact x included."""
+    fld = _GAUGE_FIELDS[name]
+    coords = [Fraction(5, 7), Fraction(-18, 11), Fraction(4, 3)][:fld.n]
+    dense = fld.from_coords(coords)
+    exact = PadicScalar(fld, tuple((u, v, _EXACT) for u, v, _ in dense.coords))
+    for j in range(1, 65):
+        for x in (dense, exact, fld.zero(), fld.one()):
+            assert fld._int_quotient(x, j).coords == (x / j).coords
+    assert fld._int_inverses[1:65] == [fld._inv(fld.from_rational(j).coords)
+                                       for j in range(1, 65)]
+
+
 def test_hensel_root_claims_only_what_g_supports_after_a_step():
     # A lift of the fibers workload at digits 8 (seed 5, one of its first 120
     # jobs) over Q_2(sqrt-2): one step from the seed 1 gives x1, where g(x1)
