@@ -182,7 +182,7 @@ def local_solution_matrix(module: DiffModule, a: PadicScalar) -> HorizontalMatri
                     for m in range(r):
                         t = t + s_k[i][m] * y_k[m][j]
                     acc[i][j] = acc[i][j] + t
-        y.append([[fld._int_quotient(acc[i][j], k + 1) for j in range(r)] for i in range(r)])
+        y.append([[acc[i][j] / (k + 1) for j in range(r)] for i in range(r)])
     columns = []
     radii = []
     for j in range(r):

@@ -10,7 +10,6 @@ from .errors import PrecisionPastExact, SchemaError
 from .padic import (INF, FieldDescriptor, PadicScalar, _bfrom_power, _int_precision,
                     _int_valuation)
 from .series import TruncatedSeries, ValuationPolygon
-from .morphism import MAX_ORDER
 
 
 def frac_str(x) -> str:
@@ -117,8 +116,7 @@ def series_from_json(d, fld: FieldDescriptor, order=None) -> TruncatedSeries:
     coefficients), "var" (default "t")}, or a bare coefficient list: a
     polynomial in t at center 0, exact to any order.  With ``order`` the
     series is cut to that order, and an object known only to a lower N
-    raises SchemaError; without it, so does an N above MAX_ORDER, and any
-    malformed value."""
+    raises SchemaError, as does any malformed value."""
     if isinstance(d, list):
         center, coeffs, n, var = fld.zero(), d, order or len(d), "t"
     elif isinstance(d, dict) and "center" in d and isinstance(d.get("coeffs"), list):
@@ -130,8 +128,6 @@ def series_from_json(d, fld: FieldDescriptor, order=None) -> TruncatedSeries:
         raise SchemaError("a series needs an order N >= 1 and a variable name")
     if order is not None and n < order:
         raise SchemaError("series known to order %d, below the order %d asked for" % (n, order))
-    if order is None and n > MAX_ORDER:
-        raise SchemaError("series order %d beyond %d" % (n, MAX_ORDER))
     n = order or n
     coeffs = [scalar_from_json(c, fld) for c in coeffs]
     coeffs += [fld.zero()] * (n - len(coeffs))

@@ -498,7 +498,7 @@ class FieldDescriptor:
                 raise InvalidField("only Eisenstein or unramified extensions; towers out of scope")
         self._fold_table = self._build_fold_table()
         self._integers = []
-        self._int_inverses = [None]     # 1/0 has no entry
+        self._int_inverses = {}
 
     def _build_fold_table(self):
         """X^c modulo the defining polynomial for n <= c <= 2n - 2: one entry
@@ -568,16 +568,15 @@ class FieldDescriptor:
             table.append(self.from_rational(len(table)))
         return table[j]
 
-    def _int_quotient(self, x: "PadicScalar", j: int) -> "PadicScalar":
-        """x / j for an int j >= 1, with the digits of ``x / j``: the
-        coordinates of 1/j, as ``__truediv__`` inverts ``from_rational(j)``,
-        come from a table that grows only to the largest j asked for.  It
-        holds coordinate tuples, not scalars, so it puts the field in no
-        reference cycle."""
-        table = self._int_inverses
-        while len(table) <= j:
-            table.append(self._inv(self.from_rational(len(table)).coords))
-        return PadicScalar(self, self._mul(x.coords, table[j]))
+    def _int_inverse(self, j: int) -> tuple:
+        """The coordinates of 1/j for an int j >= 1, as ``_inv`` computes
+        them from ``from_rational(j)``, from a table that holds only the j
+        asked for.  It holds coordinate tuples, not scalars, so it puts the
+        field in no reference cycle."""
+        inverse = self._int_inverses.get(j)
+        if inverse is None:
+            inverse = self._int_inverses[j] = self._inv(self.from_rational(j).coords)
+        return inverse
 
     def from_rational(self, q) -> "PadicScalar":
         q = Fraction(q)
@@ -798,6 +797,8 @@ class PadicScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is int and other > 0:
+            return self * PadicScalar(self.field, self.field._int_inverse(other))
         other = self._coerce(other)
         if other.is_zero():
             raise DivisionByZeroAtPrecision(

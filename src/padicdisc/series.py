@@ -222,7 +222,7 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     power = h
     for k in range(2, n):
         power = power * h
-        out.append(f.field._int_quotient(power.coeffs[k - 1], k))
+        out.append(power.coeffs[k - 1] / k)
     return f._wrap(out)
 
 

@@ -554,18 +554,24 @@ def test_integer_table_grows_to_the_largest_degree():
 
 
 @pytest.mark.parametrize("name", sorted(_GAUGE_FIELDS))
-def test_int_quotient_has_the_digits_of_division(name):
-    """_int_quotient multiplies by the table's 1/j, the tuple __truediv__
-    inverts from from_rational(j), so x / j keeps its digits, exact x included."""
+def test_division_by_int_multiplies_by_the_inverse_table(name):
+    """x / j for an int j >= 1 multiplies by the field's table entry for
+    1/j, the tuple _inv computes from from_rational(j), so the quotient has
+    the digits of that product, exact x included."""
     fld = _GAUGE_FIELDS[name]
     coords = [Fraction(5, 7), Fraction(-18, 11), Fraction(4, 3)][:fld.n]
     dense = fld.from_coords(coords)
     exact = PadicScalar(fld, tuple((u, v, _EXACT) for u, v, _ in dense.coords))
     for j in range(1, 65):
+        inverse = PadicScalar(fld, fld._inv(fld.from_rational(j).coords))
         for x in (dense, exact, fld.zero(), fld.one()):
-            assert fld._int_quotient(x, j).coords == (x / j).coords
-    assert fld._int_inverses[1:65] == [fld._inv(fld.from_rational(j).coords)
-                                       for j in range(1, 65)]
+            assert (x / j).coords == (x * inverse).coords
+    table = fld._int_inverses
+    assert all(table[j] == fld._inv(fld.from_rational(j).coords) for j in range(1, 65))
+    # a large divisor adds its own entry, not a table up to it
+    size = len(table)
+    assert (fld.one() / 10 ** 9).coords == fld._inv(fld.from_rational(10 ** 9).coords)
+    assert len(table) == size + 1
 
 
 def test_hensel_root_claims_only_what_g_supports_after_a_step():
