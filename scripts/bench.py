@@ -21,7 +21,10 @@ time ``local_solution_matrix`` at every fiber point of each canned example
 one ``fundamental_solution_matrix`` on those bases and the example's
 Vandermonde data, both at N = 40 with 64 digits, as in the benchmark's
 ``examples-n40`` workload; module, fiber, bases and Vandermonde data are
-built untimed.  End to end, the rows
+built untimed.  The row ``relation:p3-trivial`` times one ``monic_relation``
+on the fiber of p3-trivial at N = 32 (64 digits) after the pipeline's
+``solutions`` stage has called ``local_solution`` at every fiber point, as
+the ``relation`` stage of a job runs.  End to end, the rows
 ``run:<example>`` time ``cli.run(cli.example_spec(example, order=N))`` for
 the three canned examples at N = 32 and 64.  Below the series layer, the
 rows ``bmul``, ``badd`` and ``bnorm`` time one batch of 1000 calls of the
@@ -112,6 +115,8 @@ FIBER_DEGREE = 8
 FIBER_ORDER = 32
 OPTIMALITY_ORDER = 32
 STAGE_ORDER = 40
+RELATION_EXAMPLE = "p3-trivial"
+RELATION_ORDER = 32
 SERIES_JSON_ORDER = 40
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ROUNDS = 3
@@ -396,6 +401,11 @@ def _cells(padicdisc) -> list:
         cells.append(("fundamental:" + example, field, STAGE_ORDER,
                       lambda bases=pipe.get("upstairs_bases"), vd=pipe.get("vandermonde"):
                       padicdisc.fundamental_solution_matrix(bases, vd)))
+    pipe = cli._load(cli.example_spec(RELATION_EXAMPLE, order=RELATION_ORDER))
+    pipe.get("solutions")
+    cells.append(("relation:" + RELATION_EXAMPLE, EXAMPLE_FIELDS[RELATION_EXAMPLE],
+                  RELATION_ORDER, lambda phi=pipe.get("phi"), fib=pipe.get("fiber"):
+                  padicdisc.monic_relation(phi, fib)))
     for example, field in EXAMPLE_FIELDS.items():
         for n in RUN_ORDERS:
             cells.append(("run:" + example, field, n,

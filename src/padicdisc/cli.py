@@ -69,7 +69,14 @@ def _read(where: str, read, x, *args):
 
 
 def _read_series(where: str, x, fld, n: int):
-    """A morphism or module entry: a series at center 0 known to order >= n."""
+    """A morphism or module entry: a series at center 0 known to order >= n.
+
+    A coefficient list longer than MAX_ORDER is rejected before any entry is
+    parsed: every entry is validated, so its cost would be its full length."""
+    coeffs = x.get("coeffs") if isinstance(x, dict) else x
+    if isinstance(coeffs, list) and len(coeffs) > MAX_ORDER:
+        raise SchemaError("%s lists %d coefficients, more than %d"
+                          % (where, len(coeffs), MAX_ORDER))
     f = _read(where, jsonio.series_from_json, x, fld, n)
     if not f.center.is_zero():
         raise SchemaError("%s must be centered at 0, the center of the disc" % where)

@@ -21,8 +21,8 @@ from .errors import (
     RootsNotInDeclaredField,
     SingularFiberPoint,
 )
-from .padic import (INF, FieldDescriptor, PadicScalar, _fp_eval, _int_valuation, hensel_lift,
-                    poly_derivative, poly_eval)
+from .padic import (INF, FieldDescriptor, PadicScalar, _check_fields, _fp_eval, _int_valuation,
+                    hensel_lift, poly_derivative, poly_eval)
 from .series import (
     TruncatedSeries,
     compose,
@@ -40,9 +40,9 @@ from .series import (
 # specs with a larger one are rejected before any primality test of p.
 MAX_RESIDUE_FIELD = 2 ** 16
 
-# Largest series order N a job spec may ask for, and the largest N a series
-# object read without an order may carry: the pipeline's cost is cubic in N,
-# and a larger N is rejected before any series is built.
+# Largest series order N a job spec may ask for, and the largest number of
+# coefficients a spec's series may list: the pipeline's cost is cubic in N,
+# and cli rejects either before any series is built.
 MAX_ORDER = 2048
 
 
@@ -55,11 +55,14 @@ class DiscMorphism:
     constant one (no zero of f' inside the disc).
     """
 
-    __slots__ = ("f", "degree")
+    __slots__ = ("f", "degree", "_solutions")
 
     def __init__(self, f: TruncatedSeries, degree: int):
         self.f = f
         self.degree = degree
+        # local_solution's results by (a.coords, b.coords): the solutions
+        # and relation stages of a job ask for the same d series
+        self._solutions = {}
         if not self.f.center.is_zero():
             raise InvalidMorphism(
                 "morphisms are written in the unit-disc coordinate (center 0)")
@@ -381,7 +384,15 @@ def euler_count(tree: TreeOverPoint, disc) -> tuple:
 # ----------------------------------------------------------------------------
 
 def local_solution(phi: DiscMorphism, a: PadicScalar, b: PadicScalar) -> TruncatedSeries:
-    """The series u_a(s) = a + ... with f(u_a(s)) = s + O((s-b)^N), u_a(b) = a."""
+    """The series u_a(s) = a + ... with f(u_a(s)) = s + O((s-b)^N), u_a(b) = a.
+
+    Computed once per (a, b) and morphism, then kept on the morphism: series
+    and scalars are immutable, so every caller may share the result."""
+    _check_fields(phi.f.field, (a, b))
+    key = (a.coords, b.coords)
+    u = phi._solutions.get(key)
+    if u is not None:
+        return u
     if not (evaluate(phi.f, a) - b).is_zero():
         raise ValueError("f(a) != b at precision")
     shifted = taylor_shift(phi.f, a)
@@ -389,7 +400,8 @@ def local_solution(phi: DiscMorphism, a: PadicScalar, b: PadicScalar) -> Truncat
         raise SingularFiberPoint("f'(a) vanishes at precision: a is not a simple preimage")
     rev = reversion(shifted)
     coeffs = [a] + list(rev.coeffs[1:])
-    return TruncatedSeries(phi.f.field, "s", b, coeffs)
+    u = phi._solutions[key] = TruncatedSeries(phi.f.field, "s", b, coeffs)
+    return u
 
 
 def monic_relation(phi: DiscMorphism, fib: Fiber) -> MonicRelation:

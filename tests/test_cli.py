@@ -467,6 +467,26 @@ def test_order_above_the_cap_is_a_schema_error(tmp_path):
         assert main(source + ["--series-order", str(MAX_ORDER + 1), "--polygon", "f"]) == 2
 
 
+@pytest.mark.parametrize("wrap", [lambda cs: cs, lambda cs: {"center": "0", "coeffs": cs}],
+                         ids=["list", "object"])
+def test_long_coefficient_list_is_a_schema_error(tmp_path, wrap):
+    # rejected on its length, before any of its entries is parsed
+    spec = example_spec("p2-trivial", order=16)
+    spec["module"] = {"rank": 1, "A": [[wrap(["1"] * 200000)]]}
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="more than %d" % MAX_ORDER):
+        cli._load(spec)
+    assert time.perf_counter() - start < 1
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+    spec["module"]["A"] = [[wrap(["1"] * MAX_ORDER)]]
+    assert cli._load(spec).inputs["A"][0][0].order == 16
+    spec["morphism"]["f"] = wrap(["0", "1"] + ["0"] * (MAX_ORDER - 1))
+    with pytest.raises(SchemaError, match="morphism f lists"):
+        cli._load(spec)
+
+
 def test_run_example_runs_its_job_once(monkeypatch):
     calls = []
     real_fiber = cli.fiber

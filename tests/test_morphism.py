@@ -31,8 +31,10 @@ from padicdisc.morphism import (
     _residue_roots,
     relation_vanishes_on_identity,
 )
+from padicdisc import morphism
+from padicdisc.cli import example_spec, run
 from padicdisc.padic import INF, poly_derivative, poly_eval
-from padicdisc.series import compose, evaluate, horner
+from padicdisc.series import compose, evaluate, horner, reversion
 from conftest import N, binom_rationals
 
 
@@ -446,6 +448,50 @@ def test_local_solution_identity(q2):
     u = local_solution(phi, a, a)
     ident = TruncatedSeries.identity(q2, "s", a, N)
     assert (u - ident).is_zero()
+    # kept on the morphism: an equal (a, b) gets the same series back, and
+    # another target b its own
+    assert local_solution(phi, q2.from_rational(2), q2.from_rational(2)) is u
+    zero = local_solution(phi, q2.zero(), q2.zero())
+    assert zero is not u and zero.center.is_zero() and zero.coeffs[0].is_zero()
+    assert local_solution(phi, a, a) is u
+
+
+def test_local_solution_errors_are_not_kept(q2):
+    phi = identity_phi(q2)
+    a, b = q2.from_rational(2), q2.from_rational(4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="f\\(a\\) != b"):
+            local_solution(phi, a, b)
+    singular = make_phi(q2, [0, 0, 1], 2)
+    for _ in range(2):
+        with pytest.raises(SingularFiberPoint):
+            local_solution(singular, q2.zero(), q2.zero())
+    # the field is checked before the lookup: Q_3's zero has the coordinates
+    # of Q_2's, whose solution is already kept
+    q3 = FieldDescriptor(3, digits=64)
+    local_solution(phi, q2.zero(), q2.zero())
+    assert q3.zero().coords == q2.zero().coords
+    for _ in range(2):
+        with pytest.raises(ValueError, match="field mismatch"):
+            local_solution(phi, q3.zero(), q3.zero())
+        with pytest.raises(ValueError, match="field mismatch"):
+            local_solution(phi, q2.zero(), q3.zero())
+
+
+@pytest.mark.parametrize("example", ["p2-trivial", "p2-exp", "p3-trivial"])
+def test_run_reverts_once_per_fiber_point(monkeypatch, example):
+    # the solutions and relation stages both ask for every u_a; the second
+    # ask is served by the morphism
+    calls = []
+
+    def counted(series):
+        calls.append(series)
+        return reversion(series)
+
+    monkeypatch.setattr(morphism, "reversion", counted)
+    spec = example_spec(example, order=16)
+    run(spec)
+    assert len(calls) == spec["morphism"]["d"]
 
 
 def test_local_solution_roundtrip(p2, p3):
