@@ -21,10 +21,17 @@ time ``local_solution_matrix`` at every fiber point of each canned example
 one ``fundamental_solution_matrix`` on those bases and the example's
 Vandermonde data, both at N = 40 with 64 digits, as in the benchmark's
 ``examples-n40`` workload; module, fiber, bases and Vandermonde data are
-built untimed.  The row ``relation:p3-trivial`` times one ``monic_relation``
-on the fiber of p3-trivial at N = 32 (64 digits) after the pipeline's
-``solutions`` stage has called ``local_solution`` at every fiber point, as
-the ``relation`` stage of a job runs.  End to end, the rows
+built untimed.  The row ``transport:p2-exp`` times one
+``fundamental_solution_matrix`` followed by one ``optimal_basis`` on the
+upstairs bases, tree and Vandermonde data of p2-exp at the same N = 40 with
+64 digits, built untimed, as the ``fundamental`` and ``optimal`` stages of a
+job run them.  A ``VandermondeData`` keeps the columns it has transported,
+so each call of a ``fundamental`` or ``transport`` row starts from a fresh
+one holding the untimed U(s), V(s) and local solutions: no call reuses what
+an earlier one transported.  The row ``relation:p3-trivial`` times one
+``monic_relation`` on the fiber of p3-trivial at N = 32 (64 digits) after
+the pipeline's ``solutions`` stage has called ``local_solution`` at every
+fiber point, as the ``relation`` stage of a job runs.  End to end, the rows
 ``run:<example>`` time ``cli.run(cli.example_spec(example, order=N))`` for
 the three canned examples at N = 32 and 64.  Below the series layer, the
 rows ``bmul``, ``badd`` and ``bnorm`` time one batch of 1000 calls of the
@@ -116,6 +123,7 @@ FIBER_ORDER = 32
 OPTIMALITY_ORDER = 32
 STAGE_ORDER = 40
 RELATION_EXAMPLE = "p3-trivial"
+TRANSPORT_EXAMPLE = "p2-exp"
 RELATION_ORDER = 32
 SERIES_JSON_ORDER = 40
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -304,6 +312,30 @@ def _hensel_calls(padicdisc) -> dict:
     return calls
 
 
+def _fresh(padicdisc, vd):
+    """A ``VandermondeData`` with the matrices and solutions of ``vd`` and
+    nothing transported yet."""
+    return padicdisc.VandermondeData(vd.matrix_u, vd.matrix_v, vd.fiber, vd.solutions)
+
+
+def _transport_call(padicdisc):
+    """The fundamental and optimal stages of p2-exp at STAGE_ORDER, on a
+    fresh ``VandermondeData`` per call; the inputs are built untimed."""
+    pipe = padicdisc.cli._load(padicdisc.cli.example_spec(TRANSPORT_EXAMPLE,
+                                                          order=STAGE_ORDER))
+    upstairs, vd = pipe.get("upstairs_bases"), pipe.get("vandermonde")
+    tree, phi = pipe.get("tree"), pipe.get("phi")
+    linked = [[padicdisc.LinkedColumn(entries=hb.columns[0], exponent=hb.radii[0].exponent,
+                                      origin=(i, 0))]
+              for i, hb in enumerate(upstairs)]
+
+    def call():
+        fresh = _fresh(padicdisc, vd)
+        padicdisc.fundamental_solution_matrix(upstairs, fresh)
+        padicdisc.optimal_basis(linked, tree, fresh, phi)
+    return call
+
+
 def _host_sample() -> float:
     """Duration of one run of the host-speed reference."""
     start = time.perf_counter()
@@ -400,7 +432,9 @@ def _cells(padicdisc) -> list:
                       [padicdisc.local_solution_matrix(module, a) for a in points]))
         cells.append(("fundamental:" + example, field, STAGE_ORDER,
                       lambda bases=pipe.get("upstairs_bases"), vd=pipe.get("vandermonde"):
-                      padicdisc.fundamental_solution_matrix(bases, vd)))
+                      padicdisc.fundamental_solution_matrix(bases, _fresh(padicdisc, vd))))
+    cells.append(("transport:" + TRANSPORT_EXAMPLE, EXAMPLE_FIELDS[TRANSPORT_EXAMPLE],
+                  STAGE_ORDER, _transport_call(padicdisc)))
     pipe = cli._load(cli.example_spec(RELATION_EXAMPLE, order=RELATION_ORDER))
     pipe.get("solutions")
     cells.append(("relation:" + RELATION_EXAMPLE, EXAMPLE_FIELDS[RELATION_EXAMPLE],

@@ -23,6 +23,7 @@ from .padic import root_of_unity
 from .series import TruncatedSeries, compose, mult_inverse, radius_estimate, valuation_polygon
 from .morphism import (
     MAX_ORDER,
+    MAX_RANK,
     MAX_RESIDUE_FIELD,
     DiscMorphism,
     euler_count,
@@ -137,6 +138,9 @@ def _load(raw: dict) -> _Pipeline:
     if hints is not None:
         if not isinstance(hints, list):
             raise SchemaError("morphism hints must be a list")
+        if len(hints) != morph["d"]:
+            raise SchemaError("morphism lists %d hints for degree %d"
+                              % (len(hints), morph["d"]))
         hints = [_read("morphism hints", jsonio.scalar_from_json, h, fld) for h in hints]
     inputs["hints"] = hints
     center = inputs["center"] = _read("center", jsonio.scalar_from_json, spec["center"], fld)
@@ -146,7 +150,10 @@ def _load(raw: dict) -> _Pipeline:
     if not isinstance(module, dict) or "rank" not in module or "A" not in module:
         raise SchemaError("module must carry rank and A")
     rank, rows = module["rank"], module["A"]
-    if not (isinstance(rank, int) and rank >= 1 and isinstance(rows, list)
+    if not (isinstance(rank, int) and 1 <= rank <= MAX_RANK):
+        raise SchemaError("module rank must be an integer >= 1 and <= %d, got %r"
+                          % (MAX_RANK, rank))
+    if not (isinstance(rows, list)
             and len(rows) == rank
             and all(isinstance(row, list) and len(row) == rank for row in rows)):
         raise SchemaError("A must be a rank x rank list of lists")
@@ -236,6 +243,9 @@ class _Pipeline:
 
 def _run_checks(pipe: _Pipeline) -> list:
     checks = []
+    # id(column) -> (column, horizontal_check result): an optimal column that
+    # is a fundamental column, the same tuple, is checked once
+    verified = {}
 
     def record(name, fn):
         try:
@@ -289,7 +299,9 @@ def _run_checks(pipe: _Pipeline) -> list:
         ok = True
         worst = "inf"
         for col in columns():
-            good, w = horizontal_check(col, di)
+            if id(col) not in verified:
+                verified[id(col)] = col, horizontal_check(col, di)
+            good, w = verified[id(col)][1]
             if not good:
                 ok = False
                 worst = jsonio.frac_str(w)

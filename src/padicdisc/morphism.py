@@ -45,6 +45,11 @@ MAX_RESIDUE_FIELD = 2 ** 16
 # and cli rejects either before any series is built.
 MAX_ORDER = 2048
 
+# Largest module rank a job spec may ask for: cli reads the rank x rank
+# entries of A before any stage runs, the optimal output supports rank 1
+# only and the tests use at most rank 2.
+MAX_RANK = 16
+
 
 class DiscMorphism:
     """s = f(t) on the open unit disc, of declared degree d.

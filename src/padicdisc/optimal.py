@@ -23,15 +23,28 @@ from .diffmod import element_radius, mat_inverse, mat_vec
 
 
 class VandermondeData:
-    """U(s), V(s) = U(s)^{-1}, and the fiber order they are tied to."""
+    """U(s), V(s) = U(s)^{-1}, and the fiber order they are tied to.
 
-    __slots__ = ("matrix_u", "matrix_v", "fiber", "solutions")
+    It also keeps what the job has transported along it: ``composed`` maps
+    (fiber index i, key of an upstairs entry e) to e(u_{a_i}(s)), and
+    ``columns`` maps the keys of a column's blocks to its image under
+    V_r(s).  The fundamental matrix and the optimal basis transport the same
+    upstairs columns, so each is composed and transferred once, and an
+    optimal column equal to a fundamental one is the same tuple.  A key is
+    a series' center and coefficient coordinates, so equal entries built
+    apart share it.  Series are immutable, so callers may share the results;
+    they live as long as this object, which belongs to one job.
+    """
+
+    __slots__ = ("matrix_u", "matrix_v", "fiber", "solutions", "composed", "columns")
 
     def __init__(self, matrix_u: tuple, matrix_v: tuple, fiber: Fiber, solutions: tuple):
         self.matrix_u = matrix_u
         self.matrix_v = matrix_v
         self.fiber = fiber
         self.solutions = solutions
+        self.composed = {}
+        self.columns = {}
 
     @property
     def degree(self) -> int:
@@ -140,17 +153,33 @@ def transfer_coordinates(blocks, vdata: VandermondeData) -> tuple:
     return tuple(out)
 
 
+def _series_key(e: TruncatedSeries) -> tuple:
+    return e.center.coords, tuple(c.coords for c in e.coeffs)
+
+
 def _transfer_column(entries_at, vdata: VandermondeData, rank: int) -> tuple:
     """V_r(s) applied to the column whose block at fiber point i is
     ``entries_at[i]`` composed along u_{a_i}(s), and zero at every point
-    missing from ``entries_at``."""
+    missing from ``entries_at``; each column and each composition is
+    computed once per ``vdata``."""
+    keys = {i: tuple(_series_key(e) for e in entries_at[i]) for i in sorted(entries_at)}
+    column_key = tuple(keys.items())
+    col = vdata.columns.get(column_key)
+    if col is not None:
+        return col
     us = vdata.solutions
     n = min(u.order for u in us)
     zero = TruncatedSeries.constant(us[0].field, us[0].var, us[0].center,
                                     us[0].field.zero(), n)
-    blocks = [[compose(e, us[i]) for e in entries_at[i]] if i in entries_at
-              else [zero] * rank for i in range(vdata.degree)]
-    return transfer_coordinates(blocks, vdata)
+    composed = vdata.composed
+    for i, entry_keys in keys.items():
+        for e, key in zip(entries_at[i], entry_keys):
+            if (i, key) not in composed:
+                composed[i, key] = compose(e, us[i])
+    blocks = [[composed[i, key] for key in keys[i]] if i in keys else [zero] * rank
+              for i in range(vdata.degree)]
+    col = vdata.columns[column_key] = transfer_coordinates(blocks, vdata)
+    return col
 
 
 def fundamental_solution_matrix(bases, vdata: VandermondeData) -> tuple:

@@ -30,13 +30,14 @@ from padicdisc.cli import (
 from padicdisc.errors import (
     InvalidField,
     PadicDiscError,
+    RootsNotInDeclaredField,
     SchemaError,
     SelectorError,
     UnknownExample,
 )
 from padicdisc import FieldDescriptor, TruncatedSeries
-from padicdisc import jsonio
-from padicdisc.morphism import MAX_ORDER
+from padicdisc import fiber, jsonio
+from padicdisc.morphism import MAX_ORDER, MAX_RANK
 
 
 def test_schema_rejects_low_order():
@@ -485,6 +486,43 @@ def test_long_coefficient_list_is_a_schema_error(tmp_path, wrap):
     spec["morphism"]["f"] = wrap(["0", "1"] + ["0"] * (MAX_ORDER - 1))
     with pytest.raises(SchemaError, match="morphism f lists"):
         cli._load(spec)
+
+
+def test_wrong_hint_count_is_a_schema_error(tmp_path, p2):
+    # rejected on its length, before any hint is parsed; the library's fiber
+    # keeps its own error for a wrong count
+    spec = example_spec("p2-trivial", order=16)
+    spec["morphism"]["hints"] = ["0"] * 200000
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="200000 hints for degree 2"):
+        cli._load(spec)
+    assert time.perf_counter() - start < 0.1
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+    spec["morphism"]["hints"] = ["0"]
+    with pytest.raises(SchemaError, match="1 hints for degree 2"):
+        cli._load(spec)
+    with pytest.raises(RootsNotInDeclaredField):
+        fiber(p2.phi, p2.field.zero(), hints=[0])
+
+
+def test_rank_above_the_cap_is_a_schema_error(tmp_path):
+    # rejected on the rank, before any entry of A is read
+    spec = example_spec("p2-trivial", order=16)
+    spec["module"] = {"rank": 300, "A": [[["0"]] * 300 for _ in range(300)]}
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="<= %d" % MAX_RANK):
+        cli._load(spec)
+    assert time.perf_counter() - start < 0.1
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+    spec["module"] = {"rank": MAX_RANK + 1, "A": [[["0"]] * (MAX_RANK + 1)] * (MAX_RANK + 1)}
+    with pytest.raises(SchemaError, match="<= %d" % MAX_RANK):
+        cli._load(spec)
+    spec["module"] = {"rank": 2, "A": [[["0"], ["0"]], [["0"], ["-1"]]]}
+    assert cli._load(spec).inputs["A"][1][1].order == 16
 
 
 def test_run_example_runs_its_job_once(monkeypatch):
