@@ -53,6 +53,9 @@ tree building.  The rows ``scalar_mul:<field>`` time one batch of 1000
 ``PadicScalar.__mul__`` calls on seeded pairs of scalars whose every
 coordinate is drawn, over each field of the ``fibers`` workload with 64
 digits and over Q_3(sqrt-3) with 1024 digits; their N is the digit count.
+The rows ``field:<field>`` time one ``jsonio.field_from_json``, the
+``FieldDescriptor`` construction of a job, product plan included, over the
+same fields and digit counts; their N is the digit count.
 The rows ``scalar_to_json:<field>`` time one batch of
 ``jsonio.scalar_to_json`` calls over the coefficients of a seeded dense
 order-40 series (every coordinate drawn, 64 digits), per field of the
@@ -252,6 +255,16 @@ def _scalar_mul_calls(padicdisc) -> list:
     return calls
 
 
+def _field_calls(padicdisc) -> list:
+    """(field, digits, call) per benchmark field at 64 digits and for
+    Q_3(sqrt-3) at HIPREC_DIGITS: one call builds the field from its spec."""
+    from fields import FIELDS
+    cases = [(name, field, 64) for name, field in sorted(FIELDS.items())]
+    cases.append(("Q3(sqrt-3)", FIELDS["Q3(sqrt-3)"], HIPREC_DIGITS))
+    return [(name, digits, lambda spec=field.spec(digits): padicdisc.jsonio.field_from_json(spec))
+            for name, field, digits in cases]
+
+
 def _planted_morphisms(padicdisc) -> dict:
     """A planted degree-8 polynomial morphism per benchmark field."""
     import workloads
@@ -398,6 +411,8 @@ def _cells(padicdisc) -> list:
             cells += [(op, name, digits, call) for op, call in calls.items()]
     for name, digits, call in _scalar_mul_calls(padicdisc):
         cells.append(("scalar_mul:" + name, name, digits, call))
+    for name, digits, call in _field_calls(padicdisc):
+        cells.append(("field:" + name, name, digits, call))
     for name, call in _scalar_json_calls(padicdisc).items():
         cells.append(("scalar_to_json:" + name, name, SERIES_JSON_ORDER, call))
     for name, call in _valuation_calls(padicdisc).items():

@@ -99,16 +99,16 @@ def _load(raw: dict) -> _Pipeline:
     spec.setdefault("seed", 0)
     spec.setdefault("module", {"rank": 1, "A": [[["0"]]]})
     n = spec["N"]
-    if not isinstance(n, int) or not 8 <= n <= MAX_ORDER:
+    if type(n) is not int or not 8 <= n <= MAX_ORDER:
         raise SchemaError("N must be an integer >= 8 and <= %d" % MAX_ORDER)
     field = spec["field"]
     if not isinstance(field, dict) or "p" not in field:
         raise SchemaError("field must be an object with a prime p")
     p = field["p"]
-    if not isinstance(p, int) or p < 2:
+    if type(p) is not int or p < 2:
         raise SchemaError("field p must be a prime integer, got %r" % (p,))
     digits = field.get("digits", DEFAULT_DIGITS)
-    if not isinstance(digits, int) or digits < 8:
+    if type(digits) is not int or digits < 8:
         raise SchemaError("digits must be an integer >= 8")
     ext = field.get("ext", "base")
     f = 1
@@ -116,7 +116,7 @@ def _load(raw: dict) -> _Pipeline:
         if not isinstance(ext, dict) or any(key not in ext for key in ("poly", "e", "f")):
             raise SchemaError('field ext must be "base" or an object with poly, e and f')
         e, f, poly = ext["e"], ext["f"], ext["poly"]
-        if not (isinstance(e, int) and isinstance(f, int) and e >= 1 and f >= 1):
+        if not (type(e) is int and type(f) is int and e >= 1 and f >= 1):
             raise SchemaError("ext e and f must be integers >= 1, got %r, %r" % (e, f))
         if not (isinstance(poly, list) and len(poly) == e * f + 1 >= 3):
             raise SchemaError("ext poly must list e*f + 1 >= 3 coefficients")
@@ -131,7 +131,7 @@ def _load(raw: dict) -> _Pipeline:
     morph = spec["morphism"]
     if not isinstance(morph, dict) or "f" not in morph or "d" not in morph:
         raise SchemaError("morphism must carry f (coefficients) and d (degree)")
-    if not isinstance(morph["d"], int) or morph["d"] < 1:
+    if type(morph["d"]) is not int or morph["d"] < 1:
         raise SchemaError("morphism d must be a positive integer, got %r" % (morph["d"],))
     inputs = {"field": fld, "f": _read_series("morphism f", morph["f"], fld, n)}
     hints = morph.get("hints")
@@ -150,7 +150,7 @@ def _load(raw: dict) -> _Pipeline:
     if not isinstance(module, dict) or "rank" not in module or "A" not in module:
         raise SchemaError("module must carry rank and A")
     rank, rows = module["rank"], module["A"]
-    if not (isinstance(rank, int) and 1 <= rank <= MAX_RANK):
+    if not (type(rank) is int and 1 <= rank <= MAX_RANK):
         raise SchemaError("module rank must be an integer >= 1 and <= %d, got %r"
                           % (MAX_RANK, rank))
     if not (isinstance(rows, list)
@@ -162,7 +162,7 @@ def _load(raw: dict) -> _Pipeline:
     outputs = spec["outputs"]
     if not isinstance(outputs, list) or any(out not in OUTPUT_KINDS for out in outputs):
         raise SchemaError("outputs must be a list drawn from %s, got %r" % (OUTPUT_KINDS, outputs))
-    if not isinstance(spec["seed"], int):
+    if type(spec["seed"]) is not int:
         raise SchemaError("seed must be an integer")
     return _Pipeline(spec, inputs)
 
@@ -641,7 +641,7 @@ def main(argv=None) -> int:
                           "(f, fp, A[i][j]); needs --spec or --example")
     parser.add_argument("--series-order", type=int, default=None, metavar="N")
     parser.add_argument("--digits", type=int, default=None, metavar="R")
-    parser.add_argument("--seed", type=int, default=0, metavar="S")
+    parser.add_argument("--seed", type=int, default=None, metavar="S")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
@@ -651,7 +651,7 @@ def main(argv=None) -> int:
         if args.example and not args.polygon:
             order = DEFAULT_ORDER if args.series_order is None else args.series_order
             digits = DEFAULT_DIGITS if args.digits is None else args.digits
-            result = run_example(args.example, order=order, digits=digits, seed=args.seed)
+            result = run_example(args.example, order=order, digits=digits, seed=args.seed or 0)
             ok = result["passed"] and all(c["passed"] for c in result["report"]["checks"])
             text = serialize_report(result)
         elif args.spec or args.example:
@@ -660,7 +660,8 @@ def main(argv=None) -> int:
                 spec["N"] = args.series_order
             if args.digits is not None and isinstance(spec.get("field"), dict):
                 spec["field"]["digits"] = args.digits
-            spec["seed"] = args.seed
+            if args.seed is not None:
+                spec["seed"] = args.seed
             if args.polygon:
                 data = emit_polygon(spec, args.polygon)
                 ok = True

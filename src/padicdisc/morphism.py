@@ -10,7 +10,6 @@ annihilating t.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iter_product
 
 from .errors import (
@@ -99,25 +98,22 @@ class DiscMorphism:
 class Fiber:
     """The d preimages of the target point b, in a deterministic order.
 
-    No ``__slots__``: ``gaps`` is cached in the instance ``__dict__``."""
+    gaps[i][j] = v(a_j - a_i), +inf where that difference is zero at
+    precision (so on the diagonal); one subtraction per unordered pair."""
+
+    __slots__ = ("target", "points", "gaps")
 
     def __init__(self, target: PadicScalar, points: tuple):
         self.target = target
         self.points = points
+        rows = [[INF] * len(points) for _ in points]
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                rows[i][j] = rows[j][i] = (points[j] - points[i]).valuation()
+        self.gaps = tuple(map(tuple, rows))
 
     def __len__(self):
         return len(self.points)
-
-    @cached_property
-    def gaps(self) -> tuple:
-        """gaps[i][j] = v(a_j - a_i), +inf where that difference is zero at
-        precision (so on the diagonal); one subtraction per unordered pair."""
-        pts = self.points
-        rows = [[INF] * len(pts) for _ in pts]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                rows[i][j] = rows[j][i] = (pts[j] - pts[i]).valuation()
-        return tuple(map(tuple, rows))
 
     def members(self, i: int, q) -> tuple:
         """Indices j of the points in the open disc D(a_i, |p|^q): a_j - a_i is
@@ -302,20 +298,18 @@ def fiber(phi: DiscMorphism, b: PadicScalar, hints=None) -> Fiber:
     """The d preimages of b, verified and deterministically ordered.
 
     With hints the given order is kept (the canned example runners pin their
-    fiber order this way); otherwise f must be polynomial and the roots of
-    f(t) - b are found by residue enumeration and Hensel lifting, sorted by
-    (valuation, coordinate mantissas).
+    fiber order this way); otherwise the roots of f(t) - b in the open disc,
+    f read as the polynomial of its coefficients, are found by residue
+    enumeration and Hensel lifting, sorted by (valuation, coordinate
+    mantissas).  A degree of f above d is fine: the roots outside the open
+    disc are not fiber points.
     """
     d = phi.degree
     if hints is not None:
         pts = [a if isinstance(a, PadicScalar) else phi.f.field.from_rational(a)
                for a in hints]
     else:
-        deg = phi.f.degree()
-        if deg is None or deg != d:
-            raise RootsNotInDeclaredField(
-                "automatic fibers need a polynomial representation of degree d")
-        coeffs = list(phi.f.coeffs[: d + 1])
+        coeffs = list(phi.f.coeffs[: phi.f.degree() + 1])
         coeffs[0] = coeffs[0] - b
         pts = _poly_roots(coeffs, phi.f.field)
         pts.sort(key=_sort_key)

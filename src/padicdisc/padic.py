@@ -13,7 +13,6 @@ An operation that cannot certify any digit raises instead of returning noise.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -149,14 +148,15 @@ def _bconv(field, xs, ys):
     modulo p^K_c with K_c the least min(v_i + k'_j, k_i + v'_j) over the
     pairs that take part, as ``_bmul`` and ``_badd`` would give it.
     Coordinate t of the result is conv_t + sum over c >= dim of
-    q_ct conv_c over the entries (c, t) of ``field._fold_table``, known modulo
+    q_ct conv_c over the coordinates q_ct of X^c modulo the defining
+    polynomial (``FieldDescriptor._build_conv_plan``), known modulo
     the least of K_t and the K_c + v_p(q_ct), clamped to _EXACT as ``_bnorm``
     clamps: the digits and precisions that ``FieldDescriptor._muladd`` gives
     each scalar product, the fold of the ``_bmul``/``_badd`` convolution (an
     exact-zero conv_c, which that fold skips, has K_c >= _EXACT).
     Only the live rectangle i in [x_lo, x_hi], j in [y_lo, y_hi] can hold a
     live pair, so the precisions are taken over it alone.  A coefficient
-    counts as live unless its tuple equals ``field.zero().coords``: one
+    counts as live unless its tuple equals ``field._zero``: one
     tuple comparison.  That is byte-safe whatever form an exact zero takes,
     since the flags only bound the rectangle: a coefficient wrongly flagged
     live widens it, and inside it every exact-zero digit enters the profile
@@ -177,14 +177,14 @@ def _bconv(field, xs, ys):
     to p, which normalization divides out again.
     """
     p, dim, n = field.p, field.n, len(xs)
-    zero = field.zero().coords
+    zero = field._zero
     x_live = [c != zero for c in xs]
     y_live = [c != zero for c in ys]
     # the first live index of each side, n when it has none
     x_lo = x_live.index(True) if True in x_live else n
     y_lo = y_live.index(True) if True in y_live else n
     if x_lo + y_lo >= n:
-        return [field.zero().coords] * n
+        return [zero] * n
     x_hi = min(n - 1 - x_live[::-1].index(True), n - 1 - y_lo)
     y_hi = min(n - 1 - y_live[::-1].index(True), n - 1 - x_lo)
     den, bound, plans = field._conv_plan
@@ -496,50 +496,41 @@ class FieldDescriptor:
                 self.residue_poly = g
             else:
                 raise InvalidField("only Eisenstein or unramified extensions; towers out of scope")
-        self._fold_table = self._build_fold_table()
+        self._conv_plan = self._build_conv_plan()
+        # coordinate tuples, not scalars, so the field is in no reference cycle
+        self._zero = tuple(_bzero(_EXACT) for _ in range(self.n))
         self._integers = []
         self._int_inverses = {}
 
-    def _build_fold_table(self):
-        """X^c modulo the defining polynomial for n <= c <= 2n - 2: one entry
-        (c, t, num, den, w) per nonzero coordinate q_ct = num p^w / den, num
-        and den prime to p, in ascending (c, t).  The defining polynomial's
-        coefficients are p-integral, hence so is every q_ct: w >= 0."""
-        if self.poly is None:
-            return ()
-        n, p = self.n, self.p
-        rows = [[-c for c in self.poly[:-1]]]  # X^n
-        for _ in range(n - 2):
-            # X^(c+1) = X * X^c, its top coordinate folded by X^n
-            top = rows[-1][-1]
-            rows.append([lo + top * q for lo, q in zip([Fraction(0)] + rows[-1][:-1], rows[0])])
-        table = []
-        for c, row in enumerate(rows, n):
-            for t, q in enumerate(row):
-                if q:
-                    w = _vp_int(q.numerator, p)
-                    table.append((c, t, q.numerator // _ppow(p, w), q.denominator, w))
-        return tuple(table)
+    def _build_conv_plan(self):
+        """What ``_bconv`` and ``_muladd`` fold with: (den, bound, plans),
+        plans[t] = (fold, terms, signed) for result coordinate t.
 
-    @functools.cached_property
-    def _conv_plan(self):
-        """What ``_bconv`` and ``_muladd`` fold with, built at a field's
-        first product from ``_fold_table``: (den, bound, plans), plans[t] =
-        (fold, terms, signed) for result coordinate t.  den is the common
-        denominator of the table, prime to p.  fold lists (c, den * q_ct, w)
-        for c = t (q = 1, w = 0) and every table entry (c, t), w = v_p(q_ct);
-        terms lists (a, b, w) for each pair a + b = c of those c; signed
-        tells whether a fold entry is negative.  Every slot _bconv reads, of
-        a conv_c or of a folded sum, is below bound * N * max(x) * max(y) in
-        absolute value: conv_c sums min(c, 2n - 2 - c) + 1 pairs, and a
-        signed slot needs one more bit."""
+        X^c modulo the defining polynomial, for n <= c <= 2n - 2, has
+        coordinates q_ct; the polynomial's coefficients are p-integral, hence
+        so is every q_ct.  den is the common denominator of the q_ct, prime
+        to p.  fold lists (c, den * q_ct, w) for c = t (q = 1, w = 0) and
+        every nonzero q_ct, w = v_p(q_ct) >= 0, in ascending c; terms lists
+        (a, b, w) for each pair a + b = c of those c; signed tells whether a
+        fold entry is negative.  Every slot _bconv reads, of a conv_c or of a
+        folded sum, is below bound * N * max(x) * max(y) in absolute value:
+        conv_c sums min(c, 2n - 2 - c) + 1 pairs, and a signed slot needs one
+        more bit."""
         n, p = self.n, self.p
-        den = math.lcm(*(d for _, _, _, d, _ in self._fold_table))
+        rows = []
+        if self.poly is not None:
+            rows = [[-c for c in self.poly[:-1]]]  # X^n
+            for _ in range(n - 2):
+                # X^(c+1) = X * X^c, its top coordinate folded by X^n
+                top = rows[-1][-1]
+                rows.append([lo + top * q for lo, q in zip([Fraction(0)] + rows[-1][:-1], rows[0])])
+        den = math.lcm(*(q.denominator for row in rows for q in row))
         bound = 1
         plans = []
         for t in range(n):
-            fold = [(t, den, 0)] + [(c, den // d * num * _ppow(p, w), w)
-                                    for c, s, num, d, w in self._fold_table if s == t]
+            fold = [(t, den, 0)]
+            fold += [(c, den // q.denominator * q.numerator, _vp_int(q.numerator, p))
+                     for c, q in enumerate((row[t] for row in rows), n) if q]
             terms = [(a, c - a, w) for c, _, w in fold
                      for a in range(max(0, c - n + 1), min(c, n - 1) + 1)]
             signed = any(q < 0 for _, q, _ in fold)
@@ -551,28 +542,23 @@ class FieldDescriptor:
     # -- constructors ---------------------------------------------------------
 
     def zero(self) -> "PadicScalar":
-        cached = getattr(self, "_zero_scalar", None)
-        if cached is None:
-            cached = PadicScalar(self, tuple(_bzero(_EXACT) for _ in range(self.n)))
-            self._zero_scalar = cached
-        return cached
+        return PadicScalar(self, self._zero)
 
     def one(self) -> "PadicScalar":
         return self._integer(1)
 
     def _integer(self, j: int) -> "PadicScalar":
         """The scalar j >= 0 as ``from_rational(j)`` builds it, from a table
-        that grows only to the largest j asked for."""
+        of coordinate tuples that grows only to the largest j asked for."""
         table = self._integers
         while len(table) <= j:
-            table.append(self.from_rational(len(table)))
-        return table[j]
+            table.append(self.from_rational(len(table)).coords)
+        return PadicScalar(self, table[j])
 
     def _int_inverse(self, j: int) -> tuple:
         """The coordinates of 1/j for an int j >= 1, as ``_inv`` computes
         them from ``from_rational(j)``, from a table that holds only the j
-        asked for.  It holds coordinate tuples, not scalars, so it puts the
-        field in no reference cycle."""
+        asked for."""
         inverse = self._int_inverses.get(j)
         if inverse is None:
             inverse = self._int_inverses[j] = self._inv(self.from_rational(j).coords)
@@ -627,20 +613,21 @@ class FieldDescriptor:
 
         The digits are those of the chain that spells it out: the coordinate
         convolution conv_s = sum over i + j = s of _bmul(a_i, b_j) merged by
-        ``_badd``, each conv_s (s >= n) scaled exactly by the entry
-        q_st = num p^w / den of ``_fold_table`` (precision k + w, also when
-        v < 0) and added into coordinate t, then ``_badd`` of c_t.  Every
-        step of that chain is the canonical form of an exact sum modulo
-        p^(least precision so far).  So conv_s is taken here as an exact int
-        at one exponent e, known modulo p^K_s with K_s the least
+        ``_badd``, each conv_s (s >= n) scaled exactly by the coordinate q_st
+        of X^s modulo the defining polynomial, w = v_p(q_st) (precision
+        k + w, also when v < 0), and added into coordinate t, then ``_badd``
+        of c_t.  Every step of that chain is the canonical form of an exact
+        sum modulo p^(least precision so far).  So conv_s is taken here as an
+        exact int at one exponent e, known modulo p^K_s with K_s the least
         min(v_i + k_j, k_i + v_j) over the pairs i + j = s, starting from
         _EXACT: a pair with an exact-zero digit takes no part, as _bmul makes
         its product the exact zero.  Coordinate t is
             (den conv_t + sum den q_st conv_s + den c_t) / den
-        modulo p^(least of K_t, the K_s + w and c_t's precision), den divided
-        out once modulo p^(K - e) as ``_bconv`` does, and each coordinate is
-        normalized by one ``_bnorm``.  An exact-zero conv_s, which the chain
-        skips, has K_s = _EXACT and so caps nothing.  Over Q_p the chain is
+        modulo p^(least of K_t, the K_s + w and c_t's precision), den the
+        common denominator of the q_st, prime to p, divided out once modulo
+        p^(K - e) as ``_bconv`` does, and each coordinate is normalized by one
+        ``_bnorm``.  An exact-zero conv_s, which the chain skips, has
+        K_s = _EXACT and so caps nothing.  Over Q_p the chain is
         run as it stands.
         """
         p = self.p

@@ -2,12 +2,14 @@
 
 import ast
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import reduce
 from operator import getitem
@@ -38,6 +40,8 @@ from padicdisc.errors import (
 from padicdisc import FieldDescriptor, TruncatedSeries
 from padicdisc import fiber, jsonio
 from padicdisc.morphism import MAX_ORDER, MAX_RANK
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_schema_rejects_low_order():
@@ -194,6 +198,61 @@ def test_main_byte_identical(tmp_path):
     assert main(["--example", "p3-trivial", "--out", str(r1)]) == 0
     assert main(["--example", "p3-trivial", "--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_spec_keeps_its_seed_without_the_flag(tmp_path, capsys):
+    spec = example_spec("p3-trivial", order=16, seed=5)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--spec", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert text == serialize_report(run(spec))
+    assert json.loads(text)["spec"]["seed"] == 5
+    assert main(["--spec", str(path), "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"]["seed"] == 7
+
+
+@pytest.mark.parametrize("path", [("N",), ("field", "p"), ("field", "digits"),
+                                  ("field", "ext", "e"), ("field", "ext", "f"),
+                                  ("morphism", "d"), ("module", "rank"), ("seed",)],
+                         ids=lambda path: ".".join(path))
+def test_json_booleans_are_not_integers(path, tmp_path):
+    spec = example_spec("p3-trivial", order=16)
+    *head, key = path
+    reduce(getitem, head, spec)[key] = True
+    with pytest.raises(SchemaError):
+        run(spec)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+
+
+def test_a_job_leaves_no_reference_cycles(monkeypatch):
+    """With the cyclic collector off, each job's objects are freed by their
+    reference counts alone: its field and everything cached on it included."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    import workloads
+    specs = [example_spec(name, order=16) for name in ("p2-trivial", "p2-exp", "p3-trivial")]
+    specs += [job["spec"] for job in workloads.fiber_jobs(3)[:40]]
+    fields = []
+    field_from_json = jsonio.field_from_json
+
+    def read_field(x):
+        fld = field_from_json(x)
+        fields.append(weakref.ref(fld))
+        return fld
+
+    monkeypatch.setattr(jsonio, "field_from_json", read_field)
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in specs:
+            run(spec)
+            assert gc.collect() == 0
+            assert fields.pop()() is None
+    finally:
+        gc.enable()
 
 
 def test_main_polygon_csv(tmp_path, capsys):

@@ -15,9 +15,10 @@ benchmark's ``fibers`` jobs (``perfbench/workloads.py``, only imported): the
 search meets coefficients known only below their residue and some jobs end
 in a stage error.  Two more pin a series morphism, f of degree 3 above its
 d = 2, whose relation P(s, X) comes from the local solutions, not from f,
-with the trivial and with the exponential module.  A refactor that changes any digit, radius, check or key order of a report
-fails here.  Neither the files nor the digests are ever regenerated to make
-a change pass.
+with the trivial and with the exponential module; without its hints the
+fiber search finds the same points and tree.  A refactor that changes any
+digit, radius, check or key order of a report fails here.  Neither the files
+nor the digests are ever regenerated to make a change pass.
 """
 
 import hashlib
@@ -29,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from padicdisc import FieldDescriptor, hensel_lift
-from padicdisc.cli import example_spec, run, run_example, serialize_report
+from padicdisc.cli import _load, example_spec, run, run_example, serialize_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -202,3 +203,17 @@ def test_series_morphism_report_digest(module):
     assert len(report["checks"]) == 10 and all(c["passed"] for c in report["checks"])
     text = serialize_report(report)
     assert hashlib.sha256(text.encode()).hexdigest() == SHA256_SERIES_MORPHISM[module]
+
+
+@pytest.mark.parametrize("module", sorted(SERIES_MODULES))
+def test_series_morphism_finds_its_fiber_without_hints(module):
+    """f has degree 3 above its d = 2: the fiber search reads f as a
+    polynomial and keeps its two roots in the open disc, the hinted points."""
+    hinted = series_morphism_spec(module)
+    spec = dict(hinted, morphism={"f": hinted["morphism"]["f"], "d": 2})
+    report = run(spec)
+    assert report["errors"] == []
+    assert len(report["checks"]) == 10 and all(c["passed"] for c in report["checks"])
+    assert report["outputs"]["tree"] == run(hinted)["outputs"]["tree"]
+    found, pinned = (_load(s).get("fiber").points for s in (spec, hinted))
+    assert len(found) == 2 and all(any(a == b for b in pinned) for a in found)

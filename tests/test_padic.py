@@ -546,11 +546,11 @@ def test_poly_derivative_matches_rational_multiplier(name, draws):
 
 def test_integer_table_grows_to_the_largest_degree():
     fld = FieldDescriptor(3, digits=12, poly=[3, 0, 1], e=2, f=1)
-    assert fld.one() is fld.one()
     assert fld.one().coords == fld.from_rational(1).coords
     poly_derivative([fld.from_rational(k) for k in range(6)])
     assert len(fld._integers) == 6
-    assert [c.coords for c in fld._integers] == [fld.from_rational(j).coords for j in range(6)]
+    # the table holds coordinate tuples, which point at no field
+    assert fld._integers == [fld.from_rational(j).coords for j in range(6)]
 
 
 @pytest.mark.parametrize("name", sorted(_GAUGE_FIELDS))
