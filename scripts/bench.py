@@ -78,6 +78,11 @@ The rows ``mul`` of the fields ``Q2 1024 digits`` and ``Q3(sqrt-3) 1024 digits``
 time the series product at N = 32 with 1024-digit scalars.  Every coordinate
 of every coefficient is a seeded rational, so over Q_3(sqrt-3) both
 coordinate columns are dense, as in the products of the p3-trivial example.
+The rows ``reversion`` of the same two fields time ``reversion`` at N = 32
+with 1024-digit scalars, on the seeded series vanishing at the center that
+the 64-digit ``reversion`` rows revert: the Lagrange inversion whose
+``power * h`` products are most of the time of the p3-trivial job at 1024
+digits.
 
 Every batch is scaled to a nominal host speed as ``perfbench/run.py`` scales
 its jobs: ``perfbench/hostspeed.reference()`` is timed just before and just
@@ -430,8 +435,11 @@ def _cells(padicdisc) -> list:
             calls = _calls(padicdisc, _inputs(padicdisc, fld, n, seed=n))
             cells += [(op, name, n, calls[op]) for op in OPS]
     for name, fld in _fields(padicdisc, HIPREC_DIGITS).items():
-        cells.append(("mul", "%s %d digits" % (name, HIPREC_DIGITS), HIPREC_ORDER,
+        label = "%s %d digits" % (name, HIPREC_DIGITS)
+        cells.append(("mul", label, HIPREC_ORDER,
                       _dense_mul(padicdisc, fld, HIPREC_ORDER, seed=HIPREC_ORDER)))
+        data = _inputs(padicdisc, fld, HIPREC_ORDER, seed=HIPREC_ORDER)
+        cells.append(("reversion", label, HIPREC_ORDER, _calls(padicdisc, data)["reversion"]))
     cli = padicdisc.cli
     for example, field in EXAMPLE_FIELDS.items():
         spec = cli.example_spec(example, order=OPTIMALITY_ORDER)

@@ -124,8 +124,8 @@ def series_from_json(d, fld: FieldDescriptor, order=None) -> TruncatedSeries:
         n, var = d.get("N", len(coeffs)), d.get("var", "t")
     else:
         raise SchemaError("not a series object or coefficient list: %r" % (d,))
-    if not (isinstance(n, int) and n >= 1 and isinstance(var, str)):
-        raise SchemaError("a series needs an order N >= 1 and a variable name")
+    if not (type(n) is int and n >= 1 and isinstance(var, str)):
+        raise SchemaError("a series needs an order N that is an integer >= 1 and a variable name")
     if order is not None and n < order:
         raise SchemaError("series known to order %d, below the order %d asked for" % (n, order))
     n = order or n

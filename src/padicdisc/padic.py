@@ -162,19 +162,30 @@ def _bconv(field, xs, ys):
     live widens it, and inside it every exact-zero digit enters the profile
     as INF and packs as 0, as it would outside.
 
-    The values come from big-integer products (Kronecker substitution): each
-    coordinate column is packed once, u * p^(v - e) at one exponent e per
-    operand, into byte slots wide enough that no slot of a conv_c or of a
-    folded sum overflows into the next.  The coordinate convolution takes
-    one product per coordinate and one per pair of coordinates, Karatsuba's
-    identity x_s y_t + x_t y_s = (x_s + x_t)(y_s + y_t) - x_s y_s - x_t y_t
-    applied to every pair (A. Weimerskirch and C. Paar, Generalizations of
-    the Karatsuba algorithm for efficient implementations, 2006): 1, 3 and 6
-    products at dim 1, 2 and 3.  A slot of (x_s + x_t)(y_s + y_t) may carry
-    into the next: the products are exact integers, so the difference has
-    the slots of x_s y_t + x_t y_s again, and only those are read.  The fold
-    multiplies by den * q_ct, den the common denominator of the table, prime
-    to p, which normalization divides out again.
+    The values come from big-integer products by multipoint Kronecker
+    substitution, KS2 (D. Harvey, Faster polynomial multiplication via
+    multipoint Kronecker substitution, JSC 44, 2009).  Each coordinate column
+    holds u * p^(v - e), at one exponent e per operand.  Its slot needs width
+    bytes so that no slot of a conv_c or of a folded sum overflows into the
+    next; with half = ceil(width / 2) and h = 8 half bits, the column's even
+    and odd coefficients are packed into slots of 2 half >= width bytes, as E
+    and O, the odd ones shifted up by h bits: E + O and E - O are the column
+    evaluated at 2^h and -2^h.  At each of the two points the coordinate
+    convolution takes one product per coordinate and one per pair of
+    coordinates, Karatsuba's identity
+    x_s y_t + x_t y_s = (x_s + x_t)(y_s + y_t) - x_s y_s - x_t y_t applied to
+    every pair (A. Weimerskirch and C. Paar, Generalizations of the
+    Karatsuba algorithm for efficient implementations, 2006): 2, 6 and 12
+    products of half the size at dim 1, 2 and 3, where one point would take
+    1, 3 and 6 of full size.  A slot of (x_s + x_t)(y_s + y_t) may carry into
+    the next: the products are exact integers, so the difference has the
+    slots of x_s y_t + x_t y_s again.  With P+ and P- the two values of
+    conv_c, (P+ + P-) / 2 holds its even coefficients and
+    (P+ - P-) / 2^(h + 1) its odd ones, each in slots of 2 half bytes, which
+    still hold every slot read within its bound; only the first ceil(n / 2)
+    and floor(n / 2) of those slots are read.  The fold multiplies by
+    den * q_ct, den the common denominator of the table, prime to p, which
+    normalization divides out again.
     """
     p, dim, n = field.p, field.n, len(xs)
     zero = field._zero
@@ -223,33 +234,54 @@ def _bconv(field, xs, ys):
     # value, sign bit included
     width = (max(max(col) for col in mx).bit_length() + max(max(col) for col in my).bit_length()
              + (bound * n).bit_length() + 7) // 8
-    xp = [int.from_bytes(b"".join(m.to_bytes(width, "little") for m in col), "little")
-          if any(col) else 0 for col in mx]
-    yp = [int.from_bytes(b"".join(m.to_bytes(width, "little") for m in col), "little")
-          if any(col) else 0 for col in my]
-    square = [x * y for x, y in zip(xp, yp)]
-    conv = [0] * (2 * dim - 1)
-    for s in range(dim):
-        conv[2 * s] += square[s]
-        for t in range(s + 1, dim):
-            if xp[s] and xp[t] and yp[s] and yp[t]:
-                conv[s + t] += (xp[s] + xp[t]) * (yp[s] + yp[t]) - square[s] - square[t]
-            else:
-                conv[s + t] += xp[s] * yp[t] + xp[t] * yp[s]
-    mask = (1 << (8 * width * n)) - 1
-    conv = [c & mask for c in conv]
+    # KS2: the even and odd coefficients in slots of 2 half >= width bytes,
+    # the odd ones h bits up, so that E + O and E - O are the column at 2^h
+    # and at -2^h
+    half = (width + 1) // 2
+    h, slot = 8 * half, 2 * half
+    points = []
+    for cols in (mx, my):
+        packed = []
+        for col in cols:
+            even = int.from_bytes(b"".join(m.to_bytes(slot, "little") for m in col[::2]), "little")
+            odd = int.from_bytes(b"".join(m.to_bytes(slot, "little") for m in col[1::2]),
+                                 "little") << h
+            packed.append((even + odd, even - odd))
+        points.append(zip(*packed))
+    convs = []
+    for xp, yp in zip(*points):
+        square = [x * y for x, y in zip(xp, yp)]
+        conv = [0] * (2 * dim - 1)
+        for s in range(dim):
+            conv[2 * s] += square[s]
+            for t in range(s + 1, dim):
+                if xp[s] and xp[t] and yp[s] and yp[t]:
+                    conv[s + t] += (xp[s] + xp[t]) * (yp[s] + yp[t]) - square[s] - square[t]
+                else:
+                    conv[s + t] += xp[s] * yp[t] + xp[t] * yp[s]
+        convs.append(conv)
+    # the even product coefficients are (P(2^h) + P(-2^h)) / 2, the odd ones
+    # (P(2^h) - P(-2^h)) / 2^(h + 1), each in slots of 2 half bytes
+    n_even, n_odd = (n + 1) // 2, n // 2
+    mask_even = (1 << (8 * slot * n_even)) - 1
+    mask_odd = (1 << (8 * slot * n_odd)) - 1
+    conv_even = [(a + b) >> 1 & mask_even for a, b in zip(*convs)]
+    conv_odd = [(a - b) >> (h + 1) & mask_odd for a, b in zip(*convs)]
     e = ex + ey
     out = []
     for (fold, _, signed), prec in zip(plans, precs):
-        folded = sum(q * conv[c] for c, q, _ in fold)
-        if signed:
-            # slots s with |s| < 2^(8 width - 1): biased by 2^(8 width - 1)
-            # they carry nothing, and the xor leaves each in two's complement
-            bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
-            folded = (folded + bias) ^ bias
-        raw = folded.to_bytes(width * n, "little")
-        ms = [int.from_bytes(raw[s:s + width], "little", signed=signed)
-              for s in range(0, width * n, width)]
+        ms = [0] * n
+        for par, (conv, count) in enumerate(((conv_even, n_even), (conv_odd, n_odd))):
+            folded = sum(q * conv[c] for c, q, _ in fold)
+            if signed:
+                # slots s with |s| < 2^(8 slot - 1): biased by 2^(8 slot - 1)
+                # they carry nothing, and the xor leaves each in two's complement
+                bias = int.from_bytes((1 << (8 * slot - 1)).to_bytes(slot, "little") * count,
+                                      "little")
+                folded = (folded + bias) ^ bias
+            raw = folded.to_bytes(slot * count, "little")
+            ms[par::2] = [int.from_bytes(raw[s:s + slot], "little", signed=signed)
+                          for s in range(0, slot * count, slot)]
         if den != 1:
             # divide den out modulo p^(K - e), K the clamped precision
             ms = [m * pow(den, -1, _ppow(p, K - e)) if m and K > e else m
@@ -803,12 +835,13 @@ class PadicScalar:
             return self.inverse() ** (-exponent)
         result = self.field.one()
         base = self
-        while exponent:
+        while True:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         try:

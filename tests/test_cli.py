@@ -227,6 +227,19 @@ def test_json_booleans_are_not_integers(path, tmp_path):
     assert main(["--spec", str(spec_file)]) == 2
 
 
+def test_series_order_true_is_not_an_integer(tmp_path):
+    spec = example_spec("p2-exp", order=16)
+    spec["module"]["A"] = [[{"center": "0", "coeffs": ["-1"], "N": True}]]
+    with pytest.raises(SchemaError, match="N that is an integer >= 1"):
+        run(spec)
+    with pytest.raises(SchemaError, match="N that is an integer >= 1"):
+        jsonio.series_from_json({"center": "0", "coeffs": ["-1"], "N": True},
+                                FieldDescriptor(2, digits=16))
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+
+
 def test_a_job_leaves_no_reference_cycles(monkeypatch):
     """With the cyclic collector off, each job's objects are freed by their
     reference counts alone: its field and everything cached on it included."""

@@ -222,6 +222,25 @@ def test_uniformizer_powers_match_rational_powers(fld):
         assert (fld.uniformizer() ** k).coords == reference_uniformizer_power(fld, k).coords
 
 
+def test_pow_squares_no_further_than_its_last_bit(q3pi, monkeypatch):
+    """x ** k multiplies once per set bit of k (the first by one) and squares
+    once per bit below the top one: x ** 1 is one product, x ** 8 four."""
+    x = q3pi.from_rational(Fraction(5, 7))
+    expected = {1: x.coords, 8: (x * x * x * x * x * x * x * x).coords}
+    calls = []
+    mul = FieldDescriptor._mul
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldDescriptor, "_mul", counted)
+    for k, count in ((1, 1), (8, 4)):
+        calls.clear()
+        assert (x ** k).coords == expected[k]
+        assert len(calls) == count
+
+
 def reference_bfrom_fraction(p, q, rel):
     """q known to rel digits beyond its valuation, unit of the numerator
     times the inverse of the unit of the denominator."""

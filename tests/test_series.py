@@ -350,6 +350,9 @@ _WIDE = (1, [(1, 1, 0), (7, 1, 30), (-1, 9, -3)], 0)
 # -3 conv_2, 200 pairs of such units at its top slot, close to the slot's
 # bound with its sign bit
 _TOP = (1, [(2 ** 19 - 1, 1, 0)] * 3, 0)
+# the same at 1024 digits: 2^1621 - 1 is a 3-adic unit below 3^1024, so
+# -3 conv_2 fills the top slot of 1024-digit coordinates up to its bound
+_TOP_1024 = (1, [(2 ** 1621 - 1, 1, 0)] * 3, 0)
 
 
 @given(name=st.sampled_from(sorted(KERNEL_FIELDS)),
@@ -367,6 +370,20 @@ _TOP = (1, [(2 ** 19 - 1, 1, 0)] * 3, 0)
          dead=(set(), set()))
 @example(name="Q3(sqrt-3)", xs=[_TOP] * 200, ys=[_TOP] * 200, runs=(0, 0, 0, 0),
          dead=({0}, set()))
+# KS2 edge cases: n = 1 (no odd slot), n = 2, odd n, an all-zero coordinate
+# column, the signed folds (den != 1 for Q9) at odd n and a full top slot
+@example(name="Q3(sqrt-3)", xs=[_WIDE], ys=[_WIDE], runs=(0, 0, 0, 0), dead=(set(), set()))
+@example(name="Q2(sqrt-2)", xs=[_WIDE] * 2, ys=[_WIDE] * 2, runs=(0, 0, 0, 0),
+         dead=(set(), set()))
+@example(name="Q2", xs=[_WIDE] * 7, ys=[_WIDE] * 7, runs=(0, 0, 0, 0), dead=(set(), set()))
+@example(name="Q2(sqrt-2)", xs=[_WIDE] * 5, ys=[_WIDE] * 5, runs=(0, 0, 0, 0),
+         dead=({1}, set()))
+@example(name="Q4", xs=[_WIDE] * 3, ys=[_WIDE] * 3, runs=(0, 0, 0, 0), dead=(set(), set()))
+@example(name="Q25", xs=[_WIDE] * 5, ys=[_WIDE] * 5, runs=(0, 0, 0, 0), dead=(set(), set()))
+@example(name="Q9 by x^2+x/2+2", xs=[_WIDE] * 7, ys=[_WIDE] * 7, runs=(0, 0, 0, 0),
+         dead=(set(), set()))
+@example(name="Q3(sqrt-3) 1024 digits", xs=[_TOP_1024] * 33, ys=[_TOP_1024] * 33,
+         runs=(0, 0, 0, 0), dead=({0}, set()))
 @settings(max_examples=300, deadline=None)
 def test_mul_kernel_matches_pair_path(name, xs, ys, runs, dead):
     """The one-kernel series product against the per-pair path it replaced,
@@ -401,6 +418,9 @@ def bconv_coords(fld, draws, lead, trail):
 
 _ZERO = (0, _WIDE[1], 0)
 _ODD = (4, _WIDE[1], 2)
+# coordinate 1 is an exact zero: in a field of degree 2 a series of these
+# has an all-zero coordinate column
+_COORD1_ZERO = (1, [(1, 1, 0), (0, 1, 0), (5, 1, 0)], 0)
 
 
 @given(name=st.sampled_from(sorted(KERNEL_FIELDS)),
@@ -412,6 +432,17 @@ _ODD = (4, _WIDE[1], 2)
          runs=(1, 0, 2, 3))
 @example(name="Q2[x]/(x^3+2x+2)", xs=[_WIDE, _ZERO, _ZERO, _WIDE], ys=[_ODD] * 2 + [_WIDE],
          runs=(3, 2, 0, 4))
+# KS2 edge cases, as for test_mul_kernel_matches_pair_path
+@example(name="Q3(sqrt-3)", xs=[_WIDE], ys=[_WIDE], runs=(0, 0, 0, 0))
+@example(name="Q2", xs=[_ZERO, _WIDE], ys=[_WIDE, _ODD], runs=(0, 0, 0, 0))
+@example(name="Q4", xs=[_COORD1_ZERO] * 5, ys=[_WIDE] * 5, runs=(0, 0, 0, 0))
+@example(name="Q4", xs=[_WIDE, _ODD, _WIDE], ys=[_WIDE] * 3, runs=(0, 0, 0, 0))
+@example(name="Q25", xs=[_WIDE, _ZERO, _WIDE, _WIDE, _ODD], ys=[_COORD1_ZERO] * 5,
+         runs=(0, 0, 0, 0))
+@example(name="Q9 by x^2+x/2+2", xs=[_WIDE] * 5, ys=[_WIDE, _ODD, _WIDE, _ZERO, _WIDE],
+         runs=(0, 0, 0, 0))
+@example(name="Q3(sqrt-3) 1024 digits", xs=[_TOP_1024] * 33, ys=[_TOP_1024] * 33,
+         runs=(0, 0, 0, 0))
 @settings(max_examples=300, deadline=None)
 def test_bconv_live_test_matches_pair_path(name, xs, ys, runs):
     """_bconv, whose live flags are one comparison with fld.zero().coords,
