@@ -14,8 +14,9 @@ dense order-N series (``taylor_shift_dense``), both shifted to p.
 ``radius_estimate`` estimates the dense order-N series, and
 ``compose_poly8`` composes the degree-8 polynomial along the series of the
 ``compose`` row.  The rows
-``optimality:<example>`` time one ``optimality_check`` on the optimal basis of
-each canned example at N = 32, built untimed.  The rows ``upstairs:<example>``
+``optimality:<example>`` time one ``optimality_check`` (one echelon reduction
+per radius class) on the optimal basis of each canned example at N = 32,
+built untimed.  The rows ``upstairs:<example>``
 time ``local_solution_matrix`` at every fiber point of each canned example
 (the pipeline's upstairs bases) and the rows ``fundamental:<example>`` time
 one ``fundamental_solution_matrix`` on those bases and the example's
@@ -442,11 +443,9 @@ def _cells(padicdisc) -> list:
         cells.append(("reversion", label, HIPREC_ORDER, _calls(padicdisc, data)["reversion"]))
     cli = padicdisc.cli
     for example, field in EXAMPLE_FIELDS.items():
-        spec = cli.example_spec(example, order=OPTIMALITY_ORDER)
-        basis = cli._load(spec).get("optimal")
+        basis = cli._load(cli.example_spec(example, order=OPTIMALITY_ORDER)).get("optimal")
         cells.append(("optimality:" + example, field, OPTIMALITY_ORDER,
-                      lambda basis=basis, seed=spec["seed"]:
-                      padicdisc.optimality_check(basis, seed=seed)))
+                      lambda basis=basis: padicdisc.optimality_check(basis)))
     for example, field in EXAMPLE_FIELDS.items():
         pipe = cli._load(cli.example_spec(example, order=STAGE_ORDER))
         module, points = pipe.get("module"), pipe.get("fiber").points

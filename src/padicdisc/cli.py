@@ -5,8 +5,8 @@ outputs; ``run`` executes fiber -> tree -> local solutions -> vandermonde ->
 direct image -> bases -> checks, short-circuiting to what was asked.  Reports
 are total: a failing check or stage becomes a structured entry instead of an
 abort, and the process exit code reflects the check ledger.  Reports are pure
-functions of (spec, seed); timing goes to stderr so that the written artifact
-is byte-identical across runs.
+functions of the spec; timing goes to stderr so that the written artifact is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def _run_checks(pipe: _Pipeline) -> list:
         return ok, "; ".join(details) or "stable estimates match predictions"
 
     def chk_optimality():
-        report = optimality_check(pipe.get("optimal"), seed=pipe.spec["seed"])
+        report = optimality_check(pipe.get("optimal"))
         return report["passed"], "%d radius classes" % len(report["classes"])
 
     record("etale", chk_etale)

@@ -7,16 +7,16 @@ optimal basis upstairs at every preimage and links them, groups the shared
 columns into fundamental pairs and picks the branches of each pair itself;
 every emitted column carries its predicted radius exponent next to the
 tail-slope estimate so disagreement is observable rather than silently
-trusted.
+trusted.  ``optimality_check`` certifies a basis by one column echelon
+reduction per radius class.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
-from .padic import INF, PadicScalar
+from .padic import INF, _int_valuation
 from .series import RadiusEstimate, TruncatedSeries, compose, recenter
 from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
 from .diffmod import element_radius, mat_inverse, mat_vec
@@ -345,81 +345,63 @@ def trivial_optimal_basis(tree: TreeOverPoint, vdata: VandermondeData,
 # optimality checking
 # ----------------------------------------------------------------------------
 
-# Random combinations tried per radius class.
-OPTIMALITY_TRIALS = 50
+def _echelon(columns) -> list:
+    """Column echelon form of a radius class over the estimator's windows
+    [N/2, N), as (reduced column, its coefficients on ``columns``) pairs.
+    The index j runs down from N - 1, N an entry position's common order; at
+    each j the pivot is the coefficient j of least valuation over every
+    windowed entry of every free column, so each multiplier has v >= 0, and
+    it clears that coefficient in the other free columns.  Columns still
+    free at the end vanish on every window."""
+    fld = columns[0][0].field
+    orders = [min(e.order for e in row) for row in zip(*columns)]
+    free = [(col, tuple(fld.one() if m == k else fld.zero() for m in range(len(columns))))
+            for k, col in enumerate(columns)]
+    reduced = []
+    for j in range(max(orders) - 1, min(orders) // 2 - 1, -1):
+        live = [pos for pos, n in enumerate(orders) if n // 2 <= j < n]
+        best = None
+        for k, (col, _) in enumerate(free):
+            for pos in live:
+                v = _int_valuation(col[pos].coeffs[j])
+                if v != INF and (best is None or v < best[0]):
+                    best = v, k, pos
+        if best is None:
+            continue
+        _, k, pos = best
+        pivot_col, pivot_combo = free.pop(k)
+        pivot = pivot_col[pos].coeffs[j]
+        for i, (col, combo) in enumerate(free):
+            c = col[pos].coeffs[j]
+            if not c.is_zero():
+                m = c / pivot
+                free[i] = (tuple(x - y * m for x, y in zip(col, pivot_col)),
+                           tuple(x - y * m for x, y in zip(combo, pivot_combo)))
+        reduced.append((pivot_col, pivot_combo))
+    return reduced + free
 
 
-def _combine(entries, scalars, js):
-    """Coefficients js of sum_m scalars[m] * entries[m], added up in the order
-    series addition adds them, one ``FieldDescriptor._muladd`` per term."""
-    fld = entries[0].field
-    out = []
-    for j in js:
-        acc = fld._mul(entries[0].coeffs[j].coords, scalars[0].coords)
-        for e, s in zip(entries[1:], scalars[1:]):
-            acc = fld._muladd(e.coeffs[j].coords, s.coords, acc)
-        out.append(PadicScalar(fld, acc))
-    return out
-
-
-def _trial_estimate(fld, rows, scalars):
-    """Estimate of sum_m scalars[m] * column m over the class's entry rows,
-    or None when that combination is zero as a whole."""
-    window = [_combine(entries, scalars, range(n // 2, n)) for entries, n in rows]
-    if all(c.is_zero() for w in window for c in w) and all(
-            c.is_zero() for entries, n in rows
-            for c in _combine(entries, scalars, range(n // 2))):
-        return None
-    # the estimate never reads the exact zeros standing in below the window
-    return element_radius(tuple(
-        TruncatedSeries(fld, entries[0].var, entries[0].center,
-                        [fld.zero()] * (n // 2) + w)
-        for (entries, n), w in zip(rows, window)))
-
-
-def optimality_check(basis: OptimalBasis, seed: int = 0) -> dict:
-    """Randomized combination-radius test of the optimality criterion.
-
-    For each radius class, random small-integer combinations of its columns
-    must re-estimate to the class exponent; cancellations that gain radius
-    witness a non-optimal basis.  Report-valued: never raises.
-
-    The estimate reads only the window [N/2, N) of each entry, so only the
-    window is combined; the coefficients below it are combined only when the
-    window vanishes, to skip a trial whose whole combination is zero.  A
-    class of one column is estimated once: c times the column, c a nonzero
-    rational, shifts every valuation by v(c), which moves no hull edge, so
-    every trial's estimate is the column's own.  Its trials still draw their
-    coefficients, so later classes see the same random stream.
+def optimality_check(basis: OptimalBasis) -> dict:
+    """Deterministic optimality test: no combination of a radius class's
+    columns converges on a larger disc.  Every column of the class's echelon
+    form (``_echelon``) must re-estimate to the class exponent; one that does
+    not, or that is zero at precision (dependent columns), is a failure
+    naming its coefficients on the members and its estimate.  Column
+    operations run on series, so the precision a pivot costs stays tracked;
+    only the truncated window is certified.  Report-valued: never raises.
     """
-    rng = random.Random(seed)
     classes = {}
     for idx, col in enumerate(basis.columns):
         classes.setdefault(col.predicted_exponent, []).append(idx)
     report = {"classes": [], "passed": True}
     for exponent in sorted(classes):
         idxs = classes[exponent]
-        fld = basis.columns[idxs[0]].entries[0].field
-        # per entry position: the class's entries there and their common order
-        rows = [(entries, min(e.order for e in entries))
-                for entries in zip(*(basis.columns[idx].entries for idx in idxs))]
-        lone = _trial_estimate(fld, rows, [fld.one()]) if len(idxs) == 1 else None
         failures = []
-        for t in range(OPTIMALITY_TRIALS):
-            coeffs = [rng.randint(-3, 3) for _ in idxs]
-            if not any(coeffs):
-                coeffs[rng.randrange(len(coeffs))] = 1
-            est = lone if len(idxs) == 1 else _trial_estimate(
-                fld, rows, [fld.from_rational(c) for c in coeffs])
-            if est is not None and est.exponent != exponent:
-                failures.append({"trial": t, "coeffs": coeffs,
-                                 "estimated": str(est.exponent)})
-        report["classes"].append({
-            "exponent": str(exponent),
-            "members": list(idxs),
-            "trials": OPTIMALITY_TRIALS,
-            "failures": failures,
-        })
-        if failures:
-            report["passed"] = False
+        for col, combo in _echelon([basis.columns[idx].entries for idx in idxs]):
+            est = element_radius(col)
+            if est.exponent != exponent or all(e.is_zero() for e in col):
+                failures.append({"coeffs": list(combo), "estimated": str(est.exponent)})
+        report["classes"].append({"exponent": str(exponent), "members": list(idxs),
+                                  "failures": failures})
+        report["passed"] = report["passed"] and not failures
     return report

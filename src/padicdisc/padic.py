@@ -833,11 +833,13 @@ class PadicScalar:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one()
+        if not exponent:
+            return self.field.one()
+        result = None
         base = self
         while True:
             if exponent & 1:
-                result = result * base
+                result = base if result is None else result * base
             exponent >>= 1
             if not exponent:
                 return result

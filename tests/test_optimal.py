@@ -1,11 +1,13 @@
 """Vandermonde transfer, linked bases, branch selection, optimal bases."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from padicdisc import (
+    FieldDescriptor,
     TruncatedSeries,
     branch_selection,
     fundamental_pairs,
@@ -23,7 +25,7 @@ from padicdisc import cli, direct_image, element_radius, fiber, local_solution, 
     monic_relation, optimal, tree_over_point
 from padicdisc.errors import DegenerateFiber
 from padicdisc.morphism import Fiber
-from padicdisc.optimal import OPTIMALITY_TRIALS, BasisColumn, LinkedColumn, OptimalBasis
+from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis
 from padicdisc.series import compose, mult_inverse
 from conftest import N, constant_rank, exp_rationals
 
@@ -463,7 +465,7 @@ def test_run_composes_once_per_entry(monkeypatch, example, entries):
 def test_optimality_check_honest(p2, p3):
     for setup in (p2, p3):
         basis = trivial_optimal_basis(setup.tree, setup.vd, setup.phi)
-        report = optimality_check(basis, seed=7)
+        report = optimality_check(basis)
         assert report["passed"]
 
 
@@ -483,7 +485,7 @@ def _corrupt(basis):
 def test_optimality_check_detects_corruption(p2, p3):
     for setup in (p2, p3):
         basis = _corrupt(trivial_optimal_basis(setup.tree, setup.vd, setup.phi))
-        report = optimality_check(basis, seed=7)
+        report = optimality_check(basis)
         assert not report["passed"]
 
 
@@ -500,55 +502,18 @@ def test_radius_multiset_invariant_under_fiber_permutation(p3):
         sorted(c.estimate.exponent for c in original.columns)
 
 
-def full_optimality_check(basis, seed):
-    """Reference check: every trial combines whole entries, then estimates."""
-    rng = random.Random(seed)
-    classes = {}
-    for idx, col in enumerate(basis.columns):
-        classes.setdefault(col.predicted_exponent, []).append(idx)
-    report = {"classes": [], "passed": True}
-    for exponent in sorted(classes):
-        idxs = classes[exponent]
-        failures = []
-        for t in range(OPTIMALITY_TRIALS):
-            coeffs = [rng.randint(-3, 3) for _ in idxs]
-            if not any(coeffs):
-                coeffs[rng.randrange(len(coeffs))] = 1
-            combo = None
-            for c, idx in zip(coeffs, idxs):
-                scaled = tuple(e * c for e in basis.columns[idx].entries)
-                combo = scaled if combo is None else tuple(
-                    x + y for x, y in zip(combo, scaled))
-            if all(e.is_zero() for e in combo):
-                continue
-            est = element_radius(combo)
-            if est.exponent != exponent:
-                failures.append({"trial": t, "coeffs": coeffs,
-                                 "estimated": str(est.exponent)})
-        report["classes"].append({"exponent": str(exponent), "members": list(idxs),
-                                  "trials": OPTIMALITY_TRIALS, "failures": failures})
-        if failures:
-            report["passed"] = False
-    return report
-
-
 # the exponential module pushed forward by (1+t)^3 - 1 over Q_3(sqrt-3): a
-# class of several nonconstant columns, whatever its check reports
+# class of several nonconstant columns, failing at N = 16 and passing at 24
 EXP_CUBE_SPEC = {"field": {"p": 3, "ext": {"poly": ["3", "0", "1"], "e": 2, "f": 1},
                            "digits": 48},
                  "N": 16, "morphism": {"f": ["0", "3", "3", "1"], "d": 3},
                  "module": {"rank": 1, "A": [[["1"]]]}}
 
 
-# seeds whose trials include both a window-only and a whole cancellation
-CANCELLING_SEEDS = (0, 3, 6)
-
-
 def _cancelling_basis(q2, n=16):
     """Three rank-2 columns A, B, A of exponent 1 whose entries share the
-    window 2^-j, j >= N/2 (2^-j, j >= 7 in the order-14 second entries): a
-    combination with coefficient sum 0 cancels in every window, and is zero
-    as a whole only when B's coefficient is 0 too."""
+    window 2^-j, j >= N/2 (2^-j, j >= 7 in the order-14 second entries):
+    A - B vanishes on every window, and A - A everywhere."""
     def entry(low, order):
         return TruncatedSeries.from_rationals(
             q2, "s", 0, low + [Fraction(1, 2 ** j) for j in range(len(low), order)],
@@ -561,45 +526,97 @@ def _cancelling_basis(q2, n=16):
                     estimate=element_radius(e), provenance={}) for e in (a, b, a)))
 
 
-def _lone_column_basis(q2, n=16):
-    """Two one-column classes: exp, of exponent 1, predicted at 0 so that
-    every trial fails, and 2^-j predicted at its exponent 1."""
-    entries = (series(q2, exp_rationals(n), order=n),
-               series(q2, [Fraction(1, 2 ** j) for j in range(n)], order=n))
+def _one_entry_basis(entries, exponents):
     return OptimalBasis(columns=tuple(
         BasisColumn(entries=(e,), predicted_exponent=Fraction(q), estimate=element_radius((e,)),
-                    provenance={}) for e, q in zip(entries, (0, 1))))
+                    provenance={}) for e, q in zip(entries, exponents)))
 
 
-def test_optimality_check_matches_full_combination(q2, p2, p3):
-    cases = []
-    for name in ("p2-trivial", "p2-exp", "p3-trivial"):
-        for order in (16, 24):
-            pipe = cli._load(cli.example_spec(name, order=order, seed=order))
-            cases.append((pipe.get("optimal"), order))
-    for setup in (p2, p3):
-        cases.append((_corrupt(trivial_optimal_basis(setup.tree, setup.vd, setup.phi)), 7))
-    exp_cube = cli._load(EXP_CUBE_SPEC).get("optimal")
-    cases.append((exp_cube, 0))
-    for seed in CANCELLING_SEEDS:
-        cases.append((_cancelling_basis(q2), seed))
-    cases.append((_lone_column_basis(q2), 5))
-    for basis, seed in cases:
-        assert optimality_check(basis, seed) == full_optimality_check(basis, seed)
-    failing, passing = full_optimality_check(_lone_column_basis(q2), 5)["classes"]
-    assert len(failing["failures"]) == OPTIMALITY_TRIALS and not passing["failures"]
-    # the cancelling basis: trials whose window cancels but whose whole
-    # combination does not fail at exponent 0; wholly zero ones are skipped
-    for seed in CANCELLING_SEEDS:
-        rng = random.Random(seed)
-        draws = []
-        for _ in range(OPTIMALITY_TRIALS):
-            coeffs = [rng.randint(-3, 3) for _ in range(3)]
-            if not any(coeffs):
-                coeffs[rng.randrange(3)] = 1
-            draws.append(coeffs)
-        (cls,) = optimality_check(_cancelling_basis(q2), seed)["classes"]
-        assert cls["failures"] == [{"trial": t, "coeffs": c, "estimated": "0"}
-                                   for t, c in enumerate(draws) if sum(c) == 0 and c[1]]
-        assert any(sum(c) == 0 and c[1] for c in draws)
-        assert any(c[1] == 0 and c[0] == -c[2] for c in draws)
+def _lone_column_basis(q2, n=16):
+    """Two one-column classes: exp, of exponent 1, predicted at 0, and 2^-j
+    predicted at its exponent 1."""
+    return _one_entry_basis((series(q2, exp_rationals(n), order=n),
+                             series(q2, [Fraction(1, 2 ** j) for j in range(n)], order=n)),
+                            (0, 1))
+
+
+def _exp_class(field, multiples, n=32):
+    """One class of y = exp(s), exponent 1/(p-1), and m y + k for each (m, k)
+    in ``multiples``; with k != 0, m y + k - m y = k converges everywhere."""
+    y = series(field, exp_rationals(n), order=n)
+    entries = [y] + [y * m + k for m, k in multiples]
+    return _one_entry_basis(entries, [Fraction(1, field.p - 1)] * len(entries))
+
+
+@pytest.fixture(scope="module")
+def verdict_cases(q2, q3pi, p2, p3):
+    """Name -> (basis, whether the optimality check passes it)."""
+    q3 = FieldDescriptor(3, digits=64)
+    unit = q3pi.one() + q3pi.uniformizer()
+    cases = {
+        "cancelling": (_cancelling_basis(q2), False),
+        "lone_column": (_lone_column_basis(q2), False),
+        # {y, c y + 1}: out of reach of small integer combinations, or of
+        # rational ones altogether for the unit 1 + sqrt(-3)
+        "exp_c4": (_exp_class(q3, [(4, 1)]), False),
+        "exp_c5": (_exp_class(q3, [(5, 1)]), False),
+        "exp_c7": (_exp_class(q3, [(7, 1)]), False),
+        "exp_unit": (_exp_class(q3pi, [(unit, 1)]), False),
+        # dependent: 4y + 2 = 2 (3y + 1) - 2y
+        "exp_dependent": (_exp_class(q3, [(3, 1), (4, 2)]), False),
+    }
+    for label, setup in (("p2", p2), ("p3", p3)):
+        honest = trivial_optimal_basis(setup.tree, setup.vd, setup.phi)
+        cases["honest_" + label] = (honest, True)
+        cases["corrupt_" + label] = (_corrupt(honest), False)
+    cases["p2_exp"] = (cli._load(cli.example_spec("p2-exp", order=24)).get("optimal"), True)
+    for order, passes in ((16, False), (24, True)):
+        spec = dict(EXP_CUBE_SPEC, N=order)
+        cases["exp_cube_%d" % order] = (cli._load(spec).get("optimal"), passes)
+    return cases
+
+
+VERDICT_CASES = ("cancelling", "lone_column", "exp_c4", "exp_c5", "exp_c7", "exp_unit",
+                 "exp_dependent", "honest_p2", "honest_p3", "corrupt_p2", "corrupt_p3",
+                 "p2_exp", "exp_cube_16", "exp_cube_24")
+
+
+@pytest.mark.parametrize("name", VERDICT_CASES)
+def test_optimality_check_verdict(verdict_cases, name):
+    basis, passes = verdict_cases[name]
+    report = optimality_check(basis)
+    assert report["passed"] is passes
+    assert any(cls["failures"] for cls in report["classes"]) is not passes
+
+
+def test_optimality_check_witnesses_replay(verdict_cases):
+    """Each failure's coefficients, applied to the class's original columns
+    by plain series arithmetic, give a column estimating as reported."""
+    for name, (basis, passes) in verdict_cases.items():
+        if passes:
+            continue
+        report = optimality_check(basis)
+        assert any(cls["failures"] for cls in report["classes"]), name
+        for cls in report["classes"]:
+            for failure in cls["failures"]:
+                assert len(failure["coeffs"]) == len(cls["members"])
+                combo = None
+                for c, idx in zip(failure["coeffs"], cls["members"]):
+                    scaled = tuple(e * c for e in basis.columns[idx].entries)
+                    combo = scaled if combo is None else tuple(
+                        x + y for x, y in zip(combo, scaled))
+                assert str(element_radius(combo).exponent) == failure["estimated"], name
+
+
+def _class_verdicts(basis):
+    return {cls["exponent"]: not cls["failures"]
+            for cls in optimality_check(basis)["classes"]}
+
+
+def test_optimality_check_ignores_column_order(verdict_cases):
+    """Permuting the columns permutes each class; no class's verdict moves."""
+    for name, (basis, passes) in verdict_cases.items():
+        verdicts = _class_verdicts(basis)
+        assert all(verdicts.values()) is passes, name
+        for perm in itertools.permutations(basis.columns):
+            assert _class_verdicts(OptimalBasis(columns=perm)) == verdicts, name
