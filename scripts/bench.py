@@ -63,7 +63,13 @@ order-40 series (every coordinate drawn, 64 digits), per field of the
 ``fibers`` workload: the report writer's per-scalar cost.  The rows
 ``valuation:<field>`` time one batch of ``valuation()`` and ``precision()``
 calls on 1000 seeded scalars whose every coordinate is drawn (64 digits),
-per field of the ``fibers`` workload: the valuation gauge.  The row
+per field of the ``fibers`` workload: the valuation gauge.  The rows
+``serialize:<example>`` time one ``cli.serialize_report`` of the report of
+each canned example at N = 40 with 64 digits and at N = 32 with 1024 digits
+(field label ``<field> 1024 digits``), the reports built untimed.  The row
+``serialize:fibers`` times one ``cli.serialize_report`` of every report of
+the ``fibers`` workload's jobs at seed 3, built untimed; its N is the number
+of reports.  The row
 ``cold_import`` times ``import padicdisc.cli`` in a fresh ``python -B``
 interpreter, with ``perf_counter`` inside the child: ``perfbench/setup_probe.py``
 with no field to build, the median over COLD_IMPORTS interpreters, each
@@ -135,6 +141,7 @@ RELATION_EXAMPLE = "p3-trivial"
 TRANSPORT_EXAMPLE = "p2-exp"
 RELATION_ORDER = 32
 SERIES_JSON_ORDER = 40
+SERIALIZE_FIBERS_SEED = 3
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ROUNDS = 3
 BUDGET_S = 0.2
@@ -207,6 +214,26 @@ def _valuation_calls(padicdisc) -> dict:
         fld = padicdisc.jsonio.field_from_json(field.spec(64))
         scalars = _dense_series(padicdisc, fld, SCALAR_BATCH, random.Random(SCALAR_BATCH)).coeffs
         calls[name] = lambda scalars=scalars: [(c.valuation(), c.precision()) for c in scalars]
+    return calls
+
+
+def _serialize_calls(padicdisc) -> list:
+    """(op, field, N, call) of the serialize rows: one ``serialize_report``
+    per canned example at (STAGE_ORDER, 64 digits) and (HIPREC_ORDER,
+    HIPREC_DIGITS), and one over the reports of the seed-3 ``fibers`` jobs;
+    every report is built untimed."""
+    import workloads
+    cli = padicdisc.cli
+    calls = []
+    for order, digits in ((STAGE_ORDER, 64), (HIPREC_ORDER, HIPREC_DIGITS)):
+        for example, field in EXAMPLE_FIELDS.items():
+            label = field if digits == 64 else "%s %d digits" % (field, digits)
+            report = cli.run(cli.example_spec(example, order=order, digits=digits))
+            calls.append(("serialize:" + example, label, order,
+                          lambda report=report: cli.serialize_report(report)))
+    reports = [cli.run(job["spec"]) for job in workloads.fiber_jobs(SERIALIZE_FIBERS_SEED)]
+    calls.append(("serialize:fibers", "-", len(reports),
+                  lambda: [cli.serialize_report(report) for report in reports]))
     return calls
 
 
@@ -457,6 +484,7 @@ def _cells(padicdisc) -> list:
                       padicdisc.fundamental_solution_matrix(bases, _fresh(padicdisc, vd))))
     cells.append(("transport:" + TRANSPORT_EXAMPLE, EXAMPLE_FIELDS[TRANSPORT_EXAMPLE],
                   STAGE_ORDER, _transport_call(padicdisc)))
+    cells += _serialize_calls(padicdisc)
     pipe = cli._load(cli.example_spec(RELATION_EXAMPLE, order=RELATION_ORDER))
     pipe.get("solutions")
     cells.append(("relation:" + RELATION_EXAMPLE, EXAMPLE_FIELDS[RELATION_EXAMPLE],

@@ -617,7 +617,7 @@ def _polygon_csv(data: dict) -> str:
 # ----------------------------------------------------------------------------
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return jsonio.dumps(report)
 
 
 def _read_spec_file(path: str) -> dict:
@@ -665,8 +665,7 @@ def main(argv=None) -> int:
             if args.polygon:
                 data = emit_polygon(spec, args.polygon)
                 ok = True
-                text = _polygon_csv(data) if args.format == "csv" \
-                    else json.dumps(data, sort_keys=True, indent=2) + "\n"
+                text = _polygon_csv(data) if args.format == "csv" else jsonio.dumps(data)
             else:
                 report = run(spec)
                 ok = all(c["passed"] for c in report["checks"]) and not report["errors"]
@@ -678,8 +677,12 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s: %s\n" % (type(err).__name__, err))
         return 2
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            sys.stderr.write("error: cannot write report %s: %s\n" % (args.out, err.strerror or err))
+            return 2
     else:
         sys.stdout.write(text)
     sys.stderr.write("# elapsed %.2fs\n" % (time.monotonic() - started))

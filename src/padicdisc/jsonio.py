@@ -1,10 +1,12 @@
-"""JSON encodings for scalars, fields, series, polygons, trees, and modules."""
+"""JSON encodings for scalars, fields, series, polygons, trees, and modules,
+and the writer of their text."""
 
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import PrecisionPastExact, SchemaError
 from .padic import (INF, FieldDescriptor, PadicScalar, _bfrom_power, _int_precision,
@@ -166,3 +168,90 @@ def basis_to_json(basis) -> dict:
          "stable": col.estimate.stable,
          "entries": [series_to_json(e) for e in col.entries]}
         for col in basis.columns]}
+
+
+def _scalar_text(o):
+    """The stdlib's JSON text of None, a bool, an int or a float (NaN and the
+    infinities included); None for any other value."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    A value that call rejects raises the same exception class: TypeError
+    for a type or a dict key JSON has no text for, ValueError for a
+    container that contains itself.  With ``indent`` set the stdlib leaves
+    its C encoder for a pure-Python generator chain that yields every
+    token; this walk appends one string per output line instead."""
+    lines = []
+    _write(obj, "", "\n", lines.append, set())
+    lines.append("\n")
+    return "".join(lines)
+
+
+def _write(o, head: str, indent: str, put, open_ids: set) -> None:
+    """Pass the lines of ``o`` to ``put``, the first starting with ``head``
+    (the separator, indent and key before it); ``indent`` is the newline and
+    indent of o's nesting level.  Types are tested with isinstance, as the
+    stdlib does, so subclasses keep their text.  str, containers and the
+    other scalars are disjoint types, so testing containers second changes
+    no output; a container's loop writes its str items itself.  Keys are
+    converted by the same scalar rule and sorted as the stdlib sorts them.
+    ``open_ids`` holds the containers being written, to detect a cycle."""
+    if isinstance(o, str):
+        put(head + _quote(o))
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            put(head + ("{}" if is_dict else "[]"))
+            return
+        marker = id(o)
+        if marker in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(marker)
+        put(head + ("{" if is_dict else "["))
+        inner = indent + "  "
+        sep, comma = inner, "," + inner
+        if is_dict:
+            for k, v in sorted(o.items()):
+                key = k if isinstance(k, str) else _scalar_text(k)
+                if key is None:
+                    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                                    % k.__class__.__name__)
+                h = sep + _quote(key) + ": "
+                if isinstance(v, str):
+                    put(h + _quote(v))
+                else:
+                    _write(v, h, inner, put, open_ids)
+                sep = comma
+        else:
+            for v in o:
+                if isinstance(v, str):
+                    put(sep + _quote(v))
+                else:
+                    _write(v, sep, inner, put, open_ids)
+                sep = comma
+        put(indent + ("}" if is_dict else "]"))
+        open_ids.remove(marker)
+    else:
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError("Object of type %s is not JSON serializable" % o.__class__.__name__)
+        put(head + text)

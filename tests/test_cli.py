@@ -193,6 +193,13 @@ def test_main_exit_codes(tmp_path):
     assert main(["--spec", str(bad)]) == 2
 
 
+def test_main_unwritable_out_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--example", "p2-trivial", "--series-order", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report %s: " % out)
+    assert not out.exists()
+
+
 def test_main_byte_identical(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["--example", "p3-trivial", "--out", str(r1)]) == 0
@@ -266,6 +273,12 @@ def test_a_job_leaves_no_reference_cycles(monkeypatch):
             assert fields.pop()() is None
     finally:
         gc.enable()
+
+
+def test_main_polygon_json_is_the_stdlib_text(capsys):
+    assert main(["--example", "p3-trivial", "--polygon", "f"]) == 0
+    data = emit_polygon(example_spec("p3-trivial"), "f")
+    assert capsys.readouterr().out == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def test_main_polygon_csv(tmp_path, capsys):
