@@ -11,14 +11,12 @@ from .padic import (
     FieldDescriptor,
     PadicScalar,
     hensel_lift,
-    root_of_unity,
     INF,
 )
 from .series import (
     TruncatedSeries,
     ValuationPolygon,
     RadiusEstimate,
-    newton_solve,
 )
 from .morphism import (
     DiscMorphism,

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
 
 from .errors import PadicDiscError, SchemaError, SelectorError, UnknownExample
-from .padic import root_of_unity
 from .series import TruncatedSeries, compose, mult_inverse, radius_estimate, valuation_polygon
 from .morphism import (
     MAX_ORDER,
@@ -436,8 +436,6 @@ def _diff_row(quantity, computed, expected, blocking=True, note=None):
 def run_example(name: str, order: int = DEFAULT_ORDER,
                 digits: int = DEFAULT_DIGITS, seed: int = 0) -> dict:
     """Run a canned example and diff every displayed quantity entrywise."""
-    if name not in ("p2-trivial", "p2-exp", "p3-trivial"):
-        raise UnknownExample(name)
     pipe = _load(example_spec(name, order, digits, seed))
     fld = pipe.get("field")
     n = order
@@ -522,7 +520,7 @@ def run_example(name: str, order: int = DEFAULT_ORDER,
                          == [Fraction(2), Fraction(2)]})
     else:
         f3 = series_of(_binom_rationals(Fraction(1, 3), n))
-        z3 = root_of_unity(3, fld)
+        z3 = fld.from_coords([Fraction(-1, 2), Fraction(1, 2)])    # (-1 + pi)/2, pi^2 = -3
         invf2 = mult_inverse(f3 * f3)
         third = fld.from_rational(Fraction(1, 3))
         tree = pipe.get("tree")
@@ -582,14 +580,16 @@ def emit_polygon(spec: dict, selector: str) -> dict:
     elif selector == "fp":
         target = TruncatedSeries.from_rationals(
             fld, "s", 0, _binom_rationals(Fraction(1, fld.p), n))
-    elif selector.startswith("A[") and selector.endswith("]"):
-        try:
-            i, j = (int(x) for x in selector[2:-1].split("]["))
-            target = pipe.get("module").matrix[i][j]
-        except (ValueError, IndexError) as err:
-            raise SelectorError("bad module selector %r: %s" % (selector, err))
     else:
-        raise SelectorError("unknown selector %r" % selector)
+        match = re.fullmatch(r"A\[([0-9]+)\]\[([0-9]+)\]", selector)
+        if match is None:
+            raise SelectorError("unknown selector %r" % selector)
+        matrix = pipe.get("module").matrix
+        i, j = int(match[1]), int(match[2])
+        if max(i, j) >= len(matrix):
+            raise SelectorError("bad module selector %r: the module has rank %d"
+                                % (selector, len(matrix)))
+        target = matrix[i][j]
     poly = valuation_polygon(target)
     samples = []
     for k in range(0, 8 * fld.e + 1):
@@ -635,10 +635,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="padicdisc",
         description="exact pipelines for finite morphisms of p-adic discs")
-    parser.add_argument("--spec", help="job spec JSON file")
-    parser.add_argument("--example", help="canned example: p2-trivial, p2-exp, p3-trivial")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="job spec JSON file")
+    source.add_argument("--example", help="canned example's job spec: p2-trivial, p2-exp, "
+                        "p3-trivial")
     parser.add_argument("--polygon", help="emit a valuation polygon for a selector "
-                          "(f, fp, A[i][j]); needs --spec or --example")
+                        "(f, fp, A[i][j]) instead of running the job")
     parser.add_argument("--series-order", type=int, default=None, metavar="N")
     parser.add_argument("--digits", type=int, default=None, metavar="R")
     parser.add_argument("--seed", type=int, default=None, metavar="S")
@@ -648,31 +650,21 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        if args.example and not args.polygon:
-            order = DEFAULT_ORDER if args.series_order is None else args.series_order
-            digits = DEFAULT_DIGITS if args.digits is None else args.digits
-            result = run_example(args.example, order=order, digits=digits, seed=args.seed or 0)
-            ok = result["passed"] and all(c["passed"] for c in result["report"]["checks"])
-            text = serialize_report(result)
-        elif args.spec or args.example:
-            spec = _read_spec_file(args.spec) if args.spec else example_spec(args.example)
-            if args.series_order is not None:
-                spec["N"] = args.series_order
-            if args.digits is not None and isinstance(spec.get("field"), dict):
-                spec["field"]["digits"] = args.digits
-            if args.seed is not None:
-                spec["seed"] = args.seed
-            if args.polygon:
-                data = emit_polygon(spec, args.polygon)
-                ok = True
-                text = _polygon_csv(data) if args.format == "csv" else jsonio.dumps(data)
-            else:
-                report = run(spec)
-                ok = all(c["passed"] for c in report["checks"]) and not report["errors"]
-                text = serialize_report(report)
+        spec = example_spec(args.example) if args.spec is None else _read_spec_file(args.spec)
+        if args.series_order is not None:
+            spec["N"] = args.series_order
+        if args.digits is not None and isinstance(spec.get("field"), dict):
+            spec["field"]["digits"] = args.digits
+        if args.seed is not None:
+            spec["seed"] = args.seed
+        if args.polygon:
+            data = emit_polygon(spec, args.polygon)
+            ok = True
+            text = _polygon_csv(data) if args.format == "csv" else jsonio.dumps(data)
         else:
-            parser.error("one of --spec or --example is required")
-            return 2
+            report = run(spec)
+            ok = all(c["passed"] for c in report["checks"]) and not report["errors"]
+            text = serialize_report(report)
     except PadicDiscError as err:
         sys.stderr.write("error: %s: %s\n" % (type(err).__name__, err))
         return 2

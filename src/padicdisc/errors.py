@@ -27,10 +27,6 @@ class NoConvergence(PadicDiscError):
     """Newton iteration hit the precision cap without a vanishing residual."""
 
 
-class UnsupportedRoot(PadicDiscError):
-    """Requested root of unity does not exist in the declared field."""
-
-
 class PrecisionPastExact(PadicDiscError, ValueError):
     """A nonzero value would be known modulo p^_EXACT or beyond, where its
     precision reads as exact."""

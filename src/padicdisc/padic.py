@@ -23,7 +23,6 @@ from .errors import (
     InvalidField,
     NoConvergence,
     PrecisionPastExact,
-    UnsupportedRoot,
 )
 
 INF = float("inf")
@@ -1018,43 +1017,3 @@ def hensel_lift(g, x0: PadicScalar, dg=None) -> PadicScalar:
         x = x - r / d
         r, d = poly_eval(g, x), poly_eval(dg, x)
     raise NoConvergence("residual did not vanish at the precision cap")
-
-
-def _primitive_root_mod_p(p: int) -> int:
-    order = p - 1
-    primes = _prime_factors(order)
-    for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in primes):
-            return g
-    raise ValueError("no primitive root found")
-
-
-def root_of_unity(n: int, field: FieldDescriptor) -> PadicScalar:
-    """A primitive n-th root of unity in the declared field.
-
-    Supported: n = 1; n = 2 in any field; n = 3 in Q_3(pi) with pi^2 = -3;
-    n | p - 1 by Teichmueller lifting.
-    """
-    p = field.p
-    if n < 1:
-        raise UnsupportedRoot("n must be positive")
-    if n == 1:
-        return field.one()
-    if n == 2:
-        return field.from_rational(-1)
-    if n == 3 and p == 3 and field.kind == "eisenstein" and field.n == 2 \
-            and field.poly == (Fraction(3), Fraction(0), Fraction(1)):
-        zeta = field.from_coords([Fraction(-1, 2), Fraction(1, 2)])
-    elif (p - 1) % n == 0:
-        g = _primitive_root_mod_p(p)
-        r = pow(g, (p - 1) // n, p)
-        poly = [field.from_rational(-1)] + [field.zero()] * (n - 1) + [field.one()]
-        zeta = hensel_lift(poly, field.from_rational(r))
-    else:
-        raise UnsupportedRoot("no primitive %d-th root of unity in %r" % (n, field))
-    if not (zeta ** n - 1).is_zero():
-        raise NoConvergence("root of unity failed verification")
-    for m in range(1, n):
-        if (zeta ** m - 1).is_zero():
-            raise UnsupportedRoot("constructed root is not primitive")
-    return zeta

@@ -1,10 +1,10 @@
 """Truncated power series at a declared center.
 
 Ring operations, composition, reversion (Lagrange inversion), recentering,
-valuation polygons, tail-slope radius estimation, and series-coefficient root
-solving.  Truncation order N is fixed per series; binary operations take the
-minimum of the two orders and never silently extend it.  The constant
-coefficient of a series equals its evaluation at the center.
+valuation polygons and tail-slope radius estimation.  Truncation order N is
+fixed per series; binary operations take the minimum of the two orders and
+never silently extend it.  The constant coefficient of a series equals its
+evaluation at the center.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from fractions import Fraction
 
 from .errors import (
     CenterMismatch,
-    NoConvergence,
     NonUnitConstantTerm,
     NotInvertibleAtOrderOne,
     ShiftOutsideDisc,
-    SingularFiberPoint,
     SubstitutionOutsideDisc,
     VariableMismatch,
     ZeroSeries,
@@ -395,41 +393,3 @@ def radius_estimate(f: TruncatedSeries) -> RadiusEstimate:
                 True)
     (x1, y1), (x2, y2) = raw[-2], raw[-1]
     return RadiusEstimate(max(Fraction(0), Fraction(y1 - y2, (x2 - x1) * scale)), False)
-
-
-# ----------------------------------------------------------------------------
-# root solving with series coefficients
-# ----------------------------------------------------------------------------
-
-def newton_solve(poly, x0: PadicScalar) -> TruncatedSeries:
-    """The unique series u with P(s, u(s)) = O((s-b)^N) and u(b) = x0.
-
-    ``poly`` lists TruncatedSeries coefficients of P in ascending X powers,
-    all at the same center b.  Requires P(b, x0) = 0 at precision and
-    dP/dX(b, x0) invertible (non-branching hypothesis).
-    """
-    poly = list(poly)
-    base = poly[0]
-    for c in poly[1:]:
-        base._check_compatible(c)
-    const = [c.coeffs[0] for c in poly]
-    if not poly_eval(const, x0).is_zero():
-        raise ValueError("x0 is not a root of P at the center")
-    dconst = poly_eval(poly_derivative(const), x0)
-    if dconst.is_zero():
-        raise SingularFiberPoint(
-            "dP/dX vanishes at the fiber point (branching or non-etale)")
-    n = min(c.order for c in poly)
-    u = TruncatedSeries.constant(base.field, base.var, base.center, x0, n)
-    dpoly = [poly[k] * k for k in range(1, len(poly))]
-    steps = 1
-    while (1 << steps) < n:
-        steps += 1
-    for _ in range(steps + 1):
-        residual = horner(poly, u)
-        if residual.is_zero():
-            break
-        u = u - residual * mult_inverse(horner(dpoly, u))
-    if not horner(poly, u).is_zero():
-        raise NoConvergence("newton_solve residual did not vanish to order N")
-    return u

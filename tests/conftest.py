@@ -36,6 +36,11 @@ def exp_rationals(n):
     return [Fraction(1, math.factorial(j)) for j in range(n)]
 
 
+def zeta3(field):
+    """The primitive cube root of unity (-1 + pi)/2 of Q_3(pi), pi^2 = -3."""
+    return field.from_coords([Fraction(-1, 2), Fraction(1, 2)])
+
+
 def constant_rank(columns) -> int:
     """Rank of the constant-term matrix over the field (independence check)."""
     if not columns:
@@ -89,10 +94,9 @@ def p2(q2):
 
 @pytest.fixture(scope="session")
 def p3(q3pi):
-    from padicdisc import root_of_unity
     f = TruncatedSeries.from_rationals(q3pi, "t", 0, [0, 3, 3, 1], order=N)
     phi = DiscMorphism(f=f, degree=3)
-    z3 = root_of_unity(3, q3pi)
+    z3 = zeta3(q3pi)
     hints = [z3 - 1, z3 * z3 - 1, q3pi.zero()]
     fib = fiber(phi, q3pi.zero(), hints=hints)
     tree = tree_over_point(phi, fib)

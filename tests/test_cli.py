@@ -40,6 +40,7 @@ from padicdisc.errors import (
 from padicdisc import FieldDescriptor, TruncatedSeries
 from padicdisc import fiber, jsonio
 from padicdisc.morphism import MAX_ORDER, MAX_RANK
+from conftest import zeta3
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -185,7 +186,7 @@ def test_main_exit_codes(tmp_path):
     code = main(["--example", "p2-trivial", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["passed"]
+    assert payload["checks"] and all(c["passed"] for c in payload["checks"])
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"field": {"p": 2}, "N": 4,
@@ -288,11 +289,43 @@ def test_main_polygon_csv(tmp_path, capsys):
     assert captured.out.startswith("kind,x,y")
 
 
+@pytest.mark.parametrize("selector", ["A[-1][-1]", "A[-1][0]", "A[ 0 ][0_0]", "A[+0][0]",
+                                      "A[٠][0]", "A[0][0][0]", "A[1][0]"])
+def test_malformed_or_out_of_range_module_selectors_exit_2(selector, capsys):
+    # only A[i][j] with decimal digits and both indices below the rank names an entry
+    with pytest.raises(SelectorError):
+        emit_polygon(example_spec("p2-exp"), selector)
+    assert main(["--example", "p2-exp", "--polygon", selector]) == 2
+    assert capsys.readouterr().err.startswith("error: SelectorError: ")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--spec", "spec.json", "--example", "p2-trivial"], "not allowed with argument"),
+    (["--spec", "spec.json", "--example", "p2-trivial", "--polygon", "f"],
+     "not allowed with argument"),
+    (["--polygon", "f"], "one of the arguments --spec --example is required"),
+], ids=["both", "both with --polygon", "neither"])
+def test_exactly_one_of_spec_and_example_or_exit_2(args, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(example_spec("p3-trivial")))
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["p2-trivial", "p2-exp", "p3-trivial"])
+def test_main_example_writes_its_golden_report(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--example", name, "--out", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / ("%s_N32.json" % name)
+    assert out.read_bytes() == golden.read_bytes()
+
+
 # -- json round trips ------------------------------------------------------------------
 
 def test_scalar_json_roundtrip(q3pi):
-    from padicdisc import root_of_unity
-    z = root_of_unity(3, q3pi)
+    z = zeta3(q3pi)
     data = jsonio.scalar_to_json(z)
     assert data["val"] == "0"
     back = jsonio.scalar_from_json(data, q3pi)

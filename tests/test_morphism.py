@@ -35,7 +35,7 @@ from padicdisc import morphism
 from padicdisc.cli import example_spec, run
 from padicdisc.padic import INF, poly_derivative, poly_eval
 from padicdisc.series import compose, evaluate, horner, reversion
-from conftest import N, binom_rationals
+from conftest import N, binom_rationals, zeta3
 
 
 def make_phi(field, coeffs, degree):
@@ -94,8 +94,7 @@ def test_fiber_p2_order(p2):
 
 
 def test_fiber_p3_closed_form(p3):
-    from padicdisc import root_of_unity
-    z3 = root_of_unity(3, p3.field)
+    z3 = zeta3(p3.field)
     assert (p3.fib.points[0] - (z3 - 1)).is_zero()
     assert (p3.fib.points[1] - (z3 * z3 - 1)).is_zero()
     assert p3.fib.points[2].is_zero()

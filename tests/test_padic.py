@@ -1,4 +1,4 @@
-"""Scalar arithmetic, Hensel lifting, and roots of unity."""
+"""Scalar arithmetic and Hensel lifting."""
 
 import math
 import time
@@ -12,7 +12,6 @@ from padicdisc import (
     INF,
     hensel_lift,
     jsonio,
-    root_of_unity,
 )
 from padicdisc.errors import (
     DivisionByZeroAtPrecision,
@@ -20,11 +19,11 @@ from padicdisc.errors import (
     NoConvergence,
     PadicDiscError,
     PrecisionPastExact,
-    UnsupportedRoot,
 )
 from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bfrom_fraction, _bfrom_power, _bmul,
                              _bnorm, _fp_eval, _fp_polymulmod, _is_prime, _newton_mod, _ppow,
                              _vp_int, poly_derivative, poly_eval)
+from conftest import zeta3
 
 
 def vp_fraction(q, p):
@@ -86,7 +85,7 @@ def test_division_geometric_oracle(q2):
 
 
 def test_roots_of_unity_multiply(q3pi):
-    z = root_of_unity(3, q3pi)
+    z = zeta3(q3pi)
     z2 = z * z
     assert (z * z2 - 1).is_zero()
 
@@ -112,7 +111,7 @@ def test_eisenstein_valuations(q3pi):
 
 
 def test_with_precision_truncates(q3pi):
-    z = root_of_unity(3, q3pi)
+    z = zeta3(q3pi)
     rough = z.with_precision(1)
     assert rough.precision() <= Fraction(3, 2)
     assert (rough - z).valuation() >= 1 or (rough - z).is_zero()
@@ -312,7 +311,7 @@ def test_hensel_cube_root_teichmueller():
 
 
 def test_hensel_refines_rough_zeta3(q3pi):
-    z = root_of_unity(3, q3pi)
+    z = zeta3(q3pi)
     rough = z.with_precision(2)
     poly = [q3pi.one(), q3pi.one(), q3pi.one()]      # X^2 + X + 1
     lifted = hensel_lift(poly, rough)
@@ -338,7 +337,8 @@ def test_hensel_seed_root_claims_only_what_g_supports(p, poly, e):
     fld = FieldDescriptor(p, digits=64, poly=poly, e=e, f=1)
     g = [fld.from_rational(-1).with_precision(60), fld.zero(), fld.zero(),
          fld.one().with_precision(60)]
-    x0 = root_of_unity(3, fld)
+    x0 = zeta3(fld) if e == 2 else hensel_lift(
+        [fld.from_rational(-1), fld.zero(), fld.zero(), fld.one()], fld.from_rational(2))
     r, d = poly_eval(g, x0), poly_eval(poly_derivative(g), x0)
     assert r.is_zero() and x0.precision() > r.precision() - d.valuation()
     root = hensel_lift(g, x0)
@@ -608,26 +608,6 @@ def test_hensel_root_claims_only_what_g_supports_after_a_step():
     root = hensel_lift(g, PadicScalar(fld, ((1, 0, 8), (0, _EXACT, _EXACT))))
     assert root.coords == ((1, 0, 3), (1, 1, 3))
     assert root.coords == tracked_lift(g, x1).coords
-
-
-def test_root_of_unity_cases(q2, q3pi):
-    assert (root_of_unity(2, q2) + 1).is_zero()
-    z = root_of_unity(3, q3pi)
-    # oracle: ((-1+pi)/2)^3 = 1 using pi^2 = -3
-    pi = q3pi.uniformizer()
-    explicit = (pi - 1) / 2
-    assert (z - explicit).is_zero()
-    assert (explicit ** 3 - 1).is_zero()
-    with pytest.raises(UnsupportedRoot):
-        root_of_unity(3, q2)
-
-
-def test_root_of_unity_primitive():
-    q13 = FieldDescriptor(13, digits=20)
-    z = root_of_unity(4, q13)
-    assert (z ** 4 - 1).is_zero()
-    for m in range(1, 4):
-        assert not (z ** m - 1).is_zero()
 
 
 def test_unramified_quadratic_arithmetic():

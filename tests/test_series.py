@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from padicdisc import FieldDescriptor, PadicScalar, TruncatedSeries, jsonio, newton_solve
+from padicdisc import FieldDescriptor, PadicScalar, TruncatedSeries, jsonio
 from padicdisc.errors import (
     CenterMismatch,
     NonUnitConstantTerm,
     NotInvertibleAtOrderOne,
     ShiftOutsideDisc,
-    SingularFiberPoint,
     SubstitutionOutsideDisc,
     VariableMismatch,
     ZeroSeries,
@@ -1208,40 +1207,3 @@ def test_radius_estimate_matches_fraction_hulls(name, draws, ramp):
     est = radius_estimate(f)
     assert (est.exponent, est.stable) == fraction_radius_estimate(f)
 
-
-# -- newton_solve ------------------------------------------------------------------------------
-
-def _p2_poly(q2):
-    s = TruncatedSeries.identity(q2, "s", q2.zero(), N)
-    two = TruncatedSeries.constant(q2, "s", q2.zero(), q2.from_rational(2), N)
-    one = TruncatedSeries.constant(q2, "s", q2.zero(), q2.one(), N)
-    return [-s, two, one]          # X^2 + 2X - s
-
-
-def test_newton_solve_branches(q2):
-    poly = _p2_poly(q2)
-    u0 = newton_solve(poly, q2.zero())
-    expect = binom_rationals(Fraction(1, 2), N)
-    expect[0] = Fraction(0)
-    assert (u0 - TruncatedSeries.from_rationals(q2, "s", 0, expect)).is_zero()
-    um2 = newton_solve(poly, q2.from_rational(-2))
-    mirror = [-c for c in expect]
-    mirror[0] = Fraction(-2)
-    assert (um2 - TruncatedSeries.from_rationals(q2, "s", 0, mirror)).is_zero()
-
-
-def test_newton_solve_residual_invariant(q2):
-    poly = _p2_poly(q2)
-    u = newton_solve(poly, q2.zero())
-    acc = TruncatedSeries.constant(q2, "s", q2.zero(), q2.zero(), N)
-    for c in reversed(poly):
-        acc = acc * u + c
-    assert acc.is_zero()
-
-
-def test_newton_solve_singular(q2):
-    s = TruncatedSeries.identity(q2, "s", q2.zero(), N)
-    zero = TruncatedSeries.constant(q2, "s", q2.zero(), q2.zero(), N)
-    one = TruncatedSeries.constant(q2, "s", q2.zero(), q2.one(), N)
-    with pytest.raises(SingularFiberPoint):
-        newton_solve([-s, zero, one], q2.zero())     # X^2 - s at 0
