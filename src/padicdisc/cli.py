@@ -70,7 +70,7 @@ def _read(where: str, read, x, *args):
 
 
 def _read_series(where: str, x, fld, n: int):
-    """A morphism or module entry: a series at center 0 known to order >= n.
+    """A morphism or module entry: a series in t at center 0 known to order >= n.
 
     A coefficient list longer than MAX_ORDER is rejected before any entry is
     parsed: every entry is validated, so its cost would be its full length."""
@@ -79,6 +79,8 @@ def _read_series(where: str, x, fld, n: int):
         raise SchemaError("%s lists %d coefficients, more than %d"
                           % (where, len(coeffs), MAX_ORDER))
     f = _read(where, jsonio.series_from_json, x, fld, n)
+    if f.var != "t":
+        raise SchemaError("%s must be a series in t, got var %r" % (where, f.var))
     if not f.center.is_zero():
         raise SchemaError("%s must be centered at 0, the center of the disc" % where)
     return f
@@ -647,6 +649,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
+    if args.format == "csv" and not args.polygon:
+        parser.error("--format csv needs --polygon")
 
     started = time.monotonic()
     try:

@@ -91,7 +91,7 @@ class ResidueFieldTooLarge(PadicDiscError):
 # -- linear algebra over series -----------------------------------------------
 
 class DegenerateFiber(PadicDiscError):
-    """Vandermonde constant terms coincide at precision."""
+    """mat_inverse finds no invertible pivot: U(s) is singular at precision."""
 
 
 # -- optimal bases ------------------------------------------------------------

@@ -98,8 +98,9 @@ class DiscMorphism:
 class Fiber:
     """The d preimages of the target point b, in a deterministic order.
 
-    gaps[i][j] = v(a_j - a_i), +inf where that difference is zero at
-    precision (so on the diagonal); one subtraction per unordered pair."""
+    gaps[i][j] = v(a_j - a_i), +inf on the diagonal only; one subtraction
+    per unordered pair.  Two points whose difference is zero at precision
+    raise FiberNotReduced, naming the first such pair."""
 
     __slots__ = ("target", "points", "gaps")
 
@@ -109,15 +110,17 @@ class Fiber:
         rows = [[INF] * len(points) for _ in points]
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                rows[i][j] = rows[j][i] = (points[j] - points[i]).valuation()
+                gap = rows[i][j] = rows[j][i] = (points[j] - points[i]).valuation()
+                if gap == INF:
+                    raise FiberNotReduced("fiber points %d and %d collide at precision" % (i, j))
         self.gaps = tuple(map(tuple, rows))
 
     def __len__(self):
         return len(self.points)
 
     def members(self, i: int, q) -> tuple:
-        """Indices j of the points in the open disc D(a_i, |p|^q): a_j - a_i is
-        zero at precision or of valuation > q.  i itself is included."""
+        """Indices j of the points in the open disc D(a_i, |p|^q): a_j - a_i
+        has valuation > q.  i itself is included."""
         return tuple(j for j, gap in enumerate(self.gaps[i]) if gap > q)
 
 
@@ -319,12 +322,7 @@ def fiber(phi: DiscMorphism, b: PadicScalar, hints=None) -> Fiber:
     for a in pts:
         if not (evaluate(phi.f, a) - b).is_zero():
             raise RootsNotInDeclaredField("fiber candidate fails f(a) = b at precision")
-    fib = Fiber(target=b, points=tuple(pts))
-    for i in range(d):
-        for j in range(i + 1, d):
-            if fib.gaps[i][j] == INF:
-                raise FiberNotReduced("fiber points %d and %d collide at precision" % (i, j))
-    return fib
+    return Fiber(target=b, points=tuple(pts))
 
 
 # ----------------------------------------------------------------------------
@@ -350,8 +348,6 @@ def tree_over_point(phi: DiscMorphism, fib: Fiber) -> TreeOverPoint:
             continue
         rep = disc[0]
         ell = min(fib.gaps[rep][j] for j in disc[1:])
-        if ell == INF:
-            raise FiberNotReduced("fiber points %d and %d collide at precision" % (rep, disc[1]))
         parts = sorted({fib.members(j, ell) for j in disc})   # disjoint: by least index
         discs.extend(parts)
         if rep not in polygons:

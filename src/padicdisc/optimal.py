@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CountMismatch, DegenerateFiber, InconsistentRadii
+from .errors import CountMismatch, InconsistentRadii
 from .padic import INF, _int_valuation
 from .series import RadiusEstimate, TruncatedSeries, compose, recenter
 from .morphism import DiscMorphism, Fiber, TreeOverPoint, image_radius
@@ -25,25 +25,23 @@ from .diffmod import element_radius, mat_inverse, mat_vec
 class VandermondeData:
     """U(s), V(s) = U(s)^{-1}, and the fiber order they are tied to.
 
-    It also keeps what the job has transported along it: ``composed`` maps
-    (fiber index i, key of an upstairs entry e) to e(u_{a_i}(s)), and
-    ``columns`` maps the keys of a column's blocks to its image under
-    V_r(s).  The fundamental matrix and the optimal basis transport the same
-    upstairs columns, so each is composed and transferred once, and an
-    optimal column equal to a fundamental one is the same tuple.  A key is
-    a series' center and coefficient coordinates, so equal entries built
-    apart share it.  Series are immutable, so callers may share the results;
-    they live as long as this object, which belongs to one job.
+    It also keeps what the job has transported along it: ``columns`` maps
+    the keys of a column's blocks to its image under V_r(s).  The
+    fundamental matrix and the optimal basis transport the same upstairs
+    columns, so each is transferred once, and an optimal column equal to a
+    fundamental one is the same tuple.  A key is a series' center and
+    coefficient coordinates, so equal entries built apart share it.  Series
+    are immutable, so callers may share the results; they live as long as
+    this object, which belongs to one job.
     """
 
-    __slots__ = ("matrix_u", "matrix_v", "fiber", "solutions", "composed", "columns")
+    __slots__ = ("matrix_u", "matrix_v", "fiber", "solutions", "columns")
 
     def __init__(self, matrix_u: tuple, matrix_v: tuple, fiber: Fiber, solutions: tuple):
         self.matrix_u = matrix_u
         self.matrix_v = matrix_v
         self.fiber = fiber
         self.solutions = solutions
-        self.composed = {}
         self.columns = {}
 
     @property
@@ -106,7 +104,8 @@ class OptimalBasis:
 # ----------------------------------------------------------------------------
 
 def vandermonde(fib: Fiber, u_list) -> VandermondeData:
-    """Assemble U(s) from the local solutions and invert it over the series ring."""
+    """Assemble U(s) from the local solutions and invert it over the series
+    ring; the fiber's points are distinct at precision by construction."""
     d = len(fib.points)
     u_list = tuple(u_list)
     if len(u_list) != d:
@@ -114,8 +113,6 @@ def vandermonde(fib: Fiber, u_list) -> VandermondeData:
     for a, u in zip(fib.points, u_list):
         if not (u.coeffs[0] - a).is_zero():
             raise ValueError("solution constant term does not match the fiber order")
-    if any(fib.gaps[i][j] == INF for i in range(d) for j in range(i + 1, d)):
-        raise DegenerateFiber("coincident fiber points at precision")
     n = min(u.order for u in u_list)
     fld = u_list[0].field
     one = TruncatedSeries.constant(fld, u_list[0].var, u_list[0].center, fld.one(), n)
@@ -135,7 +132,7 @@ def transfer_coordinates(blocks, vdata: VandermondeData) -> tuple:
     """Coordinates in the direct-image basis of per-preimage data.
 
     ``blocks`` lists, per fiber point i, the r components y_{j,i}(u_{a_i}(s))
-    (already composed along the local solution).  Stacking puts y_{j,i} at
+    (already substituted along the local solution).  Stacking puts y_{j,i} at
     position (j-1)*d + i before applying the block-diagonal V_r(s) = (+)_j V(s),
     which matches the basis order e_1, t e_1, ..., t^{d-1} e_r.
     """
@@ -159,11 +156,10 @@ def _series_key(e: TruncatedSeries) -> tuple:
 
 def _transfer_column(entries_at, vdata: VandermondeData, rank: int) -> tuple:
     """V_r(s) applied to the column whose block at fiber point i is
-    ``entries_at[i]`` composed along u_{a_i}(s), and zero at every point
-    missing from ``entries_at``; each column and each composition is
-    computed once per ``vdata``."""
-    keys = {i: tuple(_series_key(e) for e in entries_at[i]) for i in sorted(entries_at)}
-    column_key = tuple(keys.items())
+    ``entries_at[i]`` substituted along u_{a_i}(s), and zero at every point
+    missing from ``entries_at``; each column is computed once per ``vdata``."""
+    column_key = tuple((i, tuple(_series_key(e) for e in entries_at[i]))
+                       for i in sorted(entries_at))
     col = vdata.columns.get(column_key)
     if col is not None:
         return col
@@ -171,12 +167,7 @@ def _transfer_column(entries_at, vdata: VandermondeData, rank: int) -> tuple:
     n = min(u.order for u in us)
     zero = TruncatedSeries.constant(us[0].field, us[0].var, us[0].center,
                                     us[0].field.zero(), n)
-    composed = vdata.composed
-    for i, entry_keys in keys.items():
-        for e, key in zip(entries_at[i], entry_keys):
-            if (i, key) not in composed:
-                composed[i, key] = compose(e, us[i])
-    blocks = [[composed[i, key] for key in keys[i]] if i in keys else [zero] * rank
+    blocks = [[compose(e, us[i]) for e in entries_at[i]] if i in entries_at else [zero] * rank
               for i in range(vdata.degree)]
     col = vdata.columns[column_key] = transfer_coordinates(blocks, vdata)
     return col
@@ -284,21 +275,6 @@ def branch_selection(tree: TreeOverPoint, pair: FundamentalPair) -> tuple:
     return tuple(choices)
 
 
-def _choice_members(tree: TreeOverPoint, pair: FundamentalPair, choice):
-    kind, ref = choice
-    if kind == "self":
-        return pair.members
-    bp_index, part_index = ref
-    return tree.branch_points[bp_index].parts[part_index]
-
-
-def _choice_exponent(tree, pair, choice, phi):
-    kind, ref = choice
-    if kind == "self":
-        return image_radius(phi, tree.fiber.points[pair.anchor], pair.exponent)
-    return tree.branch_points[ref[0]].branch_exponent
-
-
 def optimal_basis(bases, tree: TreeOverPoint, vdata: VandermondeData,
                   phi: DiscMorphism) -> OptimalBasis:
     """Columns V_r(s) v_{P,U,s} for every fundamental pair P and selected disc U.
@@ -313,10 +289,14 @@ def optimal_basis(bases, tree: TreeOverPoint, vdata: VandermondeData,
     columns = []
     for pair in fundamental_pairs(linked_bases(bases, tree.fiber), tree.fiber):
         for choice in branch_selection(tree, pair):
-            col = _transfer_column({i: pair.columns_at[i]
-                                    for i in _choice_members(tree, pair, choice)},
-                                   vdata, rank)
-            predicted = _choice_exponent(tree, pair, choice, phi)
+            if choice[0] == "self":
+                members = pair.members
+                predicted = image_radius(phi, tree.fiber.points[pair.anchor], pair.exponent)
+            else:
+                bp_index, part_index = choice[1]
+                members = tree.branch_points[bp_index].parts[part_index]
+                predicted = tree.branch_points[bp_index].branch_exponent
+            col = _transfer_column({i: pair.columns_at[i] for i in members}, vdata, rank)
             columns.append(BasisColumn(
                 entries=col,
                 predicted_exponent=predicted,

@@ -436,38 +436,16 @@ def _fp_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n, ascending, by trial division."""
-    primes, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def _fp_irreducible(g, p):
-    # g monic over F_p.  Frobenius criterion: X^{p^n} == X mod g and
-    # gcd(X^{p^{n/q}} - X, g) = 1 for every prime q | n.
-    n = len(g) - 1
-    if n == 1:
-        return True
-
-    def frobenius_minus_x(k):
-        # X^{p^k} - X mod g, coefficients ascending
+    # g monic of degree n over F_p.  Ben-Or's test: g is irreducible iff
+    # gcd(X^{p^k} - X, g) = 1 for every k <= n/2, as every reducible g has an
+    # irreducible factor of degree k <= n/2, which divides X^{p^k} - X.
+    # X^{p^k} mod g, p^k >= 2, has at least two coefficients
+    for k in range(1, (len(g) - 1) // 2 + 1):
         h = _fp_powmod_x(p ** k, g, p)
-        return [(h[i] if i < len(h) else 0) - (1 if i == 1 else 0)
-                for i in range(max(len(h), 2))]
-
-    if any(c % p for c in frobenius_minus_x(n)):
-        return False
-    for q in _prime_factors(n):
-        gc = _fp_gcd(g, frobenius_minus_x(n // q), p)
-        if len([c for c in gc if c % p]) != 1 or (gc + [0])[0] % p == 0:
+        h[1] -= 1
+        gc = _fp_gcd(g, h, p)
+        if len([c for c in gc if c % p]) != 1 or gc[0] % p == 0:
             return False
     return True
 

@@ -426,6 +426,32 @@ def test_inputs_outside_the_disc_are_schema_errors(name, path, value, tmp_path):
     assert main(["--spec", str(spec_file)]) == 2
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("p2-trivial", ("morphism", "f"),
+     {"center": "0", "coeffs": ["0", "2", "1"], "N": 12, "var": "x"}),
+    ("p2-exp", ("module", "A"), [[{"center": "0", "coeffs": ["-1"], "N": 12, "var": "x"}]]),
+], ids=["f in x", "A in x"])
+def test_spec_series_in_another_variable_than_t_exit_2(name, path, value, tmp_path, capsys):
+    spec = _set(example_spec(name, order=12), path, value)
+    with pytest.raises(SchemaError, match="must be a series in t, got var 'x'"):
+        run(spec)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["--spec", str(spec_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: SchemaError: ")
+
+
+def test_format_csv_without_polygon_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--example", "p2-trivial", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format csv needs --polygon" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert main(["--example", "p2-trivial", "--series-order", "12", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"]
+
+
 def test_series_object_inputs_at_center_0_read_as_lists():
     plain = run(example_spec("p2-exp", order=16))
     spec = _set(example_spec("p2-exp", order=16), ("module", "A"),

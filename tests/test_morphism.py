@@ -191,6 +191,17 @@ def test_fiber_bad_hints(p2):
         tree_over_point(p2.phi, Fiber(target=p2.field.zero(), points=(p2.field.zero(), four, four)))
 
 
+def test_fiber_rejects_points_equal_at_precision(p2, q2):
+    # Fiber owns the check: fiber() with a repeated hint and a bare Fiber of
+    # two points that differ only beyond the tracked precision both raise
+    a = p2.fib.points[1]
+    with pytest.raises(FiberNotReduced, match="fiber points 0 and 1 collide at precision"):
+        fiber(p2.phi, p2.fib.target, hints=[a, a])
+    rough = q2.from_rational(2).with_precision(10)
+    with pytest.raises(FiberNotReduced, match="fiber points 1 and 2 collide at precision"):
+        Fiber(target=q2.zero(), points=(q2.zero(), rough, q2.from_rational(2 + 2 ** 12)))
+
+
 def test_fiber_general_target(q2):
     # f = t^2 + 2t over b = 8: both roots still in Q_2
     phi = make_phi(q2, [0, 2, 1], 2)

@@ -23,7 +23,7 @@ from padicdisc import (
 )
 from padicdisc import cli, direct_image, element_radius, fiber, local_solution, \
     monic_relation, optimal, tree_over_point
-from padicdisc.errors import DegenerateFiber
+from padicdisc.errors import FiberNotReduced
 from padicdisc.morphism import Fiber
 from padicdisc.optimal import BasisColumn, LinkedColumn, OptimalBasis
 from padicdisc.series import compose, mult_inverse
@@ -76,9 +76,8 @@ def test_vandermonde_degenerate(q2):
     u2 = series(q2, [2, 3])
     with pytest.raises(ValueError):
         vandermonde(fib, [u1, u2])      # constants do not match the fiber
-    fib2 = Fiber(target=q2.zero(), points=(q2.from_rational(2), q2.from_rational(2)))
-    with pytest.raises(DegenerateFiber):
-        vandermonde(fib2, [u1, series(q2, [2, 5])])
+    with pytest.raises(FiberNotReduced, match="fiber points 0 and 1 collide at precision"):
+        Fiber(target=q2.zero(), points=(q2.from_rational(2), q2.from_rational(2)))
 
 
 def test_v_times_ones_examples(p2, p3):
@@ -428,26 +427,33 @@ def test_horizontality_of_trivial_bases(p2, p3):
             assert ok and worst == float("inf")
 
 
-@pytest.mark.parametrize("example, entries", [("p2-trivial", 2), ("p2-exp", 2),
-                                               ("p3-trivial", 3)])
-def test_run_composes_once_per_entry(monkeypatch, example, entries):
-    # the fundamental and optimal stages transport the same upstairs entries
-    # along u_{a_i}; the second ask is served by the job's Vandermonde data,
-    # and the checks verify each transported column once
-    composed, checked = [], []
+@pytest.mark.parametrize("example, transfers, entries", [("p2-trivial", 3, 4), ("p2-exp", 2, 2),
+                                                          ("p3-trivial", 4, 6)])
+def test_run_composes_once_per_entry(monkeypatch, example, transfers, entries):
+    # the fundamental and optimal stages transport the same upstairs columns:
+    # each distinct column is transferred by V(s) once, composing each entry
+    # of its blocks along u_{a_i}; a second ask for it is served by the job's
+    # Vandermonde data, and the checks verify each transported column once
+    composed, transferred, checked = [], [], []
 
     def counted_compose(f, g):
         composed.append(f)
         return compose(f, g)
+
+    def counted_transfer(blocks, vdata):
+        transferred.append(blocks)
+        return transfer_coordinates(blocks, vdata)
 
     def counted_check(column, module):
         checked.append(column)
         return horizontal_check(column, module)
 
     monkeypatch.setattr(optimal, "compose", counted_compose)
+    monkeypatch.setattr(optimal, "transfer_coordinates", counted_transfer)
     monkeypatch.setattr(cli, "horizontal_check", counted_check)
     pipe = cli._load(cli.example_spec(example, order=16))
     report = cli._report(pipe)
+    assert len(transferred) == transfers
     assert len(composed) == entries
     fundamental = pipe.get("fundamental")
     columns = {id(col): col for col in fundamental}

@@ -3,6 +3,7 @@
 import math
 import time
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,8 +22,8 @@ from padicdisc.errors import (
     PrecisionPastExact,
 )
 from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bfrom_fraction, _bfrom_power, _bmul,
-                             _bnorm, _fp_eval, _fp_polymulmod, _is_prime, _newton_mod, _ppow,
-                             _vp_int, poly_derivative, poly_eval)
+                             _bnorm, _fp_eval, _fp_irreducible, _fp_polymulmod, _is_prime,
+                             _newton_mod, _ppow, _vp_int, poly_derivative, poly_eval)
 from conftest import zeta3
 
 
@@ -650,6 +651,30 @@ def test_is_prime_matches_trial_division():
     # strong pseudoprimes to the first 4, 9 and 12 prime bases
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not _is_prime(n)
+
+
+def test_fp_irreducible_matches_trial_division():
+    # every monic g of degree <= 6 over F_2, <= 5 over F_3, <= 4 over F_5 and
+    # <= 3 over F_7 and F_11: reducible iff a monic h of degree <= n/2 divides it
+    def monic(p, n):
+        return [list(low) + [1] for low in iter_product(range(p), repeat=n)]
+
+    def divides(h, g, p):
+        r = list(g)
+        for k in range(len(g) - len(h), -1, -1):
+            c = r[k + len(h) - 1]
+            for i, x in enumerate(h):
+                r[k + i] = (r[k + i] - c * x) % p
+        return not any(r)
+
+    count = 0
+    for p, top in ((2, 6), (3, 5), (5, 4), (7, 3), (11, 3)):
+        for n in range(1, top + 1):
+            factors = [h for k in range(1, n // 2 + 1) for h in monic(p, k)]
+            for g in monic(p, n):
+                count += 1
+                assert _fp_irreducible(g, p) == (not any(divides(h, g, p) for h in factors)), g
+    assert count == 3131
 
 
 # -- algebraic properties ---------------------------------------------------------
