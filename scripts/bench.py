@@ -54,6 +54,10 @@ tree building.  The rows ``scalar_mul:<field>`` time one batch of 1000
 ``PadicScalar.__mul__`` calls on seeded pairs of scalars whose every
 coordinate is drawn, over each field of the ``fibers`` workload with 64
 digits and over Q_3(sqrt-3) with 1024 digits; their N is the digit count.
+The rows ``muladd:<field>`` time one batch of 1000
+``FieldDescriptor._muladd(a, b, c)`` calls, the field's compiled
+multiply-add, on the coordinate tuples of seeded triples of scalars whose
+every coordinate is drawn, over the same fields and digit counts.
 The rows ``field:<field>`` time one ``jsonio.field_from_json``, the
 ``FieldDescriptor`` construction of a job, product plan included, over the
 same fields and digit counts; their N is the digit count.
@@ -267,14 +271,14 @@ def _digit_calls(padic, p, digits, seed):
             "bnorm": lambda: [padic._bnorm(p, m, e, k) for m, e, k in norms]}
 
 
-def _scalar_mul_calls(padicdisc) -> list:
-    """(field, digits, call) per benchmark field at 64 digits and for
-    Q_3(sqrt-3) at HIPREC_DIGITS: one call multiplies SCALAR_BATCH seeded
-    pairs of scalars, every coordinate a drawn rational."""
+def _scalar_batches(padicdisc, arity) -> list:
+    """(field, digits, fld, batch) per benchmark field at 64 digits and for
+    Q_3(sqrt-3) at HIPREC_DIGITS: a batch is SCALAR_BATCH seeded tuples of
+    ``arity`` scalars, every coordinate a drawn rational."""
     from fields import FIELDS
     cases = [(name, field, 64) for name, field in sorted(FIELDS.items())]
     cases.append(("Q3(sqrt-3)", FIELDS["Q3(sqrt-3)"], HIPREC_DIGITS))
-    calls = []
+    batches = []
     for name, field, digits in cases:
         fld = padicdisc.jsonio.field_from_json(field.spec(digits))
         rng = random.Random(digits)
@@ -283,8 +287,27 @@ def _scalar_mul_calls(padicdisc) -> list:
             return fld.from_coords([Fraction(rng.randint(-999, 999), rng.choice((1, 3, 5, 7)))
                                     for _ in range(fld.n)])
 
-        pairs = [(scalar(), scalar()) for _ in range(SCALAR_BATCH)]
-        calls.append((name, digits, lambda pairs=pairs: [x * y for x, y in pairs]))
+        batch = [tuple(scalar() for _ in range(arity)) for _ in range(SCALAR_BATCH)]
+        batches.append((name, digits, fld, batch))
+    return batches
+
+
+def _scalar_mul_calls(padicdisc) -> list:
+    """(field, digits, call): one call multiplies SCALAR_BATCH seeded pairs
+    of scalars (``_scalar_batches``)."""
+    return [(name, digits, lambda pairs=pairs: [x * y for x, y in pairs])
+            for name, digits, _, pairs in _scalar_batches(padicdisc, 2)]
+
+
+def _muladd_calls(padicdisc) -> list:
+    """(field, digits, call): one call runs ``FieldDescriptor._muladd(a, b,
+    c)`` on the coordinate tuples of SCALAR_BATCH seeded triples of scalars
+    (``_scalar_batches``)."""
+    calls = []
+    for name, digits, fld, triples in _scalar_batches(padicdisc, 3):
+        coords = [tuple(x.coords for x in triple) for triple in triples]
+        calls.append((name, digits, lambda muladd=fld._muladd, coords=coords:
+                      [muladd(a, b, c) for a, b, c in coords]))
     return calls
 
 
@@ -444,6 +467,8 @@ def _cells(padicdisc) -> list:
             cells += [(op, name, digits, call) for op, call in calls.items()]
     for name, digits, call in _scalar_mul_calls(padicdisc):
         cells.append(("scalar_mul:" + name, name, digits, call))
+    for name, digits, call in _muladd_calls(padicdisc):
+        cells.append(("muladd:" + name, name, digits, call))
     for name, digits, call in _field_calls(padicdisc):
         cells.append(("field:" + name, name, digits, call))
     for name, call in _scalar_json_calls(padicdisc).items():

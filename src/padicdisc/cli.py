@@ -53,6 +53,7 @@ from .optimal import (
 )
 from . import jsonio
 from .jsonio import DEFAULT_DIGITS
+from .padic import MAX_DEGREE
 
 DEFAULT_ORDER = 32
 OUTPUT_KINDS = ("tree", "vandermonde", "direct-image", "fundamental", "optimal", "checks")
@@ -113,7 +114,7 @@ def _load(raw: dict) -> _Pipeline:
     if type(digits) is not int or digits < 8:
         raise SchemaError("digits must be an integer >= 8")
     ext = field.get("ext", "base")
-    f = 1
+    e = f = 1
     if ext != "base":
         if not isinstance(ext, dict) or any(key not in ext for key in ("poly", "e", "f")):
             raise SchemaError('field ext must be "base" or an object with poly, e and f')
@@ -122,10 +123,12 @@ def _load(raw: dict) -> _Pipeline:
             raise SchemaError("ext e and f must be integers >= 1, got %r, %r" % (e, f))
         if not (isinstance(poly, list) and len(poly) == e * f + 1 >= 3):
             raise SchemaError("ext poly must list e*f + 1 >= 3 coefficients")
-    # checked before the field is built: residue enumeration is bounded up front
+    # checked before the field is built: residue enumeration and kernel size are bounded
     if p ** f > MAX_RESIDUE_FIELD:
         raise SchemaError("residue field size p^f = %d^%d exceeds %d"
                           % (p, f, MAX_RESIDUE_FIELD))
+    if e * f > MAX_DEGREE:
+        raise SchemaError("extension degree e*f = %d exceeds %d" % (e * f, MAX_DEGREE))
     try:
         fld = jsonio.field_from_json(field)
     except (ValueError, SchemaError) as err:    # ValueError: InvalidField

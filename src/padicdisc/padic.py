@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache, cached_property
 from operator import add, mul
 
 from .errors import (
@@ -37,6 +38,9 @@ _EXACT = 4096
 # Largest digit cap: a relative precision past _EXACT would read as exact, so
 # the cap stays well below it.
 _MAX_DIGITS = 2048
+
+# Largest extension degree e*f: a field's compiled multiply-add has O((e f)^2) lines.
+MAX_DEGREE = 16
 
 
 # ----------------------------------------------------------------------------
@@ -299,6 +303,73 @@ def _binv(p: int, x: tuple):
     return _bnorm(p, ui, -v, rel - v) if rel - v > _EXACT else (ui, -v, rel - v)
 
 
+@cache
+def _muladd_kernel(p: int, den: int, folds: tuple):
+    """The multiply-add of ``FieldDescriptor._muladd`` for the prime p and
+    the product plan of common denominator den and fold entries folds[t],
+    compiled once per process, at the first request: straight-line Python
+    with the coordinate loops unrolled into locals and the fold and
+    ``_bnorm`` inlined.  An exact-zero digit of a or b reads v = k = INF, so
+    its pairs cap no precision.  p, den and the fold entries are names in
+    the function's globals, never written into its source; it holds no field."""
+    n, r = len(folds), range(len(folds))
+    env = {"E": _EXACT, "INF": INF, "P": p, "DEN": den, "POW": _POWS.setdefault(p, [1, p]),
+           "pw": _ppow}
+    env.update((f"Q{s}_{t}", q) for t, fold in enumerate(folds) for s, q, _ in fold)
+
+    def power(d):
+        return f"(POW[{d}] if {d} < len(POW) else pw(P, {d}))"
+
+    def least(name, terms):
+        return [f"    {name} = {terms[0]}"] + [f"    q = {term}\n    if q < {name}: {name} = q"
+                                                for term in terms[1:]]
+
+    src = ["def muladd(a, b, c=None):"]
+    for s, x in (("a", "x"), ("b", "y")):
+        # the products are exact ints at e = ea + eb, the least unit valuations
+        src += ["    %s, = %s" % (", ".join(f"({s}u{i}, {s}v{i}, {s}k{i})" for i in r), s),
+                f"    e{s} = {s}v0 if {s}u0 else E"]
+        src += [f"    if {s}u{i} and {s}v{i} < e{s}: e{s} = {s}v{i}" for i in r[1:]]
+        for i in r:
+            src += [f"    {x}{i} = {s}u{i}" if n == 1 else f"    {x}{i} = 0 if not {s}u{i} else "
+                    f"{s}u{i} if {s}v{i} == e{s} else {s}u{i} * {power(f'{s}v{i} - e{s}')}",
+                    f"    if not {s}u{i} and {s}k{i} >= E: {s}v{i} = {s}k{i} = INF"]
+    # conv_s and its precision K_s
+    for s in range(2 * n - 1):
+        pairs = [(i, s - i) for i in r if 0 <= s - i < n]
+        src.append(f"    C{s} = " + " + ".join(f"x{i} * y{j}" for i, j in pairs))
+        src += least(f"K{s}", ["E"] + [f"a{v}{i} + b{k}{j}" for i, j in pairs
+                                       for v, k in (("v", "k"), ("k", "v"))])
+    for t, fold in enumerate(folds):
+        src.append(f"    m{t} = " + " + ".join(f"C{s}" if q == 1 else f"Q{s}_{t} * C{s}"
+                                               for s, q, _ in fold))
+        src += least(f"k{t}", [f"K{s} + {w}" if w else f"K{s}" for s, _, w in fold])
+    src.append("    %s = ea + eb" % " = ".join(f"e{t}" for t in r))
+    for t in r:
+        # the addend, then den divided out once and one _bnorm
+        u = "cu" if den == 1 else "DEN * cu"
+        src.append(f"""\
+    if c is not None:
+        cu, cv, ck = c[{t}]
+        if ck < k{t}: k{t} = ck
+        if cu:
+            if cv < e{t}: m{t}, e{t} = m{t} * {power(f'e{t} - cv')} if m{t} else 0, cv
+            m{t} += {u} if cv == e{t} else {u} * {power(f'cv - e{t}')}
+    r{t} = (0, k{t}, k{t})
+    if m{t} and e{t} < k{t}:
+        d = k{t} - e{t}
+        M = {power('d')}
+        m{t} = m{t} {'%' if den == 1 else '* pow(DEN, -1, M) %'} M
+        if m{t}:
+            while not m{t} % P:
+                m{t} //= P
+                e{t} += 1
+            r{t} = (m{t}, e{t}, k{t})""")
+    src.append("    return (%s,)" % ", ".join(f"r{t}" for t in r))
+    exec(compile("\n".join(src), "<muladd>", "exec"), env)
+    return env["muladd"]
+
+
 def _bfrom_power(p: int, m: int, e: int, rel: int):
     """m * p^e known to rel digits beyond its valuation, the exact zero for
     m = 0; PrecisionPastExact when that reaches p^_EXACT, where the precision
@@ -486,6 +557,8 @@ class FieldDescriptor:
             n = len(poly) - 1
             if n < 2 or e * f != n:
                 raise InvalidField("degree must equal e*f >= 2")
+            if n > MAX_DEGREE:
+                raise InvalidField("degree %d exceeds %d" % (n, MAX_DEGREE))
             self.poly = tuple(poly)
             self.e, self.f, self.n = e, f, n
             vals = [INF if c == 0 else Fraction(_vp_int(c.numerator, p) - _vp_int(c.denominator, p))
@@ -636,61 +709,15 @@ class FieldDescriptor:
         common denominator of the q_st, prime to p, divided out once modulo
         p^(K - e) as ``_bconv`` does, and each coordinate is normalized by one
         ``_bnorm``.  An exact-zero conv_s, which the chain skips, has
-        K_s = _EXACT and so caps nothing.  Over Q_p the chain is
-        run as it stands.
+        K_s = _EXACT and so caps nothing.  The field's compiled
+        ``_muladd_kernel``, resolved at its first product, does the work.
         """
-        p = self.p
-        if self.n == 1:
-            t = _bmul(p, a[0], b[0])
-            return (t,) if c is None else (_badd(p, t, c[0]),)
+        return self._kernel(a, b, c)
+
+    @cached_property
+    def _kernel(self):
         den, _, plans = self._conv_plan
-        # the products are exact ints at e = ea + eb, the least valuations of
-        # the units of a and of b
-        ea = eb = _EXACT
-        for u, v, _ in a:
-            if u and v < ea:
-                ea = v
-        for u, v, _ in b:
-            if u and v < eb:
-                eb = v
-        e = ea + eb
-        # b's live digits as (index, int at eb, v, k)
-        ys = [(j, 0 if not u else u if v == eb else u * _ppow(p, v - eb), v, k)
-              for j, (u, v, k) in enumerate(b) if u or k < _EXACT]
-        size = 2 * len(a) - 1
-        prec, conv = [_EXACT] * size, [0] * size
-        for i, (ux, vx, kx) in enumerate(a):
-            if not ux and kx >= _EXACT:
-                continue
-            x = 0 if not ux else ux if vx == ea else ux * _ppow(p, vx - ea)
-            for j, y, vy, ky in ys:
-                k = vx + ky if vx + ky < kx + vy else kx + vy
-                if k < prec[i + j]:
-                    prec[i + j] = k
-                if x and y:
-                    conv[i + j] += x * y
-        out = []
-        for t, (fold, _, _) in enumerate(plans):
-            k, m, et = _EXACT, 0, e
-            for s, q, w in fold:
-                if prec[s] + w < k:
-                    k = prec[s] + w
-                if conv[s]:
-                    m += q * conv[s]
-            if c is not None:
-                uc, vc, kc = c[t]
-                if kc < k:
-                    k = kc
-                if uc:
-                    if vc < et:
-                        if m:
-                            m *= _ppow(p, et - vc)
-                        et = vc
-                    m += den * uc if vc == et else den * uc * _ppow(p, vc - et)
-            if den != 1 and m and k > et:
-                m *= pow(den, -1, _ppow(p, k - et))
-            out.append(_bnorm(p, m, et, k))
-        return tuple(out)
+        return _muladd_kernel(self.p, den, tuple(tuple(fold) for fold, _, _ in plans))
 
     # the plain product is the kernel without an addend
     _mul = _muladd

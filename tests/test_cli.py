@@ -365,7 +365,10 @@ def test_field_json_roundtrip(q3pi):
                                     "e": 1, "f": 17}),
     # v(9) = 2: the FieldDescriptor error becomes a SchemaError, not a bare ValueError
     ("p3-trivial", "field", "ext", {"poly": ["9", "0", "1"], "e": 2, "f": 1}),
-], ids=["p=4", "d=two", "degree-1 ext", "p=2^61-1", "p^f=2^17", "non-Eisenstein ext"])
+    # x^17 + 2: above MAX_DEGREE, rejected before the field is built
+    ("p2-trivial", "field", "ext", {"poly": ["2"] + ["0"] * 16 + ["1"], "e": 17, "f": 1}),
+], ids=["p=4", "d=two", "degree-1 ext", "p=2^61-1", "p^f=2^17", "non-Eisenstein ext",
+        "degree 17"])
 def test_malformed_field_and_degree_are_schema_errors(name, section, key, value, tmp_path):
     spec = example_spec(name)
     spec[section][key] = value
@@ -546,12 +549,21 @@ def test_scalar_reader_keeps_precision_below_exact():
     {"p": 3, "poly": [9, 0, 1], "e": 2, "f": 1},
     {"p": 3, "poly": [3, 0, 1], "e": -1, "f": -2},
     {"p": 2, "poly": [1, 0, 1], "e": 1, "f": 2},
+    {"p": 2, "poly": [2] + [0] * 16 + [1], "e": 17, "f": 1},
 ], ids=["p=4", "p undecided", "digits=0", "digits=2049", "non-Eisenstein", "e=-1,f=-2",
-        "reducible"])
+        "reducible", "degree 17"])
 def test_field_descriptor_errors_are_invalid_field(kwargs):
     with pytest.raises(InvalidField) as info:
         FieldDescriptor(**kwargs)
     assert isinstance(info.value, PadicDiscError) and isinstance(info.value, ValueError)
+
+
+def test_extension_degree_at_the_cap_loads():
+    """x^16 + 2, of degree MAX_DEGREE, passes the spec reader."""
+    spec = example_spec("p2-trivial")
+    spec["field"]["ext"] = {"poly": ["2"] + ["0"] * 15 + ["1"], "e": 16, "f": 1}
+    pi = cli._load(spec).get("field").uniformizer()
+    assert (pi ** 16 + 2).is_zero()
 
 
 @pytest.mark.parametrize("value", [

@@ -1,9 +1,11 @@
 """Scalar arithmetic and Hensel lifting."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,6 +23,7 @@ from padicdisc.errors import (
     PadicDiscError,
     PrecisionPastExact,
 )
+from padicdisc import padic
 from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bfrom_fraction, _bfrom_power, _bmul,
                              _bnorm, _fp_eval, _fp_irreducible, _fp_polymulmod, _is_prime,
                              _newton_mod, _ppow, _vp_int, poly_derivative, poly_eval)
@@ -239,6 +242,31 @@ def test_pow_squares_no_further_than_its_last_bit(q3pi, monkeypatch):
         calls.clear()
         assert (x ** k).coords == expected[k]
         assert len(calls) == count
+
+
+def test_muladd_kernel_is_compiled_once_per_plan():
+    """Building the fields of the fibers workload compiles nothing; the
+    first product over a field compiles the kernel of its p and product
+    plan, which a field with the same polynomial and another digit cap
+    shares, while another polynomial gets its own."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    from fields import FIELDS
+    compiled = padic._muladd_kernel.cache_info
+    padic._muladd_kernel.cache_clear()
+    assert len([jsonio.field_from_json(field.spec(64)) for field in FIELDS.values()]) == 8
+    low, high = (FieldDescriptor(5, digits=digits, poly=[5, 0, 0, 1], e=3, f=1)
+                 for digits in (8, 40))
+    assert compiled().misses == 0
+    for fld in (low, high):
+        pi = fld.uniformizer()
+        assert (pi * pi * pi + 5).is_zero()
+    assert compiled().misses == 1 and high._kernel is low._kernel
+    other = FieldDescriptor(5, digits=8, poly=[10, 0, 0, 1], e=3, f=1)
+    pi = other.uniformizer()
+    assert (pi * pi * pi + 10).is_zero()
+    assert compiled().misses == 2 and other._kernel is not low._kernel
 
 
 def reference_bfrom_fraction(p, q, rel):

@@ -521,6 +521,27 @@ def test_muladd_matches_product_then_add(name, a, b, c):
     assert fld._muladd(x, y) == reference_scalar_mul(fld, x, y)
 
 
+# 10^5000 + 1 and 2^16000 are prime to 3, with more digits than the 4300
+# that int-to-str conversion allows by default
+_HUGE_FOLD = FieldDescriptor(3, digits=12, poly=[Fraction(3 * (10 ** 5000 + 1), 2 ** 16000), 0, 1],
+                             e=2, f=1)
+
+
+@given(a=_scalar_draw, b=_scalar_draw, c=_scalar_draw)
+@example(a=_EXACT_THIRD, b=_EXACT_ONE, c=_EXACT_LOW)
+@settings(max_examples=50, deadline=None)
+def test_muladd_kernel_binds_ints_past_the_str_limit(a, b, c):
+    """A field whose product plan has a denominator and a fold entry past
+    the int-to-str digit limit: the compiled kernel binds them as names,
+    and its products and multiply-adds equal the schoolbook chain."""
+    fld = _HUGE_FOLD
+    den, _, plans = fld._conv_plan
+    assert den > 10 ** 4300 and abs(plans[0][0][1][1]) > 10 ** 4300
+    x, y, z = (kernel_scalar(fld, draw).coords for draw in (a, b, c))
+    assert fld._mul(x, y) == reference_scalar_mul(fld, x, y)
+    assert fld._muladd(x, y, z) == reference_muladd(fld, x, y, z)
+
+
 def reference_poly_eval(fld, coeffs, x):
     """sum c_k x^k by Horner on reference_muladd from the exact zero, every
     coefficient included."""
