@@ -42,7 +42,13 @@ Q_3(sqrt-3)); their N is the digit count, 64 or 1024.  The rows
 polynomial (order N = 32, 64 digits) over each field of the benchmark's
 ``fibers`` workload, roots planted by ``perfbench/workloads.py``; the rows
 ``tree:<field>`` time ``tree_over_point`` on the fiber that ``fiber()`` returns
-there, built untimed.  The rows
+there, built untimed.  The rows ``fiber:Q3^8`` and ``fiber:Q7^4`` time
+``fiber()`` over b = 0 of a planted degree-3 polynomial (order N = 8, 32
+digits) over the unramified fields of degree 8 over Q_3 and 4 over Q_7:
+the residue tests over residue fields of 6561 and 2401 elements.  Each
+field is defined by the first monic polynomial over F_p, constant term
+varying fastest, that ``_fp_irreducible`` accepts, and each root is p times
+a unit of its own nonzero residue.  The rows
 ``hensel:<field>`` time one ``hensel_lift`` from the seed 1 of a degree-8
 polynomial with a simple unit root 1 + a_0 and roots a_1, ..., a_7, the a_i
 planted as for ``fiber:<field>``, so g'(1) is a unit (N is the digit count,
@@ -115,6 +121,7 @@ to stdout and to the JSON file only.
 import argparse
 import functools
 import gc
+import itertools
 import json
 import os
 import platform
@@ -139,6 +146,12 @@ HIPREC_DIGITS = 1024
 HIPREC_ORDER = 32
 FIBER_DEGREE = 8
 FIBER_ORDER = 32
+# (p, f) of the unramified fields of the large-residue fiber rows, and the
+# degree, order and digits of their planted polynomial
+LARGE_RESIDUE_FIELDS = {"Q3^8": (3, 8), "Q7^4": (7, 4)}
+LARGE_RESIDUE_DEGREE = 3
+LARGE_RESIDUE_ORDER = 8
+LARGE_RESIDUE_DIGITS = 32
 OPTIMALITY_ORDER = 32
 STAGE_ORDER = 40
 RELATION_EXAMPLE = "p3-trivial"
@@ -358,6 +371,26 @@ def _fiber_calls(padicdisc) -> dict:
             for name, phi in _planted_morphisms(padicdisc).items()}
 
 
+def _large_residue_fiber_calls(padicdisc) -> dict:
+    """fiber() over b = 0 of a planted degree-3 polynomial, per unramified
+    field of LARGE_RESIDUE_FIELDS."""
+    calls = {}
+    for name, (p, f) in LARGE_RESIDUE_FIELDS.items():
+        monics = ([*low[::-1], 1] for low in itertools.product(range(p), repeat=f))
+        poly = next(g for g in monics if padicdisc.padic._fp_irreducible(g, p))
+        fld = padicdisc.FieldDescriptor(p, digits=LARGE_RESIDUE_DIGITS, poly=poly, e=1, f=f)
+        rng = random.Random(f)
+        g = [fld.one()]
+        for r in rng.sample(range(1, p ** f), LARGE_RESIDUE_DEGREE):
+            root = fld.from_coords([p * (r // p ** i % p + p * rng.randrange(p)) for i in range(f)])
+            g = [hi - root * lo for hi, lo in zip([fld.zero()] + g, g + [fld.zero()])]
+        g += [fld.zero()] * (LARGE_RESIDUE_ORDER - len(g))
+        phi = padicdisc.DiscMorphism(f=padicdisc.TruncatedSeries(fld, "t", fld.zero(), g),
+                                     degree=LARGE_RESIDUE_DEGREE)
+        calls[name] = lambda phi=phi: padicdisc.fiber(phi, phi.f.field.zero())
+    return calls
+
+
 def _tree_calls(padicdisc) -> dict:
     """tree_over_point() on the fiber over b = 0 of the planted morphism, per
     benchmark field; the fiber is built untimed."""
@@ -477,6 +510,8 @@ def _cells(padicdisc) -> list:
         cells.append(("valuation:" + name, name, 64, call))
     for name, call in _fiber_calls(padicdisc).items():
         cells.append(("fiber:" + name, name, FIBER_ORDER, call))
+    for name, call in _large_residue_fiber_calls(padicdisc).items():
+        cells.append(("fiber:" + name, name, LARGE_RESIDUE_ORDER, call))
     for name, call in _tree_calls(padicdisc).items():
         cells.append(("tree:" + name, name, FIBER_ORDER, call))
     for name, call in _hensel_calls(padicdisc).items():

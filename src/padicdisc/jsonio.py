@@ -26,11 +26,15 @@ def frac_str(x) -> str:
 # Fraction builds "1e2000000" in full, which alone takes a second.
 MAX_LITERAL_DIGITS = 4096
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_DECIMAL_INT = re.compile(r"[-+]?[0-9]+")
 
 
 def parse_frac(s) -> Fraction:
     """A rational from a string, an int or a float; SchemaError for anything
-    else, and for a literal past MAX_LITERAL_DIGITS before it is built."""
+    else, a bool included, and for a literal past MAX_LITERAL_DIGITS before
+    it is built."""
+    if isinstance(s, bool):
+        raise SchemaError("not a rational: %r" % (s,))
     if isinstance(s, str):
         exponent = _EXPONENT.search(s)
         too_big = len(s) > MAX_LITERAL_DIGITS or (
@@ -81,7 +85,8 @@ def scalar_to_json(x: PadicScalar) -> dict:
 
 def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
     """A rational string, a list of fld.n rational coordinates, or the full
-    encoding {"coords": fld.n [m, e] pairs, "prec": ...}; anything else
+    encoding {"coords": fld.n [m, e] pairs, "prec": ...}, each m and e a
+    JSON integer or a decimal-integer string; anything else
     raises SchemaError, as does a nonzero coordinate whose fld.digits digits
     beyond its valuation would reach p^_EXACT."""
     try:
@@ -96,8 +101,11 @@ def scalar_from_json(d, fld: FieldDescriptor) -> PadicScalar:
         coords = []
         for m, e in pairs:
             try:
+                if not all(type(x) is int or isinstance(x, str) and _DECIMAL_INT.fullmatch(x)
+                           for x in (m, e)):
+                    raise ValueError
                 m, e = int(m), int(e)
-            except (TypeError, ValueError, ArithmeticError):
+            except ValueError:
                 raise SchemaError("coordinate [m, e] needs integers: %r" % ([m, e],))
             # m * p^e as from_rational stores it
             coords.append(_bfrom_power(fld.p, m, e, fld.digits))

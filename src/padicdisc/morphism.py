@@ -20,8 +20,8 @@ from .errors import (
     RootsNotInDeclaredField,
     SingularFiberPoint,
 )
-from .padic import (INF, FieldDescriptor, PadicScalar, _check_fields, _fp_eval, _int_valuation,
-                    hensel_lift, poly_derivative, poly_eval)
+from .padic import (INF, FieldDescriptor, PadicScalar, _check_fields, _int_valuation,
+                    _ring_horner, hensel_lift, poly_derivative, poly_eval)
 from .series import (
     TruncatedSeries,
     compose,
@@ -194,8 +194,8 @@ def image_radius(phi: DiscMorphism, a: PadicScalar, ell) -> Fraction:
 # ----------------------------------------------------------------------------
 
 def _residue_candidates(fld: FieldDescriptor):
-    """Nonzero elements of the residue field F_p[X]/(fld.residue_poly), as
-    int coordinate tuples: the first coordinates of their representatives."""
+    """Nonzero elements of the residue field F_{p^f}, as int coordinate
+    tuples: the first f coordinates of their representatives."""
     p = fld.p
     if p ** fld.f > MAX_RESIDUE_FIELD:
         raise ResidueFieldTooLarge("residue field of %d^%d elements exceeds %d"
@@ -209,19 +209,22 @@ def _residue_roots(g, dg, fld: FieldDescriptor):
     is a unit.  The coefficients of g have valuation >= 0, dg is g'.
 
     When every coordinate of g and dg is known modulo p, so are g(r) and
-    g'(r), and both tests are decided on ints in the residue field: coordinate
-    0 for Q_p and Eisenstein fields, all f coordinates for unramified ones.
-    Only the r that pass become scalars.  Otherwise g and g' are evaluated at
-    each r at full precision.
+    g'(r): the field's ring kernel evaluates them modulo p on all n
+    coordinates, and a test reads the first f, the residue (for Q_p and
+    Eisenstein fields the fold entries of every c >= n are 0 modulo p).
+    Only the r that pass become scalars.  Otherwise g and g' are evaluated
+    at each r at full precision.
     """
-    p, mod, f = fld.p, fld.residue_poly, fld.f
+    p, f = fld.p, fld.f
     pad = (0,) * (fld.n - f)
     if all(k >= 1 for c in g + dg for _, _, k in c.coords):
-        g_bar, dg_bar = ([[u % p if u and not v else 0 for u, v, _ in c.coords[:f]]
+        ring, D = fld._ring, pow(fld._conv_plan[0], -1, p)
+        g_bar, dg_bar = ([tuple(u % p if u and not v else 0 for u, v, _ in c.coords)
                           for c in cs] for cs in (g, dg))
         for r in _residue_candidates(fld):
-            if not any(_fp_eval(g_bar, r, mod, p)):
-                yield fld.from_coords(r + pad), any(_fp_eval(dg_bar, r, mod, p))
+            x = r + pad
+            if not any(_ring_horner(ring, g_bar, x, p, D)[:f]):
+                yield fld.from_coords(x), any(_ring_horner(ring, dg_bar, x, p, D)[:f])
         return
     for digits in _residue_candidates(fld):
         r = fld.from_coords(digits + pad)

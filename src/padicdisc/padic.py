@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add, mul
+from operator import add
 
 from .errors import (
     DivisionByZeroAtPrecision,
@@ -152,7 +152,7 @@ def _bconv(field, xs, ys):
     pairs that take part, as ``_bmul`` and ``_badd`` would give it.
     Coordinate t of the result is conv_t + sum over c >= dim of
     q_ct conv_c over the coordinates q_ct of X^c modulo the defining
-    polynomial (``FieldDescriptor._build_conv_plan``), known modulo
+    polynomial (``_conv_plan``), known modulo
     the least of K_t and the K_c + v_p(q_ct), clamped to _EXACT as ``_bnorm``
     clamps: the digits and precisions that ``FieldDescriptor._muladd`` gives
     each scalar product, the fold of the ``_bmul``/``_badd`` convolution (an
@@ -303,6 +303,45 @@ def _binv(p: int, x: tuple):
     return _bnorm(p, ui, -v, rel - v) if rel - v > _EXACT else (ui, -v, rel - v)
 
 
+def _conv_plan(p: int, poly):
+    """What ``_bconv`` and the compiled kernels fold with, for the monic
+    defining polynomial poly (ascending coefficients, p-integral; None for
+    Q_p): (den, bound, plans), plans[t] = (fold, terms, signed) for result
+    coordinate t.
+
+    X^c modulo poly, for n <= c <= 2n - 2, has coordinates q_ct; the
+    polynomial's coefficients are p-integral, hence so is every q_ct.  den
+    is the common denominator of the q_ct, prime to p.  fold is the tuple of
+    (c, den * q_ct, w) for c = t (q = 1, w = 0) and every nonzero q_ct,
+    w = v_p(q_ct) >= 0, in ascending c; terms lists (a, b, w) for each pair
+    a + b = c of those c; signed tells whether a fold entry is negative.
+    Every slot _bconv reads, of a conv_c or of a folded sum, is below
+    bound * N * max(x) * max(y) in absolute value: conv_c sums
+    min(c, 2n - 2 - c) + 1 pairs, and a signed slot needs one more bit."""
+    n = 1 if poly is None else len(poly) - 1
+    rows = []
+    if n > 1:
+        rows = [[-c for c in poly[:-1]]]  # X^n
+        for _ in range(n - 2):
+            # X^(c+1) = X * X^c, its top coordinate folded by X^n
+            top = rows[-1][-1]
+            rows.append([lo + top * q for lo, q in zip([0] + rows[-1][:-1], rows[0])])
+    den = math.lcm(*(q.denominator for row in rows for q in row))
+    bound = 1
+    plans = []
+    for t in range(n):
+        fold = [(t, den, 0)]
+        fold += [(c, den // q.denominator * q.numerator, _vp_int(q.numerator, p))
+                 for c, q in enumerate((row[t] for row in rows), n) if q]
+        terms = [(a, c - a, w) for c, _, w in fold
+                 for a in range(max(0, c - n + 1), min(c, n - 1) + 1)]
+        signed = any(q < 0 for _, q, _ in fold)
+        bound = max(bound, (1 + signed) * sum(abs(q) * (min(c, 2 * n - 2 - c) + 1)
+                                              for c, q, _ in fold))
+        plans.append((tuple(fold), terms, signed))
+    return den, bound, plans
+
+
 @cache
 def _muladd_kernel(p: int, den: int, folds: tuple):
     """The multiply-add of ``FieldDescriptor._muladd`` for the prime p and
@@ -370,6 +409,29 @@ def _muladd_kernel(p: int, den: int, folds: tuple):
     return env["muladd"]
 
 
+@cache
+def _ring_kernel(den: int, folds: tuple):
+    """ring(a, b, c, M, D) = (a b + c) mod M in (Z/M)[X]/(poly) on int
+    coordinate tuples, for the product plan of common denominator den and
+    fold entries folds[t] that ``_muladd_kernel`` reads, D = den^-1 mod M
+    (read only when den != 1): the twin of that kernel without precisions
+    or ``_bnorm``, compiled once per process, at the first request, as
+    straight-line Python with the fold entries names in its globals."""
+    n, r = len(folds), range(len(folds))
+    env = {f"Q{s}_{t}": q for t, fold in enumerate(folds) for s, q, _ in fold}
+    src = ["def ring(a, b, c, M, D):"]
+    src += ["    %s, = %s" % (", ".join(f"{s}{i}" for i in r), s) for s in "abc"]
+    for s in range(2 * n - 1):
+        src.append(f"    C{s} = " + " + ".join(f"a{i} * b{s - i}" for i in r if 0 <= s - i < n))
+    out = []
+    for t, fold in enumerate(folds):
+        m = " + ".join(f"C{s}" if q == 1 else f"Q{s}_{t} * C{s}" for s, q, _ in fold)
+        out.append(f"({m} + c{t}) % M" if den == 1 else f"(({m}) * D + c{t}) % M")
+    src.append("    return (%s,)" % ", ".join(out))
+    exec(compile("\n".join(src), "<ring>", "exec"), env)
+    return env["ring"]
+
+
 def _bfrom_power(p: int, m: int, e: int, rel: int):
     """m * p^e known to rel digits beyond its valuation, the exact zero for
     m = 0; PrecisionPastExact when that reaches p^_EXACT, where the precision
@@ -430,68 +492,27 @@ def _is_prime(n: int) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# polynomial helpers over Z/m for any modulus m: F_p[X]/(residue_poly) for
-# unramified irreducibility checks and the fiber search's residue tests,
-# O/p^K for the untracked Newton iteration of hensel_lift
+# polynomial arithmetic over Z/M on the ring kernel: F_p[X]/(g) for Ben-Or's
+# irreducibility test and the fiber search's residue tests, O/p^K for the
+# untracked Newton iteration of hensel_lift
 # ----------------------------------------------------------------------------
 
-def _fp_polymulmod(a, b, g, p):
-    # the exact product, reduced modulo monic g with each leading coefficient
-    # taken modulo p once, then each kept coefficient modulo p once
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, i):
-                out[k] += x * y
-    dg = len(g) - 1
-    for k in range(len(out) - 1, dg - 1, -1):
-        c = out.pop() % p
-        if c:
-            for i in range(dg):
-                out[k - dg + i] -= c * g[i]
-    for i, c in enumerate(out):
-        out[i] = c % p
-    return out
-
-
-def _fp_eval(coeffs, x, g, p):
-    # sum c_k x^k in (Z/p)[X]/(g) by Horner; x and each c_k have deg(g)
-    # coefficients.  acc -> acc * x is linear, and column j of its matrix is
-    # x X^j mod g, built once; a step is one matrix-vector product plus c_k,
-    # with one % per coefficient
-    n = len(g) - 1
-    cols = [[a % p for a in x]]
-    for _ in range(n - 1):
-        prev = cols[-1]
-        top = prev[-1]
-        cols.append([(lo - top * q) % p for lo, q in zip([0] + prev[:-1], g)])
-    rows = list(zip(*cols))
-    acc = [0] * n
-    for c in reversed(coeffs):
-        acc = [(sum(map(mul, row, acc)) + b) % p for row, b in zip(rows, c)]
+def _ring_horner(ring, coeffs, x, M: int, D: int):
+    """sum c_k x^k in (Z/M)[X]/(poly) by Horner, one ``ring`` multiply-add
+    acc * x + c_k per step, for a nonempty list of coefficient tuples
+    reduced modulo M; ring and D as ``_ring_kernel`` takes them."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = ring(acc, x, c, M, D)
     return acc
-
-
-def _fp_powmod_x(exp, g, p):
-    # X^exp modulo monic g over F_p
-    result = [1]
-    base = [0, 1]
-    while exp:
-        if exp & 1:
-            result = _fp_polymulmod(result, base, g, p)
-        base = _fp_polymulmod(base, base, g, p)
-        exp >>= 1
-    return result
 
 
 def _fp_gcd(a, b, p):
     a = [x % p for x in a]
     b = [x % p for x in b]
     while any(b):
-        while b and b[-1] == 0:
+        while b[-1] == 0:
             b.pop()
-        if not b:
-            break
         inv = pow(b[-1], -1, p)
         r = list(a)
         while len(r) >= len(b) and any(r):
@@ -511,11 +532,20 @@ def _fp_irreducible(g, p):
     # g monic of degree n over F_p.  Ben-Or's test: g is irreducible iff
     # gcd(X^{p^k} - X, g) = 1 for every k <= n/2, as every reducible g has an
     # irreducible factor of degree k <= n/2, which divides X^{p^k} - X.
-    # X^{p^k} mod g, p^k >= 2, has at least two coefficients
-    for k in range(1, (len(g) - 1) // 2 + 1):
-        h = _fp_powmod_x(p ** k, g, p)
-        h[1] -= 1
-        gc = _fp_gcd(g, h, p)
+    # h = X^{p^k} mod g is (X^{p^(k-1)})^p, by square-and-multiply on the ring
+    # kernel of g's own plan, whose common denominator is 1
+    n = len(g) - 1
+    den, _, plans = _conv_plan(p, g)
+    ring = _ring_kernel(den, tuple(fold for fold, _, _ in plans))
+    zero = (0,) * n
+    h = (0, 1) + zero[2:]
+    for k in range(1, n // 2 + 1):
+        base = h
+        for bit in bin(p)[3:]:
+            h = ring(h, h, zero, p, 1)
+            if bit == "1":
+                h = ring(h, base, zero, p, 1)
+        gc = _fp_gcd(g, [h[0], h[1] - 1, *h[2:]], p)
         if len([c for c in gc if c % p]) != 1 or gc[0] % p == 0:
             return False
     return True
@@ -541,9 +571,6 @@ class FieldDescriptor:
             raise InvalidField("precision cap must be in 1 .. %d" % _MAX_DIGITS)
         self.p = p
         self.digits = digits
-        # the residue field is F_p[X]/(residue_poly): X for Q_p and Eisenstein
-        # extensions, the reduction of poly for an unramified one
-        self.residue_poly = (0, 1)
         if poly is None:
             if e != 1 or f != 1:
                 raise InvalidField("base field has e = f = 1")
@@ -575,51 +602,13 @@ class FieldDescriptor:
                 if not _fp_irreducible(g, p):
                     raise InvalidField("residue polynomial is reducible over F_p")
                 self.kind = "unramified"
-                self.residue_poly = g
             else:
                 raise InvalidField("only Eisenstein or unramified extensions; towers out of scope")
-        self._conv_plan = self._build_conv_plan()
+        self._conv_plan = _conv_plan(p, self.poly)
         # coordinate tuples, not scalars, so the field is in no reference cycle
         self._zero = tuple(_bzero(_EXACT) for _ in range(self.n))
         self._integers = []
         self._int_inverses = {}
-
-    def _build_conv_plan(self):
-        """What ``_bconv`` and ``_muladd`` fold with: (den, bound, plans),
-        plans[t] = (fold, terms, signed) for result coordinate t.
-
-        X^c modulo the defining polynomial, for n <= c <= 2n - 2, has
-        coordinates q_ct; the polynomial's coefficients are p-integral, hence
-        so is every q_ct.  den is the common denominator of the q_ct, prime
-        to p.  fold lists (c, den * q_ct, w) for c = t (q = 1, w = 0) and
-        every nonzero q_ct, w = v_p(q_ct) >= 0, in ascending c; terms lists
-        (a, b, w) for each pair a + b = c of those c; signed tells whether a
-        fold entry is negative.  Every slot _bconv reads, of a conv_c or of a
-        folded sum, is below bound * N * max(x) * max(y) in absolute value:
-        conv_c sums min(c, 2n - 2 - c) + 1 pairs, and a signed slot needs one
-        more bit."""
-        n, p = self.n, self.p
-        rows = []
-        if self.poly is not None:
-            rows = [[-c for c in self.poly[:-1]]]  # X^n
-            for _ in range(n - 2):
-                # X^(c+1) = X * X^c, its top coordinate folded by X^n
-                top = rows[-1][-1]
-                rows.append([lo + top * q for lo, q in zip([Fraction(0)] + rows[-1][:-1], rows[0])])
-        den = math.lcm(*(q.denominator for row in rows for q in row))
-        bound = 1
-        plans = []
-        for t in range(n):
-            fold = [(t, den, 0)]
-            fold += [(c, den // q.denominator * q.numerator, _vp_int(q.numerator, p))
-                     for c, q in enumerate((row[t] for row in rows), n) if q]
-            terms = [(a, c - a, w) for c, _, w in fold
-                     for a in range(max(0, c - n + 1), min(c, n - 1) + 1)]
-            signed = any(q < 0 for _, q, _ in fold)
-            bound = max(bound, (1 + signed) * sum(abs(q) * (min(c, 2 * n - 2 - c) + 1)
-                                                  for c, q, _ in fold))
-            plans.append((fold, terms, signed))
-        return den, bound, plans
 
     # -- constructors ---------------------------------------------------------
 
@@ -717,7 +706,13 @@ class FieldDescriptor:
     @cached_property
     def _kernel(self):
         den, _, plans = self._conv_plan
-        return _muladd_kernel(self.p, den, tuple(tuple(fold) for fold, _, _ in plans))
+        return _muladd_kernel(self.p, den, tuple(fold for fold, _, _ in plans))
+
+    @cached_property
+    def _ring(self):
+        # the untracked twin of _kernel, resolved at its first use
+        den, _, plans = self._conv_plan
+        return _ring_kernel(den, tuple(fold for fold, _, _ in plans))
 
     # the plain product is the kernel without an addend
     _mul = _muladd
@@ -947,41 +942,31 @@ def poly_derivative(coeffs):
 
 def _newton_mod(g, dg, x: PadicScalar, y: PadicScalar):
     """A root of g modulo p^K, K = digits + 2, as int coordinates in
-    O/p^K = (Z/p^K)[X]/(poly): Newton's iteration from x, with y ~ 1/g'(x)
-    refined by its own step y <- y (2 - g'(x) y).  None when g(x) = 0 mod p^K
-    takes more than ceil(log2 K) + 2 steps.  All coordinates are integral.
-    Over Q_p the iteration runs on plain ints modulo p^K."""
+    O/p^K = (Z/p^K)[X]/(poly), Z/p^K for Q_p: Newton's iteration from x,
+    with y ~ 1/g'(x) refined by its own step y <- y (2 - g'(x) y), every
+    product a step of the field's ring kernel (J. von zur Gathen and
+    J. Gerhard, Modern Computer Algebra, ch. 9).  None when g(x) = 0 mod p^K
+    takes more than ceil(log2 K) + 2 steps.  All coordinates are integral."""
     fld = x.field
-    p, K = fld.p, fld.digits + 2
-    mod = _ppow(p, K)
+    p, n, K = fld.p, fld.n, fld.digits + 2
+    M = _ppow(p, K)
+    D = pow(fld._conv_plan[0], -1, M)
+    ring = fld._ring
     steps = (K - 1).bit_length() + 2
 
     def ints(s):
-        return [u * _ppow(p, v) % mod if u else 0 for u, v, _ in s.coords]
+        return tuple(u * _ppow(p, v) % M if u else 0 for u, v, _ in s.coords)
 
     g, dg, x, y = [ints(c) for c in g], [ints(c) for c in dg], ints(x), ints(y)
-    if fld.n == 1:
-        g, dg, x, y = [c[0] for c in g], [c[0] for c in dg], x[0], y[0]
-        for _ in range(steps):
-            gx = 0
-            for c in reversed(g):
-                gx = (gx * x + c) % mod
-            if not gx:
-                return [x]
-            x = (x - gx * y) % mod
-            dy = 0
-            for c in reversed(dg):
-                dy = (dy * x + c) % mod
-            y = y * ((2 - dy * y) % mod) % mod
-        return None
-    ring = tuple(c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.poly)
+    zero = (0,) * n
+    two = (2,) + zero[1:]
     for _ in range(steps):
-        gx = _fp_eval(g, x, ring, mod)
+        gx = _ring_horner(ring, g, x, M, D)
         if not any(gx):
             return x
-        x = [(a - b) % mod for a, b in zip(x, _fp_polymulmod(gx, y, ring, mod))]
-        dy = _fp_polymulmod(_fp_eval(dg, x, ring, mod), y, ring, mod)
-        y = _fp_polymulmod(y, [(2 - dy[0]) % mod] + [-c % mod for c in dy[1:]], ring, mod)
+        x = ring(gx, tuple(-c for c in y), x, M, D)
+        dy = _ring_horner(ring, dg, x, M, D)
+        y = ring(y, ring(dy, tuple(-c for c in y), two, M, D), zero, M, D)
     return None
 
 
@@ -994,7 +979,8 @@ def hensel_lift(g, x0: PadicScalar, dg=None) -> PadicScalar:
     g(x)/g'(x) supports.  When g'(x0) is a unit, g and x0 are integral and
     g(x0) is nonzero at precision, the loop's first step x1 fixes each
     coordinate's precision; unless g(x1) vanishes, ``_newton_mod`` finds the
-    root untracked, and the loop goes on from it, promoted to x1's precisions.
+    root untracked on the field's ring kernel, and the loop goes on from it,
+    promoted to x1's precisions.
     A caller that already holds g' passes it as dg.
     """
     g = list(g)

@@ -570,6 +570,9 @@ def test_extension_degree_at_the_cap_loads():
     5, None, "x", "1/0", "inf", [], ["1", "0"], {}, {"coords": 3},
     {"coords": [["1", "0"], ["1", "0"]]}, {"coords": [["1"]]}, {"coords": [["1", "x"]]},
     {"coords": [["1", "0"]], "prec": None}, "1e200000", "1e2000000",
+    {"coords": [[1.5, 0]]}, {"coords": [[True, 0]]}, {"coords": [["1", 0.9]]},
+    {"coords": [["1", False]]}, {"coords": [["1.0", "0"]]}, {"coords": [[" 1", "0"]]},
+    {"coords": [["1_0", "0"]]}, [True], {"coords": [["1", "0"]], "prec": True}, True,
 ], ids=repr)
 def test_scalar_reader_is_total(q2, value):
     start = time.perf_counter()

@@ -25,8 +25,8 @@ from padicdisc.errors import (
 )
 from padicdisc import padic
 from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bfrom_fraction, _bfrom_power, _bmul,
-                             _bnorm, _fp_eval, _fp_irreducible, _fp_polymulmod, _is_prime,
-                             _newton_mod, _ppow, _vp_int, poly_derivative, poly_eval)
+                             _bnorm, _conv_plan, _fp_irreducible, _is_prime, _newton_mod, _ppow,
+                             _ring_kernel, _vp_int, poly_derivative, poly_eval)
 from conftest import zeta3
 
 
@@ -455,53 +455,6 @@ def test_hensel_lift_matches_tracked_loop(data):
     assert lift_outcome(hensel_lift, g, x0) == lift_outcome(tracked_lift, g, x0)
 
 
-def list_newton_mod(g, dg, x, y):
-    """Reference for _newton_mod over Q_p: the generic iteration on coordinate
-    lists in (Z/p^K)[X]/(X), which Q_p ran before its int path."""
-    fld = x.field
-    p, K = fld.p, fld.digits + 2
-    mod, ring = p ** K, (0, 1)
-
-    def ints(s):
-        return [u * p ** v % mod if u else 0 for u, v, _ in s.coords]
-
-    g, dg, x, y = [ints(c) for c in g], [ints(c) for c in dg], ints(x), ints(y)
-    for _ in range((K - 1).bit_length() + 2):
-        gx = _fp_eval(g, x, ring, mod)
-        if not any(gx):
-            return x
-        x = [(a - b) % mod for a, b in zip(x, _fp_polymulmod(gx, y, ring, mod))]
-        dy = _fp_polymulmod(_fp_eval(dg, x, ring, mod), y, ring, mod)
-        y = _fp_polymulmod(y, [(2 - dy[0]) % mod] + [-c % mod for c in dy[1:]], ring, mod)
-    return None
-
-
-@given(p=st.sampled_from([2, 3, 5, 7]), digits=st.sampled_from([1, 4, 8, 64]),
-       seed=st.integers(0, 10 ** 6), others=st.lists(st.integers(0, 7 ** 6), max_size=7),
-       planted=st.booleans(), inverse_digits=st.integers(0, 3))
-@example(p=2, digits=8, seed=3, others=[2, 4], planted=True, inverse_digits=1)
-@example(p=5, digits=8, seed=3, others=[2, 4], planted=False, inverse_digits=0)
-@settings(max_examples=200, deadline=None)
-def test_newton_mod_int_path_matches_list_path(p, digits, seed, others, planted,
-                                               inverse_digits):
-    # g has the roots seed and others; a planted seed is a simple root modulo
-    # p, the others lying in other residue classes.  y is 1/g'(x) modulo
-    # p^inverse_digits, or 1 for inverse_digits = 0: a seed that is no root
-    # or a poor y make the iteration miss its step bound and give None.
-    fld = FieldDescriptor(p, digits=digits)
-    if planted:
-        others = [a for a in others if (a - seed) % p]
-    g = [fld.one()]
-    for a in [seed] + others:
-        g = [hi - fld.from_rational(a) * lo for hi, lo in zip([fld.zero()] + g, g + [fld.zero()])]
-    dg = poly_derivative(g)
-    x = fld.from_rational(seed if planted else seed + 1)
-    u, v, _ = poly_eval(dg, x).coords[0]
-    y = fld.one() if inverse_digits == 0 or not u or v else \
-        fld.from_rational(pow(u, -1, p ** inverse_digits))
-    assert _newton_mod(g, dg, x, y) == list_newton_mod(g, dg, x, y)
-
-
 def reference_polymulmod(a, b, g, m):
     """The exact integer product, long division by the monic g over Z, then
     each remainder coefficient modulo m."""
@@ -515,47 +468,107 @@ def reference_polymulmod(a, b, g, m):
     return [c % m for c in out[:dg]]
 
 
+def reduced_poly(poly, m):
+    """The monic defining polynomial modulo m, X for Q_p."""
+    if poly is None:
+        return (0, 1)
+    return tuple(Fraction(c).numerator * pow(Fraction(c).denominator, -1, m) % m for c in poly)
+
+
+def list_newton_mod(g, dg, x, y):
+    """Reference for _newton_mod: the Newton iteration on coordinate lists in
+    (Z/p^K)[X]/(poly), by Horner on reference_polymulmod."""
+    fld = x.field
+    p, K = fld.p, fld.digits + 2
+    mod = p ** K
+    ring = reduced_poly(fld.poly, mod)
+
+    def ints(s):
+        return [u * p ** v % mod if u else 0 for u, v, _ in s.coords]
+
+    def mul(a, b):
+        return reference_polymulmod(a, b, ring, mod)
+
+    def horner(coeffs, x):
+        acc = [0] * fld.n
+        for c in reversed(coeffs):
+            acc = [(a + b) % mod for a, b in zip(mul(acc, x), c)]
+        return acc
+
+    g, dg, x, y = [ints(c) for c in g], [ints(c) for c in dg], ints(x), ints(y)
+    for _ in range((K - 1).bit_length() + 2):
+        gx = horner(g, x)
+        if not any(gx):
+            return tuple(x)
+        x = [(a - b) % mod for a, b in zip(x, mul(gx, y))]
+        dy = mul(horner(dg, x), y)
+        y = mul(y, [(2 - dy[0]) % mod] + [-c % mod for c in dy[1:]])
+    return None
+
+
+# the fields of the benchmark's fibers workload and one whose product plan
+# has common denominator 3, which no workload field has
+NEWTON_FIELDS = dict(LIFT_FIELDS, **{"Q2(pi^2+2pi/3+2)": (2, [2, Fraction(2, 3), 1], 2, 1)})
+
+
+@given(name=st.sampled_from(sorted(NEWTON_FIELDS)), digits=st.sampled_from([1, 4, 8, 64]),
+       seed=st.lists(st.integers(0, 7 ** 6), min_size=2, max_size=2),
+       others=st.lists(st.lists(st.integers(0, 7 ** 6), min_size=2, max_size=2), max_size=7),
+       planted=st.booleans(), inverse_digits=st.integers(0, 3))
+@example(name="Q2", digits=8, seed=[3, 0], others=[[2, 0], [4, 0]], planted=True,
+         inverse_digits=1)
+@example(name="Q5", digits=8, seed=[3, 0], others=[[2, 0], [4, 0]], planted=False,
+         inverse_digits=0)
+@settings(max_examples=300, deadline=None)
+def test_newton_mod_int_path_matches_list_path(name, digits, seed, others, planted,
+                                               inverse_digits):
+    # g has the roots seed and others; a planted seed is a simple root modulo
+    # pi, the others lying in other residue classes.  y is 1/g'(x) modulo
+    # p^inverse_digits, or 1 for inverse_digits = 0: a seed that is no root
+    # or a poor y make the iteration miss its step bound and give None.
+    p, poly, e, f = NEWTON_FIELDS[name]
+    fld = FieldDescriptor(p, digits=digits, poly=poly, e=e, f=f)
+    seed, others = seed[:fld.n], [a[:fld.n] for a in others]
+    if planted:
+        others = [a for a in others if any((x - s) % p for x, s in zip(a[:f], seed))]
+    g = [fld.one()]
+    for a in [seed] + others:
+        g = [hi - fld.from_coords(a) * lo for hi, lo in zip([fld.zero()] + g, g + [fld.zero()])]
+    dg = poly_derivative(g)
+    x = fld.from_coords(seed if planted else [seed[0] + 1] + seed[1:])
+    d = poly_eval(dg, x)
+    y = fld.one() if inverse_digits == 0 or d.is_zero() or d.valuation() else \
+        (1 / d).with_precision(inverse_digits)
+    assert _newton_mod(g, dg, x, y) == list_newton_mod(g, dg, x, y)
+
+
 # p and the defining polynomial of each field of the benchmark's fibers
 # workload (Q_p itself reduces modulo X), as _newton_mod and the residue
-# tests read them
+# tests read them, and X^2 + X/3 + 1 over p = 2, whose plan has common
+# denominator 3
 _BENCH_RINGS = ((2, (0, 1)), (3, (0, 1)), (5, (0, 1)), (7, (0, 1)),
-                (2, (2, 0, 1)), (3, (3, 0, 1)), (2, (1, 1, 1)), (5, (-2, 0, 1)))
+                (2, (2, 0, 1)), (3, (3, 0, 1)), (2, (1, 1, 1)), (5, (-2, 0, 1)),
+                (2, (1, Fraction(1, 3), 1)))
 
 
-@given(ring=st.sampled_from(_BENCH_RINGS), big=st.booleans(),
-       a=st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=1, max_size=4),
-       b=st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=1, max_size=4))
+_pair = st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=2, max_size=2)
+
+
+@given(ring=st.sampled_from(_BENCH_RINGS), big=st.booleans(), a=_pair, b=_pair, c=_pair)
+@example(ring=(2, (1, Fraction(1, 3), 1)), big=True, a=[-1, 3], b=[2 ** 300 + 1, -7], c=[5, 0])
 @settings(max_examples=300, deadline=None)
-def test_fp_polymulmod_matches_exact_division(ring, big, a, b):
+def test_ring_kernel_matches_exact_division(ring, big, a, b, c):
+    """The compiled a b + c of a product plan against the exact product
+    reduced by long division, plus c, modulo p (the residue tests) and p^66
+    (the Newton iteration of hensel_lift); D = den^-1 modulo M."""
     p, poly = ring
     m = p ** 66 if big else p
-    g = tuple(c % m for c in poly)
-    assert _fp_polymulmod(a, b, g, m) == reference_polymulmod(a, b, g, m)
-
-
-def reference_fp_eval(coeffs, x, g, m):
-    """_fp_eval as it was: Horner with one _fp_polymulmod per step, then a
-    % per coordinate."""
-    acc = [0] * (len(g) - 1)
-    for c in reversed(coeffs):
-        acc = [(a + b) % m for a, b in zip(_fp_polymulmod(acc, x, g, m), c)]
-    return acc
-
-
-@given(ring=st.sampled_from(_BENCH_RINGS), big=st.booleans(), data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_fp_eval_matches_horner_on_polymulmod(ring, big, data):
-    """_fp_eval, one matrix-vector product per Horner step, against Horner on
-    _fp_polymulmod in the residue ring of each fibers field, modulo p (the
-    residue tests) and p^66 (the Newton iteration of hensel_lift)."""
-    p, poly = ring
-    m = p ** 66 if big else p
-    g = tuple(c % m for c in poly)
-    element = st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=len(g) - 1,
-                       max_size=len(g) - 1)
-    x = data.draw(element)
-    coeffs = data.draw(st.lists(element, max_size=9))
-    assert _fp_eval(coeffs, x, g, m) == reference_fp_eval(coeffs, x, g, m)
+    g = reduced_poly(poly, m)
+    a, b, c = (x[:len(g) - 1] for x in (a, b, c))
+    den, _, plans = _conv_plan(p, poly)
+    kernel = _ring_kernel(den, tuple(fold for fold, _, _ in plans))
+    assert kernel(a, b, c, m, pow(den, -1, m)) == \
+        tuple((x + y) % m for x, y in zip(reference_polymulmod(a, b, g, m), c))
 
 
 _DERIVATIVE_FIELDS = {
