@@ -38,6 +38,12 @@ the three canned examples at N = 32 and 64.  Below the series layer, the
 rows ``bmul``, ``badd`` and ``bnorm`` time one batch of 1000 calls of the
 digit helper on fixed seeded unit digits (p = 2 for Q_2, p = 3 for
 Q_3(sqrt-3)); their N is the digit count, 64 or 1024.  The rows
+``bnorm_strip:<p>`` time ``bnorm`` on the same products times p^w, so that
+it strips w factors of p: w = 0 for about three in ten and drawn uniformly
+in 1..60 for the others, as the strips of ``_bnorm`` spread in p3-trivial
+(at N = 40 with 64 digits, 27% of its odd-p calls strip nothing, 2% one
+factor, and the mean is 28; at N = 32 with 1024 digits, 29%, 2% and 22).
+The rows
 ``fiber:<field>`` time ``fiber()`` over b = 0 of a planted degree-8
 polynomial (order N = 32, 64 digits) over each field of the benchmark's
 ``fibers`` workload, roots planted by ``perfbench/workloads.py``; the rows
@@ -141,6 +147,8 @@ OPS = ("mul", "mult_inverse", "reversion", "compose", "compose_poly8", "mat_inve
 DIGIT_PRIMES = {"Q2": 2, "Q3(sqrt-3)": 3}
 DIGIT_COUNTS = (64, 1024)
 DIGIT_BATCH = 1000
+# largest number of factors p a bnorm_strip input carries
+STRIP_MAX = 60
 SCALAR_BATCH = 1000
 HIPREC_DIGITS = 1024
 HIPREC_ORDER = 32
@@ -269,7 +277,9 @@ def _calls(padicdisc, data):
 
 def _digit_calls(padic, p, digits, seed):
     """One batch call per digit helper over seeded digits u * p^v, u a unit
-    known to ``digits`` digits; ``bnorm`` gets the products ``bmul`` forms."""
+    known to ``digits`` digits; ``bnorm`` gets the products ``bmul`` forms,
+    and ``bnorm_strip`` those products times p^w, w = 0 for about three in
+    ten and drawn in 1..STRIP_MAX for the others."""
     rng = random.Random(seed)
 
     def digit():
@@ -279,9 +289,12 @@ def _digit_calls(padic, p, digits, seed):
     pairs = [(digit(), digit()) for _ in range(DIGIT_BATCH)]
     norms = [(ux * uy, vx + vy, min(vx + ky, vy + kx))
              for (ux, vx, kx), (uy, vy, ky) in pairs]
+    strips = [(m * p ** (0 if rng.random() < 0.3 else rng.randint(1, STRIP_MAX)), e, k)
+              for m, e, k in norms]
     return {"bmul": lambda: [padic._bmul(p, x, y) for x, y in pairs],
             "badd": lambda: [padic._badd(p, x, y) for x, y in pairs],
-            "bnorm": lambda: [padic._bnorm(p, m, e, k) for m, e, k in norms]}
+            "bnorm": lambda: [padic._bnorm(p, m, e, k) for m, e, k in norms],
+            "bnorm_strip:%d" % p: lambda: [padic._bnorm(p, m, e, k) for m, e, k in strips]}
 
 
 def _scalar_batches(padicdisc, arity) -> list:

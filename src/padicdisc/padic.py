@@ -52,11 +52,17 @@ MAX_DEGREE = 16
 # ----------------------------------------------------------------------------
 
 def _vp_int(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    """v_p(n) for a nonzero int n; ValueError for n = 0, whose valuation is
+    infinite."""
+    if not n:
+        raise ValueError("the valuation of 0 is infinite")
+    if n % p:
+        return 0
+    n //= p
+    if n % p:
+        return 1
+    # p^d > |n| for d = ceil(bits(n) / (bits(p) - 1)), as p >= 2^(bits(p) - 1)
+    return 1 + _vp_gcd(p, n, p ** -(-n.bit_length() // (p.bit_length() - 1)))[1]
 
 
 _POWS = {}
@@ -74,6 +80,21 @@ def _ppow(p: int, n: int) -> int:
     return cache[n]
 
 
+def _vp_gcd(p: int, m: int, M: int) -> tuple:
+    """(g, w) with g = p^w the power of p that divides the nonzero int m
+    exactly, for M a power of p above |m|: one gcd(m, M) is that power, and
+    w is read off its bit length floor(w log2 p) + 1, then checked against
+    the powers of p, so it is exact however large w is."""
+    g = math.gcd(m, M)
+    w = math.ceil((g.bit_length() - 1) / math.log2(p))
+    q = _ppow(p, w)
+    while q != g:
+        # a float rounding put the estimate one off
+        w += 1 if q < g else -1
+        q = _ppow(p, w)
+    return g, w
+
+
 def _bzero(k: int) -> tuple:
     if k > _EXACT:
         k = _EXACT
@@ -86,17 +107,22 @@ def _bnorm(p: int, m: int, e: int, k: int):
     if m == 0 or e >= k:
         return (0, k, k)
     pows = _POWS.get(p, ())
-    m %= pows[k - e] if k - e < len(pows) else _ppow(p, k - e)
+    M = pows[k - e] if k - e < len(pows) else _ppow(p, k - e)
+    m %= M
     if m == 0:
         return (0, k, k)
-    # m < p^(k - e), so m stripped of its w factors p is below p^(k - e - w)
+    # m < p^(k - e) = M, so m stripped of its w factors p is below
+    # p^(k - e - w), and gcd(m, M) is p^w
     if p == 2:
         w = (m & -m).bit_length() - 1
         return (m >> w, e + w, k)
-    while m % p == 0:
-        m //= p
-        e += 1
-    return (m, e, k)
+    if m % p:
+        return (m, e, k)
+    m //= p
+    if m % p:
+        return (m, e + 1, k)
+    g, w = _vp_gcd(p, m, M)
+    return (m // g, e + 1 + w, k)
 
 
 def _badd(p: int, x: tuple, y: tuple):
@@ -348,9 +374,13 @@ def _muladd_kernel(p: int, den: int, folds: tuple):
     the product plan of common denominator den and fold entries folds[t],
     compiled once per process, at the first request: straight-line Python
     with the coordinate loops unrolled into locals and the fold and
-    ``_bnorm`` inlined.  An exact-zero digit of a or b reads v = k = INF, so
-    its pairs cap no precision.  p, den and the fold entries are names in
-    the function's globals, never written into its source; it holds no field."""
+    ``_bnorm`` inlined.  The inlined ``_bnorm`` strips the valuation one
+    division at a time, for every p: the kernel's strips are short (on the
+    benchmark's workloads about nine in ten strip at most one factor), too
+    short for ``_vp_gcd`` to pay.  An exact-zero digit of a or b reads
+    v = k = INF, so its pairs cap no precision.  p, den and the fold
+    entries are names in the function's globals, never written into its
+    source; it holds no field."""
     n, r = len(folds), range(len(folds))
     env = {"E": _EXACT, "INF": INF, "P": p, "DEN": den, "POW": _POWS.setdefault(p, [1, p]),
            "pw": _ppow}
@@ -964,9 +994,10 @@ def _newton_mod(g, dg, x: PadicScalar, y: PadicScalar):
         gx = _ring_horner(ring, g, x, M, D)
         if not any(gx):
             return x
-        x = ring(gx, tuple(-c for c in y), x, M, D)
+        neg_y = tuple(-c for c in y)
+        x = ring(gx, neg_y, x, M, D)
         dy = _ring_horner(ring, dg, x, M, D)
-        y = ring(y, ring(dy, tuple(-c for c in y), two, M, D), zero, M, D)
+        y = ring(y, ring(dy, neg_y, two, M, D), zero, M, D)
     return None
 
 

@@ -26,7 +26,7 @@ from padicdisc.errors import (
 from padicdisc import padic
 from padicdisc.padic import (_EXACT, PadicScalar, _badd, _bfrom_fraction, _bfrom_power, _bmul,
                              _bnorm, _conv_plan, _fp_irreducible, _is_prime, _newton_mod, _ppow,
-                             _ring_kernel, _vp_int, poly_derivative, poly_eval)
+                             _ring_kernel, _vp_gcd, _vp_int, poly_derivative, poly_eval)
 from conftest import zeta3
 
 
@@ -866,3 +866,59 @@ def test_digit_helpers_match_reference(data):
                       (_bnorm(p, m, e, k), reference_bnorm(p, m, e, k))):
         assert got == want
         assert is_normal_digit(p, got)
+
+
+# m = sign * unit * p^w with w up to 300 and e < 0, at precisions below, at
+# and past _EXACT, so that p^(k - e) also lies past the cached powers of p
+@given(p=st.sampled_from([2, 3, 5, 7]), w=st.integers(0, 300),
+       unit=st.integers(1, 10 ** 40), sign=st.sampled_from([1, -1]), e=st.integers(-6000, -1),
+       k=st.one_of(st.sampled_from([_EXACT, _EXACT + 1, 2 * _EXACT]),
+                   st.integers(1, _EXACT - 1)))
+@example(p=3, w=300, unit=2, sign=-1, e=-5000, k=_EXACT)
+@example(p=7, w=299, unit=7 ** 40 + 1, sign=1, e=-1, k=300)
+# a strip past the cached powers of p
+@example(p=3, w=5000, unit=2, sign=1, e=-6000, k=_EXACT)
+@settings(max_examples=300, deadline=None)
+def test_bnorm_strips_long_valuations(p, w, unit, sign, e, k):
+    """_bnorm against reference_bnorm on digits with many factors of p to
+    strip, the unit itself possibly divisible by p."""
+    m = sign * unit * p ** w
+    got = _bnorm(p, m, e, k)
+    assert got == reference_bnorm(p, m, e, k)
+    assert is_normal_digit(p, got)
+
+
+def reference_vp_int(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 1000003]), w=st.integers(0, 300),
+       unit=st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 400)),
+       sign=st.sampled_from([1, -1]))
+@example(p=3, w=0, unit=3 ** 1000 * 2, sign=1)
+@example(p=2, w=5000, unit=1, sign=-1)
+@settings(max_examples=300, deadline=None)
+def test_vp_int_matches_division_loop(p, w, unit, sign):
+    n = sign * unit * p ** w
+    assert _vp_int(n, p) == reference_vp_int(n, p)
+
+
+@pytest.mark.parametrize("skew", [0.97, 1.03])
+def test_vp_gcd_walks_an_estimate_off_to_the_exact_power(monkeypatch, skew):
+    """w is checked against the powers of p, so an estimate of w that a
+    skewed log2 puts several steps off still ends at w."""
+    log2 = math.log2
+    monkeypatch.setattr(padic.math, "log2", lambda x: log2(x) * skew)
+    for p in (3, 5, 7):
+        for w in (0, 1, 2, 50, 300):
+            assert _vp_gcd(p, -2 * p ** w, p ** (w + 5)) == (p ** w, w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003])
+def test_vp_int_of_zero_raises(p):
+    with pytest.raises(ValueError):
+        _vp_int(0, p)

@@ -2,7 +2,9 @@
 
 import math
 import operator
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -33,6 +35,8 @@ from padicdisc.series import (
     valuation_polygon,
 )
 from conftest import N, binom_rationals, exp_rationals
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def rational_series(field, var, rats, order=N):
@@ -540,6 +544,73 @@ def test_muladd_kernel_binds_ints_past_the_str_limit(a, b, c):
     x, y, z = (kernel_scalar(fld, draw).coords for draw in (a, b, c))
     assert fld._mul(x, y) == reference_scalar_mul(fld, x, y)
     assert fld._muladd(x, y, z) == reference_muladd(fld, x, y, z)
+
+
+def _fibers_fields(digits):
+    """The fields of the benchmark's fibers workload at ``digits`` digits."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    from fields import FIELDS
+    return {name: jsonio.field_from_json(field.spec(digits)) for name, field in FIELDS.items()}
+
+
+FIBERS_FIELDS = _fibers_fields(64)
+# per coordinate num / den times p^shift, the shifts spread so that the
+# coordinates' valuations differ widely
+_spread_coords = st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                                    st.sampled_from([1, 2, 5, 7]), st.integers(0, 30)),
+                          min_size=2, max_size=2)
+
+
+def spread_scalar(fld, coords):
+    return fld.from_coords([Fraction(num, den) * fld.p ** shift
+                            for num, den, shift in coords[:fld.n]])
+
+
+def kernel_strips(a, b, c, out):
+    """Factors of p the kernel strips from each nonzero coordinate of
+    out = a b + c: its valuation less the least of ea + eb (ea, eb the least
+    unit valuations of a and b) and that of the addend's coordinate."""
+    ea, eb = (min((v for u, v, _ in s if u), default=_EXACT) for s in (a, b))
+    return [v - min(ea + eb, cv if cu else INF)
+            for (u, v, _), (cu, cv, _) in zip(out, c) if u]
+
+
+@given(name=st.sampled_from(sorted(FIBERS_FIELDS)), a=_spread_coords, b=_spread_coords,
+       d=_spread_coords, w=st.integers(0, 40), cancel=st.booleans())
+@example(name="Q3", a=[(5, 7, 0)] * 2, b=[(11, 1, 0)] * 2, d=[(1, 1, 0)] * 2, w=30, cancel=True)
+@settings(max_examples=300, deadline=None)
+def test_muladd_strips_long_valuations(name, a, b, d, w, cancel):
+    """FieldDescriptor._muladd(a, b, c) against reference_muladd on the
+    fibers fields, the coordinates of a, b and d spread in valuation and the
+    addend c = p^w d, less a b when cancel is set, so that a b + c keeps
+    about w + v(d) factors of p for the kernel to strip; every digit it
+    returns has a unit prime to p."""
+    fld = FIBERS_FIELDS[name]
+    x, y, z = (spread_scalar(fld, draw) for draw in (a, b, d))
+    z = fld.from_rational(fld.p ** w) * z
+    if cancel:
+        z = z - x * y
+    x, y, z = x.coords, y.coords, z.coords
+    got = fld._muladd(x, y, z)
+    assert got == reference_muladd(fld, x, y, z)
+    assert all(not u or u % fld.p for u, _, _ in got)
+
+
+@pytest.mark.parametrize("name", sorted(FIBERS_FIELDS))
+def test_muladd_kernel_strips_many_factors(name):
+    """a b + (p^20 d - a b) on a fibers field, the coordinates of a, b and d
+    at valuations 0 and 3 to 6, units prime to p: the kernel strips 20
+    factors of p or more from a coordinate, and its digits equal
+    reference_muladd's."""
+    fld = FIBERS_FIELDS[name]
+    x = spread_scalar(fld, [(11, 13, 0), (17, 1, 6)])
+    y = spread_scalar(fld, [(19, 1, 0), (23, 1, 4)])
+    z = fld.from_rational(fld.p ** 20) * spread_scalar(fld, [(29, 1, 0), (31, 1, 3)]) - x * y
+    x, y, z = x.coords, y.coords, z.coords
+    got = fld._muladd(x, y, z)
+    assert got == reference_muladd(fld, x, y, z)
+    assert max(kernel_strips(x, y, z, got)) >= 20
 
 
 def reference_poly_eval(fld, coeffs, x):
